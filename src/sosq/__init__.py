@@ -45,8 +45,7 @@ from .stability import (
     check_hypothesis_two,
     check_hypothesis_four,
     classify_diagonal,
-    run_stability_two,
-    run_stability_four,
+    run_stability,
 )
 from .systems import (
     CaseFour,
@@ -59,8 +58,7 @@ from .systems import (
 )
 from .sumsquares import (
     Factorization,
-    FourSquareRep,
-    TwoSquareRep,
+    SquareRep,
     factorize,
     four_square_decompose,
     is_prime,

@@ -38,8 +38,7 @@ from .stability import (
     DEFAULT_GROWTH_THRESHOLD,
     DEFAULT_MULT_TOL,
     classify_diagonal,
-    run_stability_two,
-    run_stability_four,
+    run_stability,
 )
 from .systems import ResidualExceededError, solve_two, solve_four
 from .sumsquares import (
@@ -154,10 +153,6 @@ def _check_run_config(args) -> None:
         raise UsageError(f"--tol must be > 0, got {tol!r}")
 
 
-def _arity(args) -> Arity:
-    return Arity.TWO if args.arity == 2 else Arity.FOUR
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sosq",
@@ -240,49 +235,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_compose2(args):
-    p1, p2 = IntPair(args.x1, args.y1), IntPair(args.x2, args.y2)
-    result = compose_two(p1, p2)
-    law_holds = norm2(result) == norm2(p1) * norm2(p2)
-    config = {"p1": [args.x1, args.y1], "p2": [args.x2, args.y2]}
-    detail = {
-        "result": [result.x, result.y],
-        "norm_product": norm2(p1) * norm2(p2),
-        "norm_of_result": norm2(result),
-        "norm_law_holds": law_holds,
-    }
-    human = (
-        f"({args.x1}, {args.y1}) o ({args.x2}, {args.y2}) = ({result.x}, {result.y})\n"
-        f"norm check: {norm2(p1)} * {norm2(p2)} = {norm2(result)}"
+def _cmd_compose(args):
+    two = args.command == "compose2"
+    coords, point, compose, norm = (
+        ("xy", IntPair, compose_two, norm2) if two
+        else ("xyzw", IntQuad, compose_four, norm4)
     )
-    return config, detail, "PASS" if law_holds else "FAIL", human
-
-
-def _cmd_compose4(args):
-    q1 = IntQuad(args.x1, args.y1, args.z1, args.w1)
-    q2 = IntQuad(args.x2, args.y2, args.z2, args.w2)
-    result = compose_four(q1, q2)
-    law_holds = norm4(result) == norm4(q1) * norm4(q2)
-    comps = [result.x, result.y, result.z, result.w]
-    config = {
-        "q1": [q1.x, q1.y, q1.z, q1.w],
-        "q2": [q2.x, q2.y, q2.z, q2.w],
-    }
+    first = [getattr(args, f"{c}1") for c in coords]
+    second = [getattr(args, f"{c}2") for c in coords]
+    p1, p2 = point(*first), point(*second)
+    result = compose(p1, p2)
+    comps = [getattr(result, c) for c in coords]
+    law_holds = norm(result) == norm(p1) * norm(p2)
+    config = dict(zip(("p1", "p2") if two else ("q1", "q2"), (first, second)))
     detail = {
         "result": comps,
-        "norm_product": norm4(q1) * norm4(q2),
-        "norm_of_result": norm4(result),
+        "norm_product": norm(p1) * norm(p2),
+        "norm_of_result": norm(result),
         "norm_law_holds": law_holds,
     }
-    human = (
-        f"result: ({', '.join(map(str, comps))})\n"
-        f"norm check: {norm4(q1)} * {norm4(q2)} = {norm4(result)}"
-    )
+    show = lambda values: f"({', '.join(map(str, values))})"
+    head = f"{show(first)} o {show(second)} = " if two else "result: "
+    human = f"{head}{show(comps)}\nnorm check: {norm(p1)} * {norm(p2)} = {norm(result)}"
     return config, detail, "PASS" if law_holds else "FAIL", human
 
 
-def _solve_report_dict(report):
-    out = {
+def _cmd_solve(args):
+    two = args.command == "solve2"
+    names, unknowns, solve = (
+        (("u", "v"), "(x, y)", solve_two) if two
+        else (("a", "b", "c", "d"), "(x, y, z, w)", solve_four)
+    )
+    rhs = [getattr(args, name) for name in names]
+    config = {**dict(zip(names, rhs)), "tol": args.tol, "zero_eps": args.zero_eps}
+    try:
+        report = solve(*rhs, tol=args.tol, zero_eps=args.zero_eps)
+    except ResidualExceededError as exc:
+        return config, {"error": str(exc), "residual": exc.residual}, "FAIL", str(exc)
+    human = (
+        f"{unknowns} = {report.solution!r}   case {report.case_label.value}\n"
+        f"residual {report.residual:.3e} (tol {report.tol:.1e})"
+    )
+    detail = {
         "solution": list(report.solution),
         "case_label": report.case_label.value,
         "residual": report.residual,
@@ -290,44 +284,12 @@ def _solve_report_dict(report):
         "tol": report.tol,
     }
     if report.alpha is not None:
-        out["alpha"] = report.alpha
-    return out
-
-
-def _cmd_solve2(args):
-    config = {"u": args.u, "v": args.v, "tol": args.tol, "zero_eps": args.zero_eps}
-    try:
-        report = solve_two(args.u, args.v, tol=args.tol, zero_eps=args.zero_eps)
-    except ResidualExceededError as exc:
-        return config, {"error": str(exc), "residual": exc.residual}, "FAIL", str(exc)
-    x, y = report.solution
-    human = (
-        f"(x, y) = ({x!r}, {y!r})   case {report.case_label.value}\n"
-        f"residual {report.residual:.3e} (tol {report.tol:.1e})"
-    )
-    return config, _solve_report_dict(report), "PASS", human
-
-
-def _cmd_solve4(args):
-    config = {
-        "a": args.a, "b": args.b, "c": args.c, "d": args.d,
-        "tol": args.tol, "zero_eps": args.zero_eps,
-    }
-    try:
-        report = solve_four(
-            args.a, args.b, args.c, args.d, tol=args.tol, zero_eps=args.zero_eps
-        )
-    except ResidualExceededError as exc:
-        return config, {"error": str(exc), "residual": exc.residual}, "FAIL", str(exc)
-    human = (
-        f"(x, y, z, w) = {report.solution!r}   case {report.case_label.value}\n"
-        f"residual {report.residual:.3e} (tol {report.tol:.1e})"
-    )
-    return config, _solve_report_dict(report), "PASS", human
+        detail["alpha"] = report.alpha
+    return config, detail, "PASS", human
 
 
 def _cmd_verify(args):
-    arity = _arity(args)
+    arity = Arity(args.arity)
     seed = _resolve_seed(args)
     model = parse_model_spec(args.model, arity)
     f = model.as_function()
@@ -354,13 +316,12 @@ def _cmd_verify(args):
 
 
 def _cmd_stability(args):
-    arity = _arity(args)
+    arity = Arity(args.arity)
     seed = _resolve_seed(args)
     model = parse_model_spec(args.model, arity)
     bounds = parse_bounds_spec(args.bounds, arity)
     f = model.as_function()
-    runner = run_stability_two if arity is Arity.TWO else run_stability_four
-    report = runner(
+    report = run_stability(
         f, bounds,
         seed=seed, samples=args.samples, tol=args.tol,
         growth_threshold=args.growth_threshold, mult_tol=args.mult_tol,
@@ -465,10 +426,10 @@ def _cmd_rep_check(args):
 
 
 _HANDLERS = {
-    "compose2": _cmd_compose2,
-    "compose4": _cmd_compose4,
-    "solve2": _cmd_solve2,
-    "solve4": _cmd_solve4,
+    "compose2": _cmd_compose,
+    "compose4": _cmd_compose,
+    "solve2": _cmd_solve,
+    "solve4": _cmd_solve,
     "verify": _cmd_verify,
     "stability": _cmd_stability,
     "classify": _cmd_classify,

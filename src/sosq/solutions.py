@@ -54,23 +54,20 @@ class FamilyKind(Enum):
     SIGNED_POWER = "signedpower"
     CONSTANT_ONE = "one"
     ZERO = "zero"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
 class MultiplicativeFamily:
     """A map m on the reals with m(s*t) = m(s)*m(t).
 
-    Built-in kinds satisfy the law identically (POWER with exponent 0 is the
-    constant 1, including at 0); CUSTOM maps are only trusted after empirical
-    verification.  Negative-exponent powers are undefined at 0 and evaluate
-    to 0 there by convention; `undefined_at_zero` exposes that so callers can
-    flag it.
+    Every kind satisfies the law identically (POWER with exponent 0 is the
+    constant 1, including at 0).  Negative-exponent powers are undefined at
+    0 and evaluate to 0 there by convention; `undefined_at_zero` exposes
+    that so callers can flag it.
     """
 
     kind: FamilyKind
     exponent: float = 0.0
-    fn: Callable[[float], float] | None = None
 
     @classmethod
     def power(cls, c: float) -> "MultiplicativeFamily":
@@ -87,10 +84,6 @@ class MultiplicativeFamily:
     @classmethod
     def zero(cls) -> "MultiplicativeFamily":
         return cls(FamilyKind.ZERO)
-
-    @classmethod
-    def custom(cls, fn: Callable[[float], float]) -> "MultiplicativeFamily":
-        return cls(FamilyKind.CUSTOM, fn=fn)
 
     @property
     def undefined_at_zero(self) -> bool:
@@ -112,9 +105,7 @@ class MultiplicativeFamily:
             return mag if t > 0.0 else -mag
         if kind is FamilyKind.CONSTANT_ONE:
             return 1.0
-        if kind is FamilyKind.ZERO:
-            return 0.0
-        return float(self.fn(t))
+        return 0.0
 
 
 def builtin_families() -> tuple[MultiplicativeFamily, ...]:

@@ -41,8 +41,7 @@ __all__ = [
     "check_hypothesis_four",
     "check_conclusion_four",
     "classify_diagonal",
-    "run_stability_two",
-    "run_stability_four",
+    "run_stability",
     "DEFAULT_GROWTH_THRESHOLD",
     "DEFAULT_MULT_TOL",
 ]
@@ -56,7 +55,7 @@ _BOUND_SLOTS = {Arity.TWO: 4, Arity.FOUR: 8}
 
 
 class InvalidBoundError(ValueError):
-    """A bound function returned a negative value at a probe."""
+    """A bound function raised, or returned a value outside [0, inf), at a probe."""
 
 
 @dataclass(frozen=True)
@@ -94,10 +93,15 @@ class BoundSpec:
 
 
 def _bound_at(fn: Callable[[float], float], t: float):
-    value = fn(t)
-    if value < 0:
-        raise InvalidBoundError(f"bound value {value!r} < 0 at probe {t!r}")
-    return value
+    # NaN fails the range test too; complex values raise TypeError there
+    try:
+        value = fn(t)
+        if 0 <= value < math.inf:
+            return value
+        problem = f"bound value {value!r} is not in [0, inf)"
+    except (ArithmeticError, TypeError) as exc:
+        problem = f"bound raised {type(exc).__name__}: {exc}"
+    raise InvalidBoundError(f"{problem} at probe {t!r}")
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,31 @@ class StabilityReport:
         }
 
 
-def _assemble(arity, seed, samples, tol, hyp, con, diag) -> StabilityReport:
+def run_stability(
+    f,
+    bounds: BoundSpec,
+    *,
+    seed: int = 42,
+    samples: int = 10000,
+    low: float = -10.0,
+    high: float = 10.0,
+    tol: float = 1e-9,
+    growth_threshold: float = DEFAULT_GROWTH_THRESHOLD,
+    mult_tol: float = DEFAULT_MULT_TOL,
+) -> StabilityReport:
+    """Hypothesis + conclusion sweeps plus the diagonal classification.
+
+    The arity is bounds.arity: f takes that many coordinates, and the
+    diagonal verdict is on its first-axis restriction t -> f(t, 0, ...).
+    """
+    arity = int(bounds.arity)
+    two = bounds.arity is Arity.TWO
+    check_hypothesis = check_hypothesis_two if two else check_hypothesis_four
+    check_conclusion = check_conclusion_two if two else check_conclusion_four
+    hyp = check_hypothesis(f, bounds, UniformSampler(seed, samples, low, high), tol)
+    con = check_conclusion(f, bounds, UniformSampler(seed, samples, low, high), tol)
+    pad = (0.0,) * (arity - 1)
+    diag = classify_diagonal(lambda t: f(t, *pad), None, growth_threshold, mult_tol)
     evidence = {
         "hypothesis_worst_point": list(hyp.worst_point) if hyp.worst_point else None,
         "hypothesis_defect": hyp.defect_at_worst,
@@ -336,41 +364,3 @@ def _assemble(arity, seed, samples, tol, hyp, con, diag) -> StabilityReport:
         diagonal_classification=diag.verdict.value,
         evidence=evidence,
     )
-
-
-def run_stability_two(
-    f,
-    bounds: BoundSpec,
-    *,
-    seed: int = 42,
-    samples: int = 10000,
-    low: float = -10.0,
-    high: float = 10.0,
-    tol: float = 1e-9,
-    growth_threshold: float = DEFAULT_GROWTH_THRESHOLD,
-    mult_tol: float = DEFAULT_MULT_TOL,
-) -> StabilityReport:
-    """Hypothesis + conclusion sweeps plus the diagonal classification."""
-    hyp = check_hypothesis_two(f, bounds, UniformSampler(seed, samples, low, high), tol)
-    con = check_conclusion_two(f, bounds, UniformSampler(seed, samples, low, high), tol)
-    diag = classify_diagonal(lambda t: f(t, 0.0), None, growth_threshold, mult_tol)
-    return _assemble(2, seed, samples, tol, hyp, con, diag)
-
-
-def run_stability_four(
-    f,
-    bounds: BoundSpec,
-    *,
-    seed: int = 42,
-    samples: int = 10000,
-    low: float = -10.0,
-    high: float = 10.0,
-    tol: float = 1e-9,
-    growth_threshold: float = DEFAULT_GROWTH_THRESHOLD,
-    mult_tol: float = DEFAULT_MULT_TOL,
-) -> StabilityReport:
-    """Four-variable analog of run_stability_two."""
-    hyp = check_hypothesis_four(f, bounds, UniformSampler(seed, samples, low, high), tol)
-    con = check_conclusion_four(f, bounds, UniformSampler(seed, samples, low, high), tol)
-    diag = classify_diagonal(lambda t: f(t, 0.0, 0.0, 0.0), None, growth_threshold, mult_tol)
-    return _assemble(4, seed, samples, tol, hyp, con, diag)

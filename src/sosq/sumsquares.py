@@ -15,17 +15,14 @@ method could be swapped in without touching the folding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import isqrt
 
 from .identities import IntPair, IntQuad, compose_two, compose_four
 
 __all__ = [
-    "FoldCounters",
-    "counters",
     "Factorization",
-    "TwoSquareRep",
-    "FourSquareRep",
+    "SquareRep",
     "is_prime",
     "factorize",
     "is_sum_of_two_squares",
@@ -33,21 +30,6 @@ __all__ = [
     "two_square_decompose",
     "four_square_decompose",
 ]
-
-
-@dataclass
-class FoldCounters:
-    """Counts composition folds; instrumentation for tests, not part of the API."""
-
-    two: int = 0
-    four: int = 0
-
-    def reset(self) -> None:
-        self.two = 0
-        self.four = 0
-
-
-counters = FoldCounters()
 
 
 def is_prime(n: int) -> bool:
@@ -140,19 +122,11 @@ def two_square_brute_force(n: int) -> tuple[int, int] | None:
 
 
 @dataclass(frozen=True)
-class TwoSquareRep:
-    """n = components[0]^2 + components[1]^2, components nonnegative descending."""
+class SquareRep:
+    """n as an exact sum of two or four squares, components nonnegative descending."""
 
     n: int
-    components: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class FourSquareRep:
-    """n as an exact sum of four squares, components nonnegative descending."""
-
-    n: int
-    components: tuple[int, int, int, int]
+    components: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -181,27 +155,7 @@ def _prime_four_square(n: int) -> tuple[int, int, int, int]:
     raise ArithmeticError(f"no four-square representation found for {n}")
 
 
-def _fold_two(parts: list[IntPair]) -> IntPair:
-    if not parts:
-        return IntPair(1, 0)
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = compose_two(acc, part)
-        counters.two += 1
-    return acc
-
-
-def _fold_four(parts: list[IntQuad]) -> IntQuad:
-    if not parts:
-        return IntQuad(1, 0, 0, 0)
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = compose_four(acc, part)
-        counters.four += 1
-    return acc
-
-
-def two_square_decompose(n: int) -> TwoSquareRep | None:
+def two_square_decompose(n: int) -> SquareRep | None:
     """Exact two-square representation of n >= 1, or None if none exists.
 
     Primes 3 mod 4 (even exponents only) contribute p^(e/2) as a common
@@ -220,12 +174,12 @@ def two_square_decompose(n: int) -> TwoSquareRep | None:
             multiplier *= p ** (e // 2)
         else:
             parts.extend([IntPair(*_prime_two_square(p))] * e)
-    folded = _fold_two(parts)
+    folded = reduce(compose_two, parts) if parts else IntPair(1, 0)
     a, b = sorted((abs(folded.x) * multiplier, abs(folded.y) * multiplier), reverse=True)
-    return TwoSquareRep(n, (a, b))
+    return SquareRep(n, (a, b))
 
 
-def four_square_decompose(n: int) -> FourSquareRep:
+def four_square_decompose(n: int) -> SquareRep:
     """Exact four-square representation of any n >= 0.
 
     Each prime factor is brute-forced once and the copies are folded through
@@ -235,12 +189,12 @@ def four_square_decompose(n: int) -> FourSquareRep:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
-        return FourSquareRep(0, (0, 0, 0, 0))
+        return SquareRep(0, (0, 0, 0, 0))
     parts: list[IntQuad] = []
     for p, e in factorize(n).factors:
         parts.extend([IntQuad(*_prime_four_square(p))] * e)
-    folded = _fold_four(parts)
+    folded = reduce(compose_four, parts) if parts else IntQuad(1, 0, 0, 0)
     comps = sorted(
         (abs(folded.x), abs(folded.y), abs(folded.z), abs(folded.w)), reverse=True
     )
-    return FourSquareRep(n, tuple(comps))
+    return SquareRep(n, tuple(comps))

@@ -41,8 +41,6 @@ __all__ = [
     "ResidualExceededError",
     "DEFAULT_TOL_TWO",
     "DEFAULT_TOL_FOUR",
-    "equation_residual_two",
-    "equation_residual_four",
     "solve_two",
     "solve_four",
 ]
@@ -149,19 +147,6 @@ def _residual_four(as_, bs, cs, ds, xs, ys, zs, ws, e2: int) -> float:
     return defect / (_one_in_scaled_units(e2) + abs(as_) + abs(bs) + abs(cs) + abs(ds))
 
 
-def equation_residual_two(u: float, v: float, x: float, y: float) -> float:
-    """Max defect of the two equations, relative to 1 + |u| + |v|."""
-    return _residual_two(u, v, x, y, 0)
-
-
-def equation_residual_four(
-    a: float, b: float, c: float, d: float,
-    x: float, y: float, z: float, w: float,
-) -> float:
-    """Max defect of the four equations, relative to 1 + |a|+|b|+|c|+|d|."""
-    return _residual_four(a, b, c, d, x, y, z, w, 0)
-
-
 def _sign_variants(
     canonical: tuple[float, ...],
     residual_of,
@@ -259,6 +244,21 @@ def _larger_quadratic_root(qa: float, qb: float, qc: float) -> float:
     return -2.0 * qc / (qb + root)
 
 
+def _d_zero_shape(b: float, as_: float, bs: float, cs: float, half: int):
+    """Branch B/C solution for d = 0 in scaled units (see solve_four), with
+    alpha in plain units; alpha is None where a and c vanish at b's scale
+    with b <= 0 and the limiting (0, t, 0, t) shape is taken.  The sign of
+    the unscaled b picks the form of the inner sum, since bs may underflow."""
+    r = math.hypot(as_, bs, cs)
+    inner = bs + r if b >= 0.0 else (as_ * as_ + cs * cs) / (r - bs)
+    alpha = math.sqrt(inner) / 2.0
+    if alpha == 0.0:
+        t = math.sqrt(max(-bs, 0.0) / 2.0)
+        return (0.0, t, 0.0, t), None
+    scaled = (alpha, (as_ - cs) / (4.0 * alpha), alpha, (as_ + cs) / (4.0 * alpha))
+    return scaled, math.ldexp(alpha, half)
+
+
 def solve_four(
     a: float,
     b: float,
@@ -316,20 +316,7 @@ def solve_four(
             case = CaseFour.A
         else:
             case = CaseFour.B if b > 0.0 else CaseFour.C
-            r = math.hypot(as_, bs, cs)
-            inner = bs + r if b >= 0.0 else (as_ * as_ + cs * cs) / (r - bs)
-            alpha = math.sqrt(inner) / 2.0
-            if alpha == 0.0:
-                # a and c underflowed at b's scale with b <= 0; take the
-                # limiting solution, which has the a = c = 0 shape
-                t = math.sqrt(max(-bs, 0.0) / 2.0)
-                scaled = (0.0, t, 0.0, t)
-            else:
-                scaled = (
-                    alpha, (as_ - cs) / (4.0 * alpha),
-                    alpha, (as_ + cs) / (4.0 * alpha),
-                )
-                alpha_report = math.ldexp(alpha, half)
+            scaled, alpha_report = _d_zero_shape(b, as_, bs, cs, half)
     else:
         case = CaseFour.D
         s2 = as_ * as_ + cs * cs
@@ -351,28 +338,31 @@ def solve_four(
             # The true larger root clears both bounds; max() only absorbs the
             # last-ulp rounding of the quadratic formula.
             alpha = max(alpha, 0.0, -ds)
-            alpha_report = math.ldexp(alpha, e2)
             x_mag = math.sqrt(max(ds + alpha, 0.0))
             z_mag = math.sqrt(alpha)
-
-            candidates = []
             sum_same = x_mag + z_mag
-            candidates.append(
-                (x_mag, (as_ - cs) / (2.0 * sum_same),
-                 z_mag, (as_ + cs) / (2.0 * sum_same))
-            )
-            # Opposite orientation: x + z = x_mag - z_mag = d/(x_mag + z_mag),
-            # computed in the stable quotient form.  sum_opp only vanishes
-            # when ds underflowed, and then the orientations coincide.
-            sum_opp = ds / sum_same
-            if sum_opp != 0.0:
-                candidates.append(
-                    (x_mag, (as_ - cs) / (2.0 * sum_opp),
-                     -z_mag, (as_ + cs) / (2.0 * sum_opp))
+            if sum_same == 0.0:
+                # alpha vanished with d, which underflowed at b's scale;
+                # the d = 0 shape applies in the limit
+                scaled, alpha_report = _d_zero_shape(b, as_, bs, cs, half)
+            else:
+                alpha_report = math.ldexp(alpha, e2)
+                candidates = [
+                    (x_mag, (as_ - cs) / (2.0 * sum_same),
+                     z_mag, (as_ + cs) / (2.0 * sum_same))
+                ]
+                # Opposite orientation: x + z = x_mag - z_mag = d/(x_mag + z_mag),
+                # computed in the stable quotient form.  sum_opp only vanishes
+                # when ds underflowed, and then the orientations coincide.
+                sum_opp = ds / sum_same
+                if sum_opp != 0.0:
+                    candidates.append(
+                        (x_mag, (as_ - cs) / (2.0 * sum_opp),
+                         -z_mag, (as_ + cs) / (2.0 * sum_opp))
+                    )
+                scaled = min(
+                    candidates, key=lambda t: _residual_four(as_, bs, cs, ds, *t, e2)
                 )
-            scaled = min(
-                candidates, key=lambda t: _residual_four(as_, bs, cs, ds, *t, e2)
-            )
 
     scaled = tuple(_unsign_zero(t) for t in scaled)
     residual = _residual_four(as_, bs, cs, ds, *scaled, e2)

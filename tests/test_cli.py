@@ -138,6 +138,15 @@ class TestStabilityCommand:
                      "--bounds", "min(1"]) == 2
         assert "'<end>'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bounds", ["-1", "1e308*10-1e308*10", "pow(x,0.5)", "x/0", "pow(10,400)"]
+    )
+    def test_invalid_bound_value_is_usage_error(self, capsys, bounds):
+        # negative, NaN, complex, raising and overflowing bounds
+        assert main(["stability", "--arity", "2", "--model", "power:c=2",
+                     "--bounds", bounds, "--samples", "10"]) == 2
+        assert "probe" in capsys.readouterr().err
+
     def test_unknown_name_reported(self, capsys):
         assert main(["stability", "--arity", "2", "--model", "one",
                      "--bounds", "sin(x)"]) == 2

@@ -16,8 +16,7 @@ from sosq.stability import (
     check_hypothesis_two,
     check_hypothesis_four,
     classify_diagonal,
-    run_stability_two,
-    run_stability_four,
+    run_stability,
 )
 
 norm2f = lambda x, y: x * x + y * y
@@ -222,7 +221,7 @@ class TestExactArithmetic:
 class TestRunners:
     def test_run_two_assembles_report(self):
         f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2)).as_function()
-        report = run_stability_two(f, ZERO2, seed=3, samples=2000)
+        report = run_stability(f, ZERO2, seed=3, samples=2000)
         assert report.hypothesis_max_violation <= 1e-9
         assert report.conclusion_max_violation <= 1e-9
         assert report.diagonal_classification == "MULTIPLICATIVE"
@@ -231,7 +230,7 @@ class TestRunners:
 
     def test_run_four_constant_half(self):
         f = lambda x, y, z, w: 0.5
-        report = run_stability_four(
+        report = run_stability(
             f, BoundSpec.constant(Arity.FOUR, 0.25), seed=3, samples=2000
         )
         assert report.hypothesis_max_violation == 0.0

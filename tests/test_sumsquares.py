@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import four_square_witness, is_two_square, two_square_witnesses
+from sosq import sumsquares
 from sosq.sumsquares import (
-    counters,
     factorize,
     four_square_decompose,
     is_prime,
@@ -12,6 +12,19 @@ from sosq.sumsquares import (
     two_square_brute_force,
     two_square_decompose,
 )
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of sumsquares.<name> made from here on."""
+    calls = []
+    inner = getattr(sumsquares, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(sumsquares, name, counted)
+    return calls
 
 
 class TestFactorize:
@@ -93,17 +106,17 @@ class TestTwoSquareDecompose:
                 assert a >= b >= 0
                 assert a * a + b * b == n
 
-    def test_fold_path_taken_for_composite(self):
-        counters.reset()
+    def test_fold_path_taken_for_composite(self, monkeypatch):
+        folds = count_calls(monkeypatch, "compose_two")
         rep = two_square_decompose(5 * 13 * 17)
-        assert counters.two == 2  # three prime parts, two folds
+        assert len(folds) == 2  # three prime parts, two folds
         a, b = rep.components
         assert a * a + b * b == 1105
 
-    def test_single_prime_needs_no_fold(self):
-        counters.reset()
+    def test_single_prime_needs_no_fold(self, monkeypatch):
+        folds = count_calls(monkeypatch, "compose_two")
         two_square_decompose(13)
-        assert counters.two == 0
+        assert len(folds) == 0
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_random_exactness(self, n):
@@ -122,12 +135,12 @@ class TestFourSquareDecompose:
     def test_seven(self):
         assert four_square_decompose(7).components == (2, 1, 1, 1)
 
-    def test_fifteen_composed_from_primes(self):
+    def test_fifteen_composed_from_primes(self, monkeypatch):
         # parts (1,1,1,0) and (2,1,0,0) compose to (3,-1,-2,-1)
-        counters.reset()
+        folds = count_calls(monkeypatch, "compose_four")
         rep = four_square_decompose(15)
         assert rep.components == (3, 2, 1, 1)
-        assert counters.four == 1
+        assert len(folds) == 1
 
     def test_components_sorted_descending(self):
         for n in (12, 56, 99, 360):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import system_four_defects, system_two_defects
@@ -183,6 +183,35 @@ class TestSolveFour:
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteInputError):
             solve_four(1.0, math.nan, 0.0, 0.0)
+
+    def test_case_d_when_d_underflows_at_b_scale(self):
+        # scaled by b's magnitude, d underflows to 0 and the branch-D alpha
+        # with it, so x + z would vanish; the d = 0 shape is used instead
+        rhs = (0.0, -1e200, 1e50, 1e-250)
+        report = solve_four(*rhs)
+        assert report.case_label is CaseFour.D
+        defects = system_four_defects(*rhs, *report.solution)
+        assert max(map(abs, defects)) <= 1e-6 * (1.0 + sum(map(abs, rhs)))
+
+    @given(
+        st.floats(min_value=-100, max_value=300),
+        st.floats(min_value=150, max_value=400),
+        st.one_of(st.none(), st.floats(min_value=0, max_value=400)),
+        st.one_of(st.none(), st.floats(min_value=0, max_value=400)),
+        st.lists(st.sampled_from((-1.0, 1.0)), min_size=4, max_size=4),
+    )
+    def test_tiny_d_solves_or_reports_residual(self, eb, kd, ka, kc, signs):
+        # |d| << |b|, with a and c zero or anywhere below b
+        mag = lambda k: 0.0 if k is None else 10.0 ** (eb - k)
+        rhs = tuple(s * t for s, t in zip(signs, (mag(ka), 10.0**eb, mag(kc), mag(kd))))
+        assume(rhs[3] != 0.0)
+        try:
+            report = solve_four(*rhs)
+        except ResidualExceededError:
+            return
+        assert report.case_label is CaseFour.D
+        defects = system_four_defects(*rhs, *report.solution)
+        assert max(map(abs, defects)) <= 1e-6 * (1.0 + sum(map(abs, rhs)))
 
     def test_residual_error_carries_value(self):
         exc = ResidualExceededError("boom", 0.25)
