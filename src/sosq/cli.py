@@ -4,7 +4,7 @@ Subcommands cover exact composition (compose2/compose4), the closed-form
 solvers (solve2/solve4), seeded equation verification (verify), stability
 checks (stability), the diagonal classifier (classify), integer square
 decompositions (decompose), and the representability cross-check
-(rep-check).
+(rep-check; its brute-force route is skipped above BRUTE_FORCE_MAX = 10**12).
 
 Every verification run is reproducible: reports depend only on the
 arguments and the seed (flag --seed, else env var SOSQ_SEED, else 42), and
@@ -55,6 +55,9 @@ EXIT_USAGE = 2
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 10000
+# rep-check's brute-force cross-check takes O(sqrt n) steps; above this n it
+# is skipped and the witness comes from the factorization route instead
+BRUTE_FORCE_MAX = 10**12
 
 
 class UsageError(Exception):
@@ -403,25 +406,38 @@ def _cmd_decompose(args):
 
 
 def _cmd_rep_check(args):
-    if args.n < 1:
+    n = args.n
+    if n < 1:
         raise UsageError("rep-check requires n >= 1")
-    config = {"n": args.n}
-    criterion = is_sum_of_two_squares(args.n)
-    witness = two_square_brute_force(args.n)
-    agree = criterion == (witness is not None)
-    fac = factorize(args.n)
+    config = {"n": n}
+    criterion = is_sum_of_two_squares(n)
+    if n <= BRUTE_FORCE_MAX:
+        witness = two_square_brute_force(n)
+        brute_force = witness is not None
+        route = "brute force"
+    else:
+        rep = two_square_decompose(n)
+        witness = rep.components if rep is not None else None
+        brute_force = None
+        route = "decomposition"
+    agree = criterion == (witness is not None) and (
+        witness is None or sum(c * c for c in witness) == n
+    )
+    fac = factorize(n)
     detail = {
         "criterion": criterion,
-        "brute_force": witness is not None,
+        "brute_force": brute_force,
         "witness": list(witness) if witness else None,
         "factors": [[p, e] for p, e in fac.factors],
         "agree": agree,
     }
     verdict = "PASS" if agree else "FAIL"
     text = "representable" if criterion else "not representable"
-    human = f"{verdict}: {args.n} is {text}; criterion and brute force agree: {agree}"
+    human = f"{verdict}: {n} is {text}; criterion and {route} agree: {agree}"
+    if brute_force is None:
+        human += f" (brute force skipped above {BRUTE_FORCE_MAX})"
     if witness:
-        human += f"\nwitness: {args.n} = {witness[0]}^2 + {witness[1]}^2"
+        human += f"\nwitness: {n} = {witness[0]}^2 + {witness[1]}^2"
     return config, detail, verdict, human
 
 

@@ -11,7 +11,7 @@ structure (associativity, inverses) is claimed or relied upon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "IntPair",
@@ -25,31 +25,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntPair:
+class IntPair(namedtuple("IntPair", "x y")):
     """Integer pair (x, y); norm2 is x^2 + y^2, computed exactly."""
 
-    x: int
-    y: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
+    def __new__(cls, x: int, y: int) -> "IntPair":
+        if not (isinstance(x, int) and isinstance(y, int)):
             raise TypeError("IntPair components must be integers")
+        return tuple.__new__(cls, (x, y))
+
+    # namedtuple's _make (and _replace, built on it) skips __new__
+    _make = classmethod(lambda cls, components: cls(*components))
 
 
-@dataclass(frozen=True)
-class IntQuad:
+class IntQuad(namedtuple("IntQuad", "x y z w")):
     """Integer quadruple (x, y, z, w); norm4 is the exact sum of squares."""
 
-    x: int
-    y: int
-    z: int
-    w: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for v in (self.x, self.y, self.z, self.w):
-            if not isinstance(v, int):
-                raise TypeError("IntQuad components must be integers")
+    def __new__(cls, x: int, y: int, z: int, w: int) -> "IntQuad":
+        if not (
+            isinstance(x, int) and isinstance(y, int)
+            and isinstance(z, int) and isinstance(w, int)
+        ):
+            raise TypeError("IntQuad components must be integers")
+        return tuple.__new__(cls, (x, y, z, w))
+
+    _make = classmethod(lambda cls, components: cls(*components))
 
 
 def compose_two_raw(x1, y1, x2, y2):
@@ -72,19 +75,25 @@ def compose_four_raw(x1, y1, z1, w1, x2, y2, z2, w2):
     )
 
 
+# Composing int components yields int components, so the compositions
+# below build their result with tuple.__new__, skipping the type check.
+
+
 def compose_two(p1: IntPair, p2: IntPair) -> IntPair:
     """Compose two pairs; norm2(result) == norm2(p1) * norm2(p2) exactly."""
-    return IntPair(*compose_two_raw(p1.x, p1.y, p2.x, p2.y))
+    return tuple.__new__(IntPair, compose_two_raw(*p1, *p2))
 
 
 def compose_four(q1: IntQuad, q2: IntQuad) -> IntQuad:
     """Compose two quadruples; norm4(result) == norm4(q1) * norm4(q2) exactly."""
-    return IntQuad(*compose_four_raw(q1.x, q1.y, q1.z, q1.w, q2.x, q2.y, q2.z, q2.w))
+    return tuple.__new__(IntQuad, compose_four_raw(*q1, *q2))
 
 
 def norm2(p: IntPair) -> int:
-    return p.x * p.x + p.y * p.y
+    x, y = p
+    return x * x + y * y
 
 
 def norm4(q: IntQuad) -> int:
-    return q.x * q.x + q.y * q.y + q.z * q.z + q.w * q.w
+    x, y, z, w = q
+    return x * x + y * y + z * z + w * w

@@ -93,15 +93,23 @@ class MultiplicativeFamily:
         )
 
     def __call__(self, t: float) -> float:
+        # A power past the double range is inf, not an OverflowError, so
+        # sweeps report it as a non-finite value.
         kind = self.kind
         if kind is FamilyKind.POWER:
             if t == 0.0:
                 return 1.0 if self.exponent == 0.0 else 0.0
-            return abs(t) ** self.exponent
+            try:
+                return abs(t) ** self.exponent
+            except OverflowError:
+                return math.inf
         if kind is FamilyKind.SIGNED_POWER:
             if t == 0.0:
                 return 0.0
-            mag = abs(t) ** self.exponent
+            try:
+                mag = abs(t) ** self.exponent
+            except OverflowError:
+                mag = math.inf
             return mag if t > 0.0 else -mag
         if kind is FamilyKind.CONSTANT_ONE:
             return 1.0

@@ -148,6 +148,9 @@ def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, arity, compose, diagon
         lhs = f(*pair[:arity]) * f(*pair[arity:])
         rhs = f(*compose(*pair))
         defect = abs(lhs - rhs)
+        if defect != defect:
+            # NaN from an overflowed value (inf - inf, 0 * inf): no cap bounds it
+            defect = math.inf
         cap = min(caps)
         excess = defect - cap
         if worst_excess is None or excess > worst_excess:

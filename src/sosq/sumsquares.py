@@ -7,9 +7,13 @@ factorize n, represent each prime by bounded brute force, and fold the
 parts together through the exact composition laws, so the squared-sum
 identity holds with no rounding anywhere.
 
-Trial division and per-prime search keep this honest at desk scale
-(n up to ~1e8); the prime searches sit behind two helpers so a faster
-method could be swapped in without touching the folding.
+Factorization is trial division: by a table of the primes below 2048,
+sieved once at import, then by the 6k-1, 6k+1 wheel past the table,
+stopping once the divisor's square exceeds the unfactored rest.  Products
+of small primes factor quickly at any size, but a large prime factor p
+costs O(sqrt p) steps, which keeps this at desk scale (n up to ~1e12).
+The prime searches sit behind two helpers so a faster method could be
+swapped in without touching the folding.
 """
 
 from __future__ import annotations
@@ -64,29 +68,48 @@ class Factorization:
         return m, s
 
 
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return tuple(p for p, flag in enumerate(sieve) if flag)
+
+
+_TABLE_LIMIT = 2048
+_SMALL_PRIMES = _primes_below(_TABLE_LIMIT)
+# first 6k-1 candidate above the table; the wheel tests it and its 6k+1
+_WHEEL_START = _TABLE_LIMIT + (5 - _TABLE_LIMIT) % 6
+
+
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division up to sqrt(n)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     factors = []
     rest = n
-    for p in (2, 3):
+    for p in _SMALL_PRIMES:
+        if p * p > rest:
+            break
         if rest % p == 0:
             e = 0
             while rest % p == 0:
                 rest //= p
                 e += 1
             factors.append((p, e))
-    f = 5
-    while f * f <= rest:
-        for p in (f, f + 2):
-            if rest % p == 0:
-                e = 0
-                while rest % p == 0:
-                    rest //= p
-                    e += 1
-                factors.append((p, e))
-        f += 6
+    else:
+        f = _WHEEL_START
+        while f * f <= rest:
+            for p in (f, f + 2):
+                if rest % p == 0:
+                    e = 0
+                    while rest % p == 0:
+                        rest //= p
+                        e += 1
+                    factors.append((p, e))
+            f += 6
     if rest > 1:
         factors.append((rest, 1))
     return Factorization(n, tuple(factors))
@@ -143,14 +166,23 @@ def _prime_two_square(p: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _prime_four_square(n: int) -> tuple[int, int, int, int]:
     # Descending nested search for a >= b >= c >= d >= 0; always succeeds.
+    # Each loop stops once its value is too small to carry its share of
+    # what is left (a*a >= n/4, b*b >= r1/3, c*c >= r2/2); the last bound
+    # also makes d <= c.
     for a in range(isqrt(n), -1, -1):
+        if 4 * a * a < n:
+            break
         r1 = n - a * a
         for b in range(min(a, isqrt(r1)), -1, -1):
+            if 3 * b * b < r1:
+                break
             r2 = r1 - b * b
             for c in range(min(b, isqrt(r2)), -1, -1):
+                if 2 * c * c < r2:
+                    break
                 r3 = r2 - c * c
                 d = isqrt(r3)
-                if d * d == r3 and d <= c:
+                if d * d == r3:
                     return (a, b, c, d)
     raise ArithmeticError(f"no four-square representation found for {n}")
 
@@ -174,8 +206,8 @@ def two_square_decompose(n: int) -> SquareRep | None:
             multiplier *= p ** (e // 2)
         else:
             parts.extend([IntPair(*_prime_two_square(p))] * e)
-    folded = reduce(compose_two, parts) if parts else IntPair(1, 0)
-    a, b = sorted((abs(folded.x) * multiplier, abs(folded.y) * multiplier), reverse=True)
+    x, y = reduce(compose_two, parts) if parts else IntPair(1, 0)
+    a, b = sorted((abs(x) * multiplier, abs(y) * multiplier), reverse=True)
     return SquareRep(n, (a, b))
 
 
@@ -194,7 +226,4 @@ def four_square_decompose(n: int) -> SquareRep:
     for p, e in factorize(n).factors:
         parts.extend([IntQuad(*_prime_four_square(p))] * e)
     folded = reduce(compose_four, parts) if parts else IntQuad(1, 0, 0, 0)
-    comps = sorted(
-        (abs(folded.x), abs(folded.y), abs(folded.z), abs(folded.w)), reverse=True
-    )
-    return SquareRep(n, tuple(comps))
+    return SquareRep(n, tuple(sorted(map(abs, folded), reverse=True)))

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to pin expected test values.
 
-These deliberately avoid the library's code paths: representability by
-exhaustive search, system checks by direct substitution, multiplicativity
-by direct evaluation.
+These deliberately avoid the library's code paths: factorization by the
+plain trial-division wheel, representability by exhaustive search, system
+checks by direct substitution, multiplicativity by direct evaluation.
 """
 
 from math import isqrt
@@ -21,6 +21,24 @@ def two_square_witnesses(n: int) -> list[tuple[int, int]]:
 
 def is_two_square(n: int) -> bool:
     return bool(two_square_witnesses(n))
+
+
+def wheel_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 by trial division: 2, 3, then 6k-1, 6k+1."""
+    factors = []
+    rest = n
+    p = 2
+    while p * p <= rest:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+        p = 3 if p == 2 else 5 if p == 3 else p + 2 if p % 6 == 5 else p + 4
+    if rest > 1:
+        factors.append((rest, 1))
+    return tuple(factors)
 
 
 def four_square_witness(n: int) -> tuple[int, int, int, int] | None:

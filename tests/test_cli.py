@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from sosq import cli
 from sosq.cli import main, parse_model_spec, UsageError
 from sosq.solutions import Arity, FamilyKind
 
@@ -72,6 +74,17 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert report["verdict"] == "FAIL"
+
+    @pytest.mark.parametrize("arity", ["2", "4"])
+    @pytest.mark.parametrize("model", ["power:c=400", "signedpower:c=400"])
+    def test_overflowing_model_fails_with_reason(self, capsys, arity, model):
+        code, report, _ = run_json(
+            capsys, "verify", "--arity", arity, "--model", model, "--samples", "10",
+        )
+        assert code == 1
+        assert report["verdict"] == "FAIL"
+        assert report["result"]["max_rel_residual"] == math.inf
+        assert report["result"]["failure_reason"].startswith("non-finite value")
 
     def test_byte_identical_reruns(self, capsys):
         args = ("verify", "--arity", "4", "--model", "power:c=3",
@@ -147,6 +160,21 @@ class TestStabilityCommand:
                      "--bounds", bounds, "--samples", "10"]) == 2
         assert "probe" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arity", ["2", "4"])
+    @pytest.mark.parametrize("model", ["power:c=400", "signedpower:c=400"])
+    def test_overflowing_model_fails(self, capsys, arity, model):
+        # both sides overflow on some samples (inf - inf is NaN), which
+        # must not leave the excess at zero
+        code, report, _ = run_json(
+            capsys, "stability", "--arity", arity, "--model", model,
+            "--bounds", "1", "--samples", "10",
+        )
+        assert code == 1
+        assert report["verdict"] == "FAIL"
+        assert report["result"]["hypothesis_max_violation"] == math.inf
+        assert report["result"]["conclusion_max_violation"] == math.inf
+        assert report["result"]["evidence"]["hypothesis_defect"] == math.inf
+
     def test_unknown_name_reported(self, capsys):
         assert main(["stability", "--arity", "2", "--model", "one",
                      "--bounds", "sin(x)"]) == 2
@@ -221,6 +249,34 @@ class TestRepCheck:
         assert code == 0  # routes agree, so the cross-check passes
         assert report["result"]["criterion"] is False
         assert report["result"]["witness"] is None
+
+    @pytest.mark.parametrize("n, representable", [(2**64, True), (3 * 2**64, False)])
+    def test_large_n_skips_brute_force(self, capsys, n, representable):
+        # the brute force would take ~3e9 steps here
+        code, report, out = run_json(capsys, "rep-check", str(n))
+        assert code == 0
+        result = report["result"]
+        assert result["brute_force"] is None
+        assert result["criterion"] is representable
+        assert result["agree"] is True
+        if representable:
+            a, b = result["witness"]
+            assert a * a + b * b == n
+        else:
+            assert result["witness"] is None
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        # 50 = 7^2 + 1^2 by brute force, 5^2 + 5^2 by the fold
+        monkeypatch.setattr(cli, "BRUTE_FORCE_MAX", 50)
+        _, at_cap, _ = run_json(capsys, "rep-check", "50")
+        assert at_cap["result"]["brute_force"] is True
+        assert at_cap["result"]["witness"] == [7, 1]
+        monkeypatch.setattr(cli, "BRUTE_FORCE_MAX", 49)
+        _, above_cap, _ = run_json(capsys, "rep-check", "50")
+        assert above_cap["result"]["brute_force"] is None
+        assert above_cap["result"]["witness"] == [5, 5]
+        assert main(["rep-check", "50"]) == 0
+        assert "brute force skipped above 49" in capsys.readouterr().out
 
 
 class TestModelSpecParsing:

@@ -45,6 +45,7 @@ CASES = [
     ["verify", "--arity", "4", "--model", "power:c=3", "--samples", "200", "--seed", "11"],
     ["verify", "--arity", "2", "--model", "power:c=2,sigma=-1", "--samples", "200"],
     ["verify", "--arity", "4", "--model", "signedpower:c=1", "--samples", "100"],
+    ["verify", "--arity", "2", "--model", "power:c=400", "--samples", "10"],
     ["stability", "--arity", "2", "--model", "power:c=2", "--bounds", "0",
      "--samples", "300"],
     ["stability", "--arity", "4", "--model", "zero", "--bounds", "min(1/4, abs(x))",
@@ -56,6 +57,8 @@ CASES = [
     ["stability", "--arity", "4", "--model", "power:c=1", "--bounds",
      "1+abs(x);2+x*x;max(1,abs(x));pow(x,2)+1;abs(x)+3;min(x*x+1,100);1;x*x+abs(x)+1",
      "--samples", "100"],
+    ["stability", "--arity", "2", "--model", "power:c=400", "--bounds", "1",
+     "--samples", "10"],
     ["classify", "--model", "power:c=2"],
     ["classify", "--model", "zero"],
     ["classify", "--model", "power:c=2", "--mult-tol", "0"],
@@ -69,6 +72,8 @@ CASES = [
     ["rep-check", "45"],
     ["rep-check", "21"],
     ["rep-check", "1"],
+    ["rep-check", str(2**64)],
+    ["rep-check", str(3 * 2**64)],
 ]
 
 USAGE_CASES = [

@@ -116,6 +116,58 @@ class TestValidation:
         with pytest.raises(TypeError):
             IntQuad(1, 2, 3, 4.0)
 
+    @pytest.mark.parametrize("bad", [2.0, "2", None])
+    def test_non_int_components_rejected_in_every_slot(self, bad):
+        for i in range(2):
+            with pytest.raises(TypeError):
+                IntPair(*[bad if j == i else 1 for j in range(2)])
+        for i in range(4):
+            with pytest.raises(TypeError):
+                IntQuad(*[bad if j == i else 1 for j in range(4)])
+
+    def test_replace_is_checked(self):
+        with pytest.raises(TypeError):
+            IntPair(1, 2)._replace(y=2.5)
+        with pytest.raises(TypeError):
+            IntQuad(1, 2, 3, 4)._replace(w="4")
+        assert IntQuad(1, 2, 3, 4)._replace(w=5) == IntQuad(1, 2, 3, 5)
+
+    def test_wrong_arity_rejected(self):
+        with pytest.raises(TypeError):
+            IntPair(1, 2, 3)
+        with pytest.raises(TypeError):
+            IntQuad(1, 2, 3)
+
+    def test_attribute_assignment_refused(self):
+        p, q = IntPair(3, 4), IntQuad(1, 2, 3, 4)
+        for obj, attr in ((p, "x"), (p, "y"), (q, "z"), (q, "w"), (p, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(obj, attr, 0)
+        assert p == IntPair(3, 4) and q == IntQuad(1, 2, 3, 4)
+
+
+class TestValueSemantics:
+    def test_repr(self):
+        assert repr(IntPair(3, -4)) == "IntPair(x=3, y=-4)"
+        assert repr(IntQuad(1, 2, 3, 4)) == "IntQuad(x=1, y=2, z=3, w=4)"
+
+    def test_fields(self):
+        p, q = IntPair(3, 4), IntQuad(1, 2, 3, 4)
+        assert (p.x, p.y) == (3, 4)
+        assert (q.x, q.y, q.z, q.w) == (1, 2, 3, 4)
+
+    def test_equality_and_hash(self):
+        assert IntPair(3, 4) == IntPair(3, 4)
+        assert IntPair(3, 4) != IntPair(4, 3)
+        assert IntQuad(1, 2, 3, 4) != IntQuad(1, 2, 3, 5)
+        assert hash(IntPair(3, 4)) == hash(IntPair(3, 4))
+        assert len({IntPair(3, 4), IntPair(3, 4), IntPair(4, 3)}) == 2
+        assert {IntQuad(1, 0, 0, 0): "one"}[IntQuad(1, 0, 0, 0)] == "one"
+
+    def test_composition_returns_wrapper_type(self):
+        assert type(compose_two(IntPair(1, 2), IntPair(3, 4))) is IntPair
+        assert type(compose_four(IntQuad(1, 2, 3, 4), IntQuad(5, 6, 7, 8))) is IntQuad
+
 
 def test_seeded_sweep_norm_law():
     # smaller sibling of the acceptance sweep

@@ -65,6 +65,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(m, (1, 1))
 
+    def test_power_past_double_range_is_infinite(self):
+        assert MultiplicativeFamily.power(400)(10.0) == math.inf
+        assert MultiplicativeFamily.power(-400)(1e-10) == math.inf
+        assert MultiplicativeFamily.signed_power(400)(10.0) == math.inf
+        assert MultiplicativeFamily.signed_power(400)(-10.0) == -math.inf
+
     def test_negative_power_at_zero_flagged(self):
         fam = MultiplicativeFamily.power(-1)
         assert fam.undefined_at_zero

@@ -51,6 +51,16 @@ class TestHypothesisTwo:
         assert report.worst_point == (1.0, 0.0, 1.0, 0.0)
         assert not report.passed
 
+    def test_nan_defect_is_infinite_excess(self):
+        # inf * inf - inf is NaN; a NaN defect must not read as no excess
+        f = lambda x, y: math.inf
+        sampler = FixedSampler(((1.0, 0.0, 1.0, 0.0), (2.0, 0.0, 2.0, 0.0)))
+        report = check_hypothesis_two(f, ZERO2, sampler)
+        assert report.max_excess == math.inf
+        assert report.defect_at_worst == math.inf
+        assert report.worst_point == (1.0, 0.0, 1.0, 0.0)
+        assert not report.passed
+
     def test_negative_bound_rejected(self):
         bad = BoundSpec(Arity.TWO, (lambda x: -1.0,) * 4)
         with pytest.raises(InvalidBoundError):

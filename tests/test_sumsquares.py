@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import four_square_witness, is_two_square, two_square_witnesses
+from oracles import (
+    four_square_witness,
+    is_two_square,
+    two_square_witnesses,
+    wheel_factors,
+)
 from sosq import sumsquares
 from sosq.sumsquares import (
     factorize,
@@ -49,6 +54,23 @@ class TestFactorize:
             product *= p**e
         assert product == n
         assert list(fac.factors) == sorted(fac.factors)
+
+    @pytest.mark.parametrize(
+        "n",
+        [2039, 2053, 2039 * 2053, 2053**2, 4194301**2, 2**11 * 2053, 3 * 2039**3],
+        ids=str,
+    )
+    def test_matches_wheel_at_table_edge(self, n):
+        # 2039 is the last prime in the table, 2053 the first past it
+        assert factorize(n).factors == wheel_factors(n)
+
+    def test_matches_wheel_below_30000(self):
+        for n in range(1, 30000):
+            assert factorize(n).factors == wheel_factors(n), n
+
+    @given(st.integers(min_value=10**11, max_value=10**12))
+    def test_matches_wheel_large(self, n):
+        assert factorize(n).factors == wheel_factors(n)
 
     def test_square_split(self):
         assert factorize(45).square_split() == (3, 5)
@@ -151,6 +173,14 @@ class TestFourSquareDecompose:
         for n in range(2001):
             comps = four_square_decompose(n).components
             assert sum(c * c for c in comps) == n
+
+    def test_prime_search_matches_unpruned_oracle(self):
+        for n in range(3000):
+            assert sumsquares._prime_four_square(n) == four_square_witness(n), n
+
+    @given(st.integers(min_value=3000, max_value=10**9))
+    def test_prime_search_matches_unpruned_oracle_random(self, n):
+        assert sumsquares._prime_four_square(n) == four_square_witness(n)
 
     def test_oracle_agrees_some_representation_exists(self):
         for n in (7, 15, 28, 31, 112):
