@@ -410,20 +410,20 @@ def _cmd_rep_check(args):
     if n < 1:
         raise UsageError("rep-check requires n >= 1")
     config = {"n": n}
-    criterion = is_sum_of_two_squares(n)
+    fac = factorize(n)
+    criterion = is_sum_of_two_squares(n, factorization=fac)
     if n <= BRUTE_FORCE_MAX:
         witness = two_square_brute_force(n)
         brute_force = witness is not None
         route = "brute force"
     else:
-        rep = two_square_decompose(n)
+        rep = two_square_decompose(n, factorization=fac)
         witness = rep.components if rep is not None else None
         brute_force = None
         route = "decomposition"
     agree = criterion == (witness is not None) and (
         witness is None or sum(c * c for c in witness) == n
     )
-    fac = factorize(n)
     detail = {
         "criterion": criterion,
         "brute_force": brute_force,

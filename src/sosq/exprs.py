@@ -9,11 +9,16 @@ Grammar:
     NAME   := 'abs' | 'min' | 'max' | 'pow'
 
 parse_bound_expression compiles the source into a plain float -> float
-callable; nothing is ever eval()'d.
+callable, one closure per operator node.  A node reads its constant and x
+operands in place rather than calling a closure for each, and min/max of
+two arguments are called without a generator; the float operations and
+their order are those of the source.  The closure factories are generated
+from the fixed templates in _FORMS; the source itself is never eval()'d.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Callable
 
@@ -32,6 +37,48 @@ _FUNCTIONS: dict[str, tuple[int, int | None]] = {
     "min": (2, None),
     "max": (2, None),
 }
+
+
+# A compiled operand is (shape, payload): a constant with its value, the
+# variable x, or a call of a compiled closure.
+_CONST, _VAR, _CALL = "const", "var", "call"
+_READ = {_CONST: "{}", _VAR: "x", _CALL: "{}(x)"}
+_FORMS = {
+    "+": "{} + {}",
+    "-": "{} - {}",
+    "*": "{} * {}",
+    "/": "{} / {}",
+    "neg": "-{}",
+    "abs": "abs({})",
+    "pow": "{} ** {}",
+    "min": "min({}, {})",
+    "max": "max({}, {})",
+}
+
+
+@functools.cache
+def _factory(form: str, shapes: tuple[str, ...]) -> Callable:
+    """make(*payloads) -> the closure of _FORMS[form] over operands of these
+    shapes, each read in place; generated from the template alone."""
+    params = ("a", "b")[: len(shapes)]
+    body = _FORMS[form].format(*(_READ[s].format(p) for s, p in zip(shapes, params)))
+    namespace: dict = {}
+    exec(f"def make({', '.join(params)}):\n    return lambda x: {body}\n", namespace)
+    return namespace["make"]
+
+
+def _apply(form: str, *operands):
+    shapes = tuple(shape for shape, _ in operands)
+    return _CALL, _factory(form, shapes)(*(payload for _, payload in operands))
+
+
+def _closure(operand) -> Callable[[float], float]:
+    shape, payload = operand
+    if shape == _CALL:
+        return payload
+    if shape == _VAR:
+        return lambda x: x
+    return lambda x: payload
 
 
 class ExpressionError(ValueError):
@@ -88,56 +135,50 @@ class _Parser:
         kind, text, at = self.peek()
         if kind == "end":
             raise ExpressionError("empty expression", text, at)
-        fn = self.expr()
+        operand = self.expr()
         kind, text, at = self.peek()
         if kind != "end":
             raise ExpressionError("trailing input", text, at)
-        return fn
+        return _closure(operand)
 
-    def expr(self) -> Callable[[float], float]:
+    def expr(self):
         left = self.term()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                right = self.term()
-                if text == "+":
-                    left = (lambda a, b: lambda x: a(x) + b(x))(left, right)
-                else:
-                    left = (lambda a, b: lambda x: a(x) - b(x))(left, right)
+                left = _apply(text, left, self.term())
             else:
                 return left
 
-    def term(self) -> Callable[[float], float]:
+    def term(self):
         left = self.factor()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                right = self.factor()
-                if text == "*":
-                    left = (lambda a, b: lambda x: a(x) * b(x))(left, right)
-                else:
-                    left = (lambda a, b: lambda x: a(x) / b(x))(left, right)
+                left = _apply(text, left, self.factor())
             else:
                 return left
 
-    def factor(self) -> Callable[[float], float]:
+    def factor(self):
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
             inner = self.factor()
-            return lambda x: -inner(x)
+            if inner[0] == _CONST:
+                # negating a double is exact and cannot raise
+                return _CONST, -inner[1]
+            return _apply("neg", inner)
         return self.atom()
 
-    def atom(self) -> Callable[[float], float]:
+    def atom(self):
         kind, text, at = self.advance()
         if kind == "num":
-            value = float(text)
-            return lambda x: value
+            return _CONST, float(text)
         if kind == "name":
             if text == "x":
-                return lambda x: x
+                return _VAR, None
             if text in _FUNCTIONS:
                 return self.call(text, at)
             raise ExpressionError("unknown name", text, at)
@@ -147,7 +188,7 @@ class _Parser:
             return inner
         raise ExpressionError("expected a value", text, at)
 
-    def call(self, name: str, at: int) -> Callable[[float], float]:
+    def call(self, name: str, at: int):
         lo, hi = _FUNCTIONS[name]
         self.expect_op("(")
         args = [self.expr()]
@@ -164,15 +205,12 @@ class _Parser:
             raise ExpressionError(
                 f"{name} expects {wants} argument(s), got {len(args)}", name, at
             )
-        if name == "abs":
-            a = args[0]
-            return lambda x: abs(a(x))
-        if name == "pow":
-            a, b = args
-            return lambda x: a(x) ** b(x)
+        if len(args) <= 2:
+            return _apply(name, *args)
+        fns = [_closure(arg) for arg in args]
         if name == "min":
-            return lambda x: min(a(x) for a in args)
-        return lambda x: max(a(x) for a in args)
+            return _CALL, lambda x: min(a(x) for a in fns)
+        return _CALL, lambda x: max(a(x) for a in fns)
 
 
 def parse_bound_expression(src: str) -> Callable[[float], float]:

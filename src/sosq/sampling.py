@@ -4,6 +4,11 @@ Every sample is derived from (seed, sample index) alone, so a sweep can be
 partitioned across workers and still reproduce the serial stream bit for
 bit.  The generator is a 64-bit splitmix: cheap to seed, stable across
 platforms and Python versions.
+
+UniformSampler.tuples inlines the generator: coordinate k of sample i is
+mixed straight from the counter, with no SplitMix64 object per sample and
+no method call per coordinate.  stream_for and SplitMix64 are the reference
+it must match draw for draw.
 """
 
 from __future__ import annotations
@@ -61,15 +66,34 @@ class UniformSampler:
     integer: bool = False
 
     def tuples(self, width: int) -> Iterator[tuple[float, ...]]:
-        if self.integer:
-            lo, hi = int(self.low), int(self.high)
-            for i in range(self.count):
-                rng = stream_for(self.seed, i)
-                yield tuple(float(rng.randint(lo, hi)) for _ in range(width))
+        # stream_for(seed, i) followed by `width` next_u64 calls, inlined:
+        # the k-th draw mixes the stream's start state plus (k + 1) * _GOLDEN
+        mask = _MASK64
+        steps = [(k + 1) * _GOLDEN for k in range(width)]
+        counter = self.seed & mask
+        integer = self.integer
+        if integer:
+            low = int(self.low)
+            span = int(self.high) - low + 1
         else:
-            for i in range(self.count):
-                rng = stream_for(self.seed, i)
-                yield tuple(rng.uniform(self.low, self.high) for _ in range(width))
+            low = self.low
+            span = self.high - low
+        for _ in range(self.count):
+            counter = (counter + _GOLDEN) & mask
+            z = (counter ^ (counter >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+            start = z ^ (z >> 31)
+            out = []
+            for step in steps:
+                z = (start + step) & mask
+                z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+                z ^= z >> 31
+                if integer:
+                    out.append(float(low + z % span))
+                else:
+                    out.append(low + span * ((z >> 11) * 2.0**-53))
+            yield tuple(out)
 
 
 @dataclass(frozen=True)

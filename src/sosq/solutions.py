@@ -174,6 +174,10 @@ class SolutionModel:
 def evaluate(model: SolutionModel, point: Iterable[float]) -> float:
     """Evaluate the model at a point of matching arity."""
     point = tuple(point)
+    # a finite sum means every coordinate is finite; an overflowing sum of
+    # finite coordinates takes the checks below and passes them
+    if len(point) == model.arity and math.isfinite(sum(point)):
+        return model.sigma(point) * model.m(math.hypot(*point))
     if len(point) != int(model.arity):
         raise ValueError(
             f"point has {len(point)} coordinates; model arity is {int(model.arity)}"

@@ -23,6 +23,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .exprs import parse_bound_expression
 from .identities import compose_two_raw, compose_four_raw
@@ -123,51 +124,108 @@ class ExcessReport:
     passed: bool
 
 
-def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, arity, compose, diagonal):
-    slots = bounds.bounds
-    n = len(slots)
-    width = arity if diagonal else 2 * arity
-    worst = None
-    worst_excess = None
-    worst_defect = 0.0
-    worst_cap = 0.0
-    for sample in sampler.tuples(width):
-        if diagonal:
-            pair = sample + sample
-            # coordinate i feeds bound slots 2i and 2i+1
-            caps = [
-                _bound_at(slots[k], sample[k // 2]) for k in range(n)
-            ]
-        else:
-            pair = sample
-            # coordinate i of p1 feeds slot 2i, of p2 slot 2i+1
-            caps = [
-                _bound_at(slots[k], sample[(k // 2) + (k % 2) * arity])
-                for k in range(n)
-            ]
-        lhs = f(*pair[:arity]) * f(*pair[arity:])
-        rhs = f(*compose(*pair))
+def _caps(fns, probes) -> list:
+    """fns[k](probes[k]) for every slot k, checked like _bound_at.
+
+    The slots are evaluated and checked together.  If anything is off, they
+    are re-run one by one through _bound_at, which raises what a slot-by-slot
+    evaluation raises first, whatever the fast pass tripped on.
+    """
+    try:
+        caps = [fn(t) for fn, t in zip(fns, probes)]
+        # a NaN or inf anywhere makes the sum non-finite; an overflowing sum
+        # of valid caps only costs the re-run
+        if 0 <= min(caps) and sum(caps) < math.inf:
+            return caps
+    except Exception:
+        pass
+    return [_bound_at(fn, t) for fn, t in zip(fns, probes)]
+
+
+class _Worst:
+    """Running worst excess of the defect over the pointwise cap."""
+
+    __slots__ = ("excess", "point", "defect", "cap")
+
+    def __init__(self) -> None:
+        self.excess = None
+        self.point = None
+        self.defect = 0.0
+        self.cap = 0.0
+
+    def add(self, point, lhs, rhs, caps) -> None:
         defect = abs(lhs - rhs)
         if defect != defect:
             # NaN from an overflowed value (inf - inf, 0 * inf): no cap bounds it
             defect = math.inf
         cap = min(caps)
         excess = defect - cap
-        if worst_excess is None or excess > worst_excess:
-            worst_excess = excess
-            worst = sample
-            worst_defect = defect
-            worst_cap = cap
-    max_excess = max(0.0, float(worst_excess)) if worst_excess is not None else 0.0
-    return ExcessReport(
-        max_excess=max_excess,
-        worst_point=worst,
-        defect_at_worst=float(worst_defect),
-        bound_at_worst=float(worst_cap),
-        sample_count=sampler.count,
-        seed=sampler.seed,
-        tol=tol,
-        passed=max_excess <= tol,
+        if self.excess is None or excess > self.excess:
+            self.excess = excess
+            self.point = point
+            self.defect = defect
+            self.cap = cap
+
+    def report(self, sampler, tol) -> ExcessReport:
+        excess = max(0.0, float(self.excess)) if self.excess is not None else 0.0
+        return ExcessReport(
+            max_excess=excess,
+            worst_point=self.point,
+            defect_at_worst=float(self.defect),
+            bound_at_worst=float(self.cap),
+            sample_count=sampler.count,
+            seed=sampler.seed,
+            tol=tol,
+            passed=excess <= tol,
+        )
+
+
+def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, conclusion):
+    """One sweep feeding the hypothesis and/or the conclusion accumulator.
+
+    With the hypothesis the samples are (p1, p2), else p1 alone.  The
+    conclusion pairs p1 with itself, so it shares f(p1) and the even bound
+    slots (all at p1) with the hypothesis.  When both run, a conclusion-side
+    exception is held until the sweep ends: a hypothesis exception anywhere
+    in the sweep wins, as it would in two sweeps run one after the other.
+    Returns the (hypothesis, conclusion) reports, None for a side not run.
+    """
+    arity = int(bounds.arity)
+    slots = bounds.bounds
+    odd_slots = slots[1::2]
+    n = len(slots)
+    # coordinate i of p1 feeds slot 2i, of p2 slot 2i+1
+    hyp_probes = itemgetter(*[k // 2 + k % 2 * arity for k in range(n)])
+    # p1 paired with itself: coordinate i feeds slots 2i and 2i+1
+    con_probes = itemgetter(*[k // 2 for k in range(n)])
+    hyp = _Worst() if hypothesis else None
+    con = _Worst() if conclusion else None
+    held = None
+    for sample in sampler.tuples(2 * arity if hyp else arity):
+        p1 = sample[:arity]
+        if hyp is not None:
+            caps = _caps(slots, hyp_probes(sample))
+            f1 = f(*p1)
+            hyp.add(sample, f1 * f(*sample[arity:]), f(*compose(*sample)), caps)
+        if con is None or held is not None:
+            continue
+        try:
+            if hyp is None:
+                con_caps = _caps(slots, con_probes(p1))
+                f1 = f(*p1)
+            else:
+                con_caps = caps.copy()
+                con_caps[1::2] = _caps(odd_slots, p1)
+            con.add(p1, f1 * f1, f(*compose(*p1, *p1)), con_caps)
+        except Exception as exc:
+            if hyp is None:
+                raise
+            held = exc
+    if held is not None:
+        raise held
+    return (
+        hyp.report(sampler, tol) if hyp else None,
+        con.report(sampler, tol) if con else None,
     )
 
 
@@ -175,7 +233,7 @@ def check_hypothesis_two(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> Exc
     """Excess of |f(x1,y1) f(x2,y2) - f(composed pair)| over
     min(M1(x1), M2(x2), N1(y1), N2(y2)), swept over 4-tuples."""
     _require_arity(bounds, Arity.TWO)
-    return _run_excess_sweep(f, bounds, sampler, tol, 2, compose_two_raw, False)
+    return _run_excess_sweep(f, bounds, sampler, tol, compose_two_raw, True, False)[0]
 
 
 def check_conclusion_two(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> ExcessReport:
@@ -185,20 +243,20 @@ def check_conclusion_two(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> Exc
     agrees bit for bit with check_hypothesis_two restricted to the diagonal.
     """
     _require_arity(bounds, Arity.TWO)
-    return _run_excess_sweep(f, bounds, sampler, tol, 2, compose_two_raw, True)
+    return _run_excess_sweep(f, bounds, sampler, tol, compose_two_raw, False, True)[1]
 
 
 def check_hypothesis_four(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> ExcessReport:
     """Eight-bound analog of check_hypothesis_two, swept over 8-tuples."""
     _require_arity(bounds, Arity.FOUR)
-    return _run_excess_sweep(f, bounds, sampler, tol, 4, compose_four_raw, False)
+    return _run_excess_sweep(f, bounds, sampler, tol, compose_four_raw, True, False)[0]
 
 
 def check_conclusion_four(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> ExcessReport:
     """Excess of |f(x,y,z,w)^2 - f(x^2+y^2+z^2+w^2, 0, 0, 0)| over the
     eight-bound cap at the sample coordinates."""
     _require_arity(bounds, Arity.FOUR)
-    return _run_excess_sweep(f, bounds, sampler, tol, 4, compose_four_raw, True)
+    return _run_excess_sweep(f, bounds, sampler, tol, compose_four_raw, False, True)[1]
 
 
 def _require_arity(bounds: BoundSpec, arity: Arity) -> None:
@@ -333,13 +391,20 @@ def run_stability(
 
     The arity is bounds.arity: f takes that many coordinates, and the
     diagonal verdict is on its first-axis restriction t -> f(t, 0, ...).
+
+    Both sweeps run as one pass over one UniformSampler.  Its draws for a
+    sample index are a prefix of one counter stream, so the conclusion's
+    sample i is the first arity coordinates of the hypothesis's sample i,
+    and the reports equal those of check_hypothesis_* and
+    check_conclusion_* run on two such samplers.  The pass reuses f(p1)
+    and the even bound slots at p1, so f and the bounds must be
+    deterministic.
     """
     arity = int(bounds.arity)
-    two = bounds.arity is Arity.TWO
-    check_hypothesis = check_hypothesis_two if two else check_hypothesis_four
-    check_conclusion = check_conclusion_two if two else check_conclusion_four
-    hyp = check_hypothesis(f, bounds, UniformSampler(seed, samples, low, high), tol)
-    con = check_conclusion(f, bounds, UniformSampler(seed, samples, low, high), tol)
+    compose = compose_two_raw if bounds.arity is Arity.TWO else compose_four_raw
+    hyp, con = _run_excess_sweep(
+        f, bounds, UniformSampler(seed, samples, low, high), tol, compose, True, True
+    )
     pad = (0.0,) * (arity - 1)
     diag = classify_diagonal(lambda t: f(t, *pad), None, growth_threshold, mult_tol)
     evidence = {

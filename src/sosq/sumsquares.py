@@ -115,17 +115,24 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def is_sum_of_two_squares(n: int) -> bool:
+def _factors_of(n: int, factorization: Factorization | None):
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if factorization is None:
+        return factorize(n).factors
+    if factorization.n != n:
+        raise ValueError(f"factorization is of {factorization.n}, not of {n}")
+    return factorization.factors
+
+
+def is_sum_of_two_squares(n: int, *, factorization: Factorization | None = None) -> bool:
     """True iff every prime factor of n congruent to 3 mod 4 has even exponent.
 
     Equivalently: in the split n = m*m * s with s squarefree, no prime of s
-    is 3 mod 4.
+    is 3 mod 4.  A factorization of n, when given, is used instead of
+    factoring n again.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return all(
-        e % 2 == 0 for p, e in factorize(n).factors if p % 4 == 3
-    )
+    return all(e % 2 == 0 for p, e in _factors_of(n, factorization) if p % 4 == 3)
 
 
 def two_square_brute_force(n: int) -> tuple[int, int] | None:
@@ -187,19 +194,20 @@ def _prime_four_square(n: int) -> tuple[int, int, int, int]:
     raise ArithmeticError(f"no four-square representation found for {n}")
 
 
-def two_square_decompose(n: int) -> SquareRep | None:
+def two_square_decompose(
+    n: int, *, factorization: Factorization | None = None
+) -> SquareRep | None:
     """Exact two-square representation of n >= 1, or None if none exists.
 
     Primes 3 mod 4 (even exponents only) contribute p^(e/2) as a common
     multiplier; 2 and primes 1 mod 4 contribute brute-forced prime
     representations, one copy per exponent, folded through the two-square
-    composition law.
+    composition law.  A factorization of n, when given, is used instead of
+    factoring n again.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     multiplier = 1
     parts: list[IntPair] = []
-    for p, e in factorize(n).factors:
+    for p, e in _factors_of(n, factorization):
         if p % 4 == 3:
             if e % 2:
                 return None

@@ -346,7 +346,12 @@ def solve_four(
                 # the d = 0 shape applies in the limit
                 scaled, alpha_report = _d_zero_shape(b, as_, bs, cs, half)
             else:
-                alpha_report = math.ldexp(alpha, e2)
+                try:
+                    alpha_report = math.ldexp(alpha, e2)
+                except OverflowError:
+                    # alpha is a squared coordinate: it can pass DBL_MAX
+                    # while the solution stays in range
+                    alpha_report = math.inf
                 candidates = [
                     (x_mag, (as_ - cs) / (2.0 * sum_same),
                      z_mag, (as_ + cs) / (2.0 * sum_same))

@@ -56,15 +56,15 @@ def four_square_witness(n: int) -> tuple[int, int, int, int] | None:
 
 
 def system_two_defects(u: float, v: float, x: float, y: float) -> tuple[float, float]:
-    """Raw defects of the two-variable system at (x, y)."""
-    return (2.0 * x * y - u, x * x - y * y - v)
+    """Raw defects of the two-variable system at (x, y); exact on Fractions."""
+    return (2 * x * y - u, x * x - y * y - v)
 
 
 def system_four_defects(a, b, c, d, x, y, z, w) -> tuple[float, float, float, float]:
-    """Raw defects of the four-variable system at (x, y, z, w)."""
+    """Raw defects of the four-variable system at (x, y, z, w); exact on Fractions."""
     return (
         (x + z) * (y + w) - a,
-        2.0 * x * z - y * y - w * w - b,
+        2 * x * z - y * y - w * w - b,
         (x + z) * (w - y) - c,
         x * x - z * z - d,
     )

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sosq import cli
+from sosq import cli, sumsquares
 from sosq.cli import main, parse_model_spec, UsageError
 from sosq.solutions import Arity, FamilyKind
 
@@ -277,6 +277,27 @@ class TestRepCheck:
         assert above_cap["result"]["witness"] == [5, 5]
         assert main(["rep-check", "50"]) == 0
         assert "brute force skipped above 49" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", ["45", "21", str(2**64), str(3 * 2**64)])
+    def test_factors_n_once(self, capsys, monkeypatch, n):
+        calls = []
+        real = sumsquares.factorize
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(sumsquares, "factorize", counted)
+        monkeypatch.setattr(cli, "factorize", counted)
+        code, report, _ = run_json(capsys, "rep-check", n)
+        assert code == 0 and report["result"]["agree"] is True
+        assert calls == [int(n)]
+
+    def test_foreign_factorization_rejected(self):
+        with pytest.raises(ValueError, match="factorization is of 45, not of 21"):
+            sumsquares.is_sum_of_two_squares(21, factorization=sumsquares.factorize(45))
+        with pytest.raises(ValueError, match="factorization is of 45, not of 21"):
+            sumsquares.two_square_decompose(21, factorization=sumsquares.factorize(45))
 
 
 class TestModelSpecParsing:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,3 +81,50 @@ class TestErrors:
             parse_bound_expression("1 + bogus")
         assert exc.value.token == "bogus"
         assert exc.value.position == 4
+
+
+# operand source -> its generic closure; "abs(x-1)" stands for any
+# compiled subexpression, which its parent has to call
+OPERANDS = {
+    "0": lambda x: 0.0,
+    "2.5": lambda x: 2.5,
+    "1e300": lambda x: 1e300,
+    "x": lambda x: x,
+    "abs(x-1)": lambda x: abs(x - 1.0),
+}
+# operator form -> the generic nested closure over its operands' closures
+FORMS = {
+    "{} + {}": lambda a, b: lambda x: a(x) + b(x),
+    "{} - {}": lambda a, b: lambda x: a(x) - b(x),
+    "{} * {}": lambda a, b: lambda x: a(x) * b(x),
+    "{} / {}": lambda a, b: lambda x: a(x) / b(x),
+    "pow({}, {})": lambda a, b: lambda x: a(x) ** b(x),
+    "min({}, {})": lambda a, b: lambda x: min(f(x) for f in (a, b)),
+    "max({}, {})": lambda a, b: lambda x: max(f(x) for f in (a, b)),
+    "min({}, {}, {})": lambda a, b, c: lambda x: min(f(x) for f in (a, b, c)),
+    "-{}": lambda a: lambda x: -a(x),
+    "-(-{})": lambda a: lambda x: -(-a(x)),
+    "abs({})": lambda a: lambda x: abs(a(x)),
+}
+PROBES = (0.0, -0.0, 1.0, -3.5, 0.5, 1e300, -1e300, 7.25e-310)
+
+
+def outcome(fn, x):
+    """The value's type and repr (bit-exact, -0.0 included), or the error type."""
+    try:
+        value = fn(x)
+    except Exception as exc:
+        return type(exc)
+    return type(value), repr(value)
+
+
+class TestSpecialisedShapes:
+    """Constant and x operands are read in place; nothing else changes."""
+
+    @pytest.mark.parametrize("form", list(FORMS))
+    def test_every_operand_shape_matches_nested_closures(self, form):
+        for args in itertools.product(OPERANDS, repeat=form.count("{}")):
+            fn = parse_bound_expression(form.format(*args))
+            generic = FORMS[form](*(OPERANDS[arg] for arg in args))
+            for x in PROBES:
+                assert outcome(fn, x) == outcome(generic, x), (form.format(*args), x)

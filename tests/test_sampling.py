@@ -32,6 +32,36 @@ class TestUniformSampler:
             by_index.append(tuple(rng.uniform(-10.0, 10.0) for _ in range(4)))
         assert serial == by_index
 
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            UniformSampler(42, 200),
+            UniformSampler(-5, 150, -3.5, 1e3),
+            UniformSampler(2**64 + 9, 100, 0.0, 1.0),
+            UniformSampler(7, 150, -4, 9, integer=True),
+            UniformSampler(3, 100, -100, 100, integer=True),
+            UniformSampler(11, 1),
+            UniformSampler(11, 0),
+            UniformSampler(11, 1, -2, 2, integer=True),
+            UniformSampler(11, 0, -2, 2, integer=True),
+        ],
+        ids=repr,
+    )
+    def test_inlined_draws_match_stream_for(self, sampler):
+        for width in range(1, 9):
+            # the reference: one SplitMix64 per sample, one method call per draw
+            want = []
+            for i in range(sampler.count):
+                rng = stream_for(sampler.seed, i)
+                if sampler.integer:
+                    lo, hi = int(sampler.low), int(sampler.high)
+                    draws = (float(rng.randint(lo, hi)) for _ in range(width))
+                else:
+                    draws = (rng.uniform(sampler.low, sampler.high) for _ in range(width))
+                want.append(tuple(draws))
+            # repr compares bit for bit, the sign of zero included
+            assert repr(list(sampler.tuples(width))) == repr(want), width
+
 
 class TestFixedSampler:
     def test_yields_points(self):

@@ -254,3 +254,196 @@ class TestRunners:
     def test_expression_count_validation(self):
         with pytest.raises(ValueError):
             BoundSpec.from_expressions(Arity.TWO, ["1", "2"])
+
+
+CHECKS = {
+    Arity.TWO: (check_hypothesis_two, check_conclusion_two),
+    Arity.FOUR: (check_hypothesis_four, check_conclusion_four),
+}
+SLOT_EXPRS = (
+    "1+abs(x)", "2+x*x/10", "max(0.5,abs(x))", "pow(x,2)/4+1",
+    "abs(x)+3", "min(x*x+1,100)", "1", "x*x+abs(x)/2+1",
+)
+
+
+def perturbed(*p):
+    # a solution plus a wobble, so defects exceed some caps and not others
+    return sum(t * t for t in p) + 2.0 * math.sin(p[0] - 3.0 * p[-1])
+
+
+def sample_at(arity, seed, samples, index):
+    return list(UniformSampler(seed, samples).tuples(2 * int(arity)))[index]
+
+
+def outcome(call):
+    """(exception type, message) if call raises, else None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def sequential(f, bounds, seed, samples):
+    """What the hypothesis and then the conclusion sweep, run apart, raise."""
+    check_hyp, check_con = CHECKS[bounds.arity]
+
+    def both():
+        check_hyp(f, bounds, UniformSampler(seed, samples))
+        check_con(f, bounds, UniformSampler(seed, samples))
+
+    return outcome(both)
+
+
+def one_pass(f, bounds, seed, samples):
+    return outcome(lambda: run_stability(f, bounds, seed=seed, samples=samples))
+
+
+class TestOnePass:
+    """run_stability sweeps both sides at once; it must match the two sweeps."""
+
+    @pytest.mark.parametrize("arity", [Arity.TWO, Arity.FOUR])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**40 + 3])
+    def test_matches_separate_sweeps(self, arity, seed):
+        bounds = BoundSpec.from_expressions(arity, SLOT_EXPRS[: 2 * int(arity)])
+        check_hyp, check_con = CHECKS[arity]
+        report = run_stability(perturbed, bounds, seed=seed, samples=400, tol=1e-9)
+        hyp = check_hyp(perturbed, bounds, UniformSampler(seed, 400), 1e-9)
+        con = check_con(perturbed, bounds, UniformSampler(seed, 400), 1e-9)
+        assert hyp.max_excess > 0.0 and con.max_excess > 0.0
+        assert report.hypothesis_max_violation == hyp.max_excess
+        assert report.conclusion_max_violation == con.max_excess
+        evidence = report.evidence
+        assert evidence["hypothesis_worst_point"] == list(hyp.worst_point)
+        assert evidence["hypothesis_defect"] == hyp.defect_at_worst
+        assert evidence["hypothesis_bound"] == hyp.bound_at_worst
+        assert evidence["conclusion_worst_point"] == list(con.worst_point)
+        assert evidence["conclusion_defect"] == con.defect_at_worst
+        assert evidence["conclusion_bound"] == con.bound_at_worst
+
+    def test_conclusion_sample_is_hypothesis_prefix(self):
+        for width in (2, 4):
+            short = list(UniformSampler(9, 50).tuples(width))
+            long = list(UniformSampler(9, 50).tuples(2 * width))
+            assert short == [t[:width] for t in long]
+
+
+class TestOnePassErrorOrder:
+    """A conclusion error is held: a hypothesis error anywhere still wins."""
+
+    @staticmethod
+    def slot_one(bad):
+        # slot 1 reads x2 in the hypothesis and x1 in the conclusion
+        return lambda t: -1.0 if t in bad else 1.0
+
+    @pytest.mark.parametrize("arity", [Arity.TWO, Arity.FOUR])
+    def test_bound_invalid_only_on_conclusion_side(self, arity):
+        x1 = sample_at(arity, 5, 30, 3)[0]
+        slots = [lambda t: 1.0] * (2 * int(arity))
+        slots[1] = self.slot_one({x1})
+        bounds = BoundSpec(arity, tuple(slots))
+        f = norm2f if arity is Arity.TWO else norm4f
+        want = (InvalidBoundError, f"bound value -1.0 is not in [0, inf) at probe {x1!r}")
+        assert sequential(f, bounds, 5, 30) == want
+        assert one_pass(f, bounds, 5, 30) == want
+
+    @pytest.mark.parametrize("arity", [Arity.TWO, Arity.FOUR])
+    def test_expression_invalid_only_on_conclusion_side(self, arity):
+        # at seed 2 the one sample has x1 < 0 <= x2, so pow(x, 0.5) turns
+        # complex only where the conclusion reads slot 1
+        exprs = ["1", "pow(x,0.5)"] + ["1"] * (2 * int(arity) - 2)
+        bounds = BoundSpec.from_expressions(arity, exprs)
+        f = SolutionModel(arity, MultiplicativeFamily.power(2)).as_function()
+        want = (
+            InvalidBoundError,
+            "bound raised TypeError: '<=' not supported between instances of "
+            "'int' and 'complex' at probe -2.155670751529364",
+        )
+        assert sequential(f, bounds, 2, 1) == want
+        assert one_pass(f, bounds, 2, 1) == want
+
+    @pytest.mark.parametrize("arity", [Arity.TWO, Arity.FOUR])
+    @pytest.mark.parametrize("con_at,hyp_at", [(2, 5), (5, 2), (4, 4)])
+    def test_bound_invalid_on_both_sides_raises_hypothesis_error(self, arity, con_at, hyp_at):
+        x1 = sample_at(arity, 8, 30, con_at)[0]
+        x2 = sample_at(arity, 8, 30, hyp_at)[int(arity)]
+        slots = [lambda t: 1.0] * (2 * int(arity))
+        slots[1] = self.slot_one({x1, x2})
+        bounds = BoundSpec(arity, tuple(slots))
+        f = norm2f if arity is Arity.TWO else norm4f
+        want = (InvalidBoundError, f"bound value -1.0 is not in [0, inf) at probe {x2!r}")
+        assert sequential(f, bounds, 8, 30) == want
+        assert one_pass(f, bounds, 8, 30) == want
+
+    @staticmethod
+    def raising_f(arity, hyp_point=None):
+        # p1 composed with itself has an all-zero tail, which no hypothesis
+        # call sees on these samples
+        def f(*p):
+            if p[1:] == (0.0,) * (int(arity) - 1):
+                raise ZeroDivisionError(f"conclusion at {p!r}")
+            if p == hyp_point:
+                raise OverflowError(f"hypothesis at {p!r}")
+            return sum(t * t for t in p)
+
+        return f
+
+    @pytest.mark.parametrize("arity", [Arity.TWO, Arity.FOUR])
+    def test_f_raising_only_on_conclusion_side(self, arity):
+        f = self.raising_f(arity)
+        bounds = ZERO2 if arity is Arity.TWO else ZERO4
+        got = one_pass(f, bounds, 4, 20)
+        assert got[0] is ZeroDivisionError
+        assert got == sequential(f, bounds, 4, 20)
+
+    @pytest.mark.parametrize("arity", [Arity.TWO, Arity.FOUR])
+    def test_f_raising_on_both_sides_raises_hypothesis_error(self, arity):
+        p2 = tuple(sample_at(arity, 4, 20, 6)[int(arity):])
+        f = self.raising_f(arity, p2)
+        bounds = ZERO2 if arity is Arity.TWO else ZERO4
+        want = (OverflowError, f"hypothesis at {p2!r}")
+        assert sequential(f, bounds, 4, 20) == want
+        assert one_pass(f, bounds, 4, 20) == want
+
+
+class TestBoundCaps:
+    """All slots are checked at once; the first bad slot still decides."""
+
+    POINT = FixedSampler(((1.0, 2.0, 3.0, 4.0),))
+
+    @staticmethod
+    def spec(*values):
+        def slot(value):
+            def bound(t):
+                if isinstance(value, type) and issubclass(value, Exception):
+                    raise value("slot raised")
+                return value
+            return bound
+
+        return BoundSpec(Arity.TWO, tuple(slot(v) for v in values))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_value_after_a_good_slot(self, bad):
+        # slot 1 reads x2 = 3.0
+        with pytest.raises(InvalidBoundError) as exc:
+            check_hypothesis_two(norm2f, self.spec(1.0, bad, 1.0, 1.0), self.POINT)
+        assert str(exc.value) == f"bound value {bad!r} is not in [0, inf) at probe 3.0"
+
+    def test_first_bad_slot_wins_over_a_later_raise(self):
+        # slot 1 (x2 = 3.0) is negative and slot 2 (y1 = 2.0) raises: slot 1
+        # comes first, whatever the later slot raises
+        for later in (ZeroDivisionError, ValueError):
+            with pytest.raises(InvalidBoundError) as exc:
+                check_hypothesis_two(norm2f, self.spec(1.0, -1.0, later, 1.0), self.POINT)
+            assert str(exc.value) == "bound value -1.0 is not in [0, inf) at probe 3.0"
+
+    def test_uncaught_error_in_a_later_slot_propagates(self):
+        with pytest.raises(ValueError, match="slot raised"):
+            check_hypothesis_two(norm2f, self.spec(1.0, 1.0, ValueError, 1.0), self.POINT)
+
+    def test_valid_caps_whose_sum_overflows(self):
+        report = check_hypothesis_two(
+            lambda x, y: 0.0, self.spec(1e308, 1e308, 1e308, 1e308), self.POINT
+        )
+        assert report.bound_at_worst == 1e308
+        assert report.max_excess == 0.0

@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from oracles import system_four_defects, system_two_defects
@@ -216,3 +217,55 @@ class TestSolveFour:
     def test_residual_error_carries_value(self):
         exc = ResidualExceededError("boom", 0.25)
         assert exc.residual == 0.25
+
+
+# the whole finite double range: Hypothesis's own float edges (0, subnormals,
+# DBL_MAX) plus magnitudes spread evenly over the decades
+FULL_RANGE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(
+        lambda e, sign: sign * 10.0**e,
+        st.floats(min_value=-308, max_value=308),
+        st.sampled_from((-1.0, 1.0)),
+    ),
+)
+
+
+def within_tol_exactly(defects, rhs, solution, tol):
+    """Substitution in exact rationals, so no scale overflows or underflows."""
+    rhs = [Fraction(t) for t in rhs]
+    worst = max(map(abs, defects(*rhs, *map(Fraction, solution))))
+    return worst <= Fraction(tol) * (1 + sum(map(abs, rhs)))
+
+
+class TestFullRange:
+    """Every finite input: a solution within tol, or ResidualExceededError."""
+
+    @given(FULL_RANGE, FULL_RANGE)
+    def test_solve_two(self, u, v):
+        try:
+            report = solve_two(u, v)
+        except ResidualExceededError:
+            return
+        assert within_tol_exactly(system_two_defects, (u, v), report.solution, report.tol)
+
+    @given(FULL_RANGE, FULL_RANGE, FULL_RANGE, FULL_RANGE)
+    @example(-7.378153465096395e-172, -9.299243311026257e305,
+             7.964156753622094e-201, -1.7976931348623157e308)
+    @example(6.242860920368655e-05, -2.154589341872986e201,
+             -1.7976931348623157e308, -1.7976931348623157e308)
+    def test_solve_four(self, a, b, c, d):
+        try:
+            report = solve_four(a, b, c, d)
+        except ResidualExceededError:
+            return
+        rhs = (a, b, c, d)
+        assert within_tol_exactly(system_four_defects, rhs, report.solution, report.tol)
+
+    def test_alpha_past_the_double_range_is_inf(self):
+        # branch D's alpha is a squared coordinate; the solution stays finite
+        report = solve_four(6.242860920368655e-05, -2.154589341872986e201,
+                            -1.7976931348623157e308, -1.7976931348623157e308)
+        assert report.case_label is CaseFour.D
+        assert report.alpha == math.inf
+        assert all(math.isfinite(t) for t in report.solution)
