@@ -1,4 +1,4 @@
-"""Recursive-descent parser for one-variable bound expressions.
+"""Recursive-descent translator for one-variable bound expressions.
 
 Grammar:
 
@@ -8,21 +8,29 @@ Grammar:
     atom   := NUMBER | 'x' | '(' expr ')' | NAME '(' expr (',' expr)* ')'
     NAME   := 'abs' | 'min' | 'max' | 'pow'
 
-parse_bound_expression compiles the source into a plain float -> float
-callable, one closure per operator node.  A node reads its constant and x
-operands in place rather than calling a closure for each, and min/max of
-two arguments are called without a generator; the float operations and
-their order are those of the source.  The closure factories are generated
-from the fixed templates in _FORMS; the source itself is never eval()'d.
+parse_bound_expression translates the source into the text of one Python
+lambda over x and compiles it once.  The text is built by the parser alone,
+from x, the four builtins abs/min/max/pow, the operators + - * / and names
+c0, c1, ... bound to float(literal), with parentheses exactly where the
+source has them; the source text itself is never compiled.  It is
+evaluated with no builtins but those four, so the callable applies the
+source's float operations in the source's order and can do nothing else.
+
+A source of more than MAX_TOKENS tokens, or with parentheses and calls
+nested deeper than MAX_DEPTH, is an ExpressionError naming the token where
+the limit is crossed; within both limits the generated text compiles on
+every supported Python.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from collections.abc import Callable
 
 __all__ = ["ExpressionError", "parse_bound_expression"]
+
+MAX_TOKENS = 1000
+MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -37,48 +45,7 @@ _FUNCTIONS: dict[str, tuple[int, int | None]] = {
     "min": (2, None),
     "max": (2, None),
 }
-
-
-# A compiled operand is (shape, payload): a constant with its value, the
-# variable x, or a call of a compiled closure.
-_CONST, _VAR, _CALL = "const", "var", "call"
-_READ = {_CONST: "{}", _VAR: "x", _CALL: "{}(x)"}
-_FORMS = {
-    "+": "{} + {}",
-    "-": "{} - {}",
-    "*": "{} * {}",
-    "/": "{} / {}",
-    "neg": "-{}",
-    "abs": "abs({})",
-    "pow": "{} ** {}",
-    "min": "min({}, {})",
-    "max": "max({}, {})",
-}
-
-
-@functools.cache
-def _factory(form: str, shapes: tuple[str, ...]) -> Callable:
-    """make(*payloads) -> the closure of _FORMS[form] over operands of these
-    shapes, each read in place; generated from the template alone."""
-    params = ("a", "b")[: len(shapes)]
-    body = _FORMS[form].format(*(_READ[s].format(p) for s, p in zip(shapes, params)))
-    namespace: dict = {}
-    exec(f"def make({', '.join(params)}):\n    return lambda x: {body}\n", namespace)
-    return namespace["make"]
-
-
-def _apply(form: str, *operands):
-    shapes = tuple(shape for shape, _ in operands)
-    return _CALL, _factory(form, shapes)(*(payload for _, payload in operands))
-
-
-def _closure(operand) -> Callable[[float], float]:
-    shape, payload = operand
-    if shape == _CALL:
-        return payload
-    if shape == _VAR:
-        return lambda x: x
-    return lambda x: payload
+_BUILTINS = {"abs": abs, "pow": pow, "min": min, "max": max}
 
 
 class ExpressionError(ValueError):
@@ -92,7 +59,7 @@ class ExpressionError(ValueError):
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
+    pos = depth = 0
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
         if m is None:
@@ -101,12 +68,14 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
                 break
             at = len(src) - len(stray)
             raise ExpressionError("unexpected character", stray[0], at)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        text, at = m.group(kind), m.start(kind)
+        if len(tokens) == MAX_TOKENS:
+            raise ExpressionError(f"more than {MAX_TOKENS} tokens", text, at)
+        depth += {"(": 1, ")": -1}.get(text, 0)
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"nested deeper than {MAX_DEPTH}", text, at)
+        tokens.append((kind, text, at))
         pos = m.end()
     tokens.append(("end", "<end>", len(src)))
     return tokens
@@ -116,6 +85,7 @@ class _Parser:
     def __init__(self, src: str) -> None:
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.constants: dict[str, float] = {}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -124,6 +94,10 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def at_op(self, ops: str) -> bool:
+        kind, text, _ = self.peek()
+        return kind == "op" and text in ops
 
     def expect_op(self, op: str) -> None:
         kind, text, at = self.peek()
@@ -135,82 +109,64 @@ class _Parser:
         kind, text, at = self.peek()
         if kind == "end":
             raise ExpressionError("empty expression", text, at)
-        operand = self.expr()
+        body = self.expr()
         kind, text, at = self.peek()
         if kind != "end":
             raise ExpressionError("trailing input", text, at)
-        return _closure(operand)
+        namespace = {"__builtins__": {}, **_BUILTINS, **self.constants}
+        return eval(f"lambda x: {body}", namespace)
 
-    def expr(self):
-        left = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                left = _apply(text, left, self.term())
-            else:
-                return left
+    def expr(self) -> str:
+        parts = [self.term()]
+        while self.at_op("+-"):
+            parts += (self.advance()[1], self.term())
+        return " ".join(parts)
 
-    def term(self):
-        left = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                left = _apply(text, left, self.factor())
-            else:
-                return left
+    def term(self) -> str:
+        parts = [self.factor()]
+        while self.at_op("*/"):
+            parts += (self.advance()[1], self.factor())
+        return " ".join(parts)
 
-    def factor(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
+    def factor(self) -> str:
+        signs = ""
+        while self.at_op("-"):
             self.advance()
-            inner = self.factor()
-            if inner[0] == _CONST:
-                # negating a double is exact and cannot raise
-                return _CONST, -inner[1]
-            return _apply("neg", inner)
-        return self.atom()
+            signs += "-"
+        return signs + self.atom()
 
-    def atom(self):
+    def atom(self) -> str:
         kind, text, at = self.advance()
         if kind == "num":
-            return _CONST, float(text)
+            name = f"c{len(self.constants)}"
+            self.constants[name] = float(text)
+            return name
         if kind == "name":
             if text == "x":
-                return _VAR, None
+                return text
             if text in _FUNCTIONS:
                 return self.call(text, at)
             raise ExpressionError("unknown name", text, at)
         if kind == "op" and text == "(":
             inner = self.expr()
             self.expect_op(")")
-            return inner
+            return f"({inner})"
         raise ExpressionError("expected a value", text, at)
 
-    def call(self, name: str, at: int):
+    def call(self, name: str, at: int) -> str:
         lo, hi = _FUNCTIONS[name]
         self.expect_op("(")
         args = [self.expr()]
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == ",":
-                self.advance()
-                args.append(self.expr())
-            else:
-                break
+        while self.at_op(","):
+            self.advance()
+            args.append(self.expr())
         self.expect_op(")")
         if len(args) < lo or (hi is not None and len(args) > hi):
             wants = str(lo) if hi == lo else f"at least {lo}"
             raise ExpressionError(
                 f"{name} expects {wants} argument(s), got {len(args)}", name, at
             )
-        if len(args) <= 2:
-            return _apply(name, *args)
-        fns = [_closure(arg) for arg in args]
-        if name == "min":
-            return _CALL, lambda x: min(a(x) for a in fns)
-        return _CALL, lambda x: max(a(x) for a in fns)
+        return f"{name}({', '.join(args)})"
 
 
 def parse_bound_expression(src: str) -> Callable[[float], float]:

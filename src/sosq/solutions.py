@@ -15,14 +15,12 @@ extract_structure_* helpers recover (m, sigma) tables from a black-box f.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 from .identities import compose_two_raw, compose_four_raw
-from . import jsonfmt
 
 __all__ = [
     "Arity",
@@ -218,27 +216,6 @@ class VerificationReport:
             "verdict": self.verdict,
             "failure_reason": self.failure_reason,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerificationReport":
-        return cls(
-            arity=int(data["arity"]),
-            sample_count=int(data["sample_count"]),
-            seed=int(data["seed"]),
-            tol=float(data["tol"]),
-            max_abs_residual=float(data["max_abs_residual"]),
-            max_rel_residual=float(data["max_rel_residual"]),
-            worst_point=tuple(float(t) for t in data["worst_point"]),
-            verdict=str(data["verdict"]),
-            failure_reason=data.get("failure_reason"),
-        )
-
-    def to_json(self) -> str:
-        return jsonfmt.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
 
 
 def _run_equation_sweep(f, sampler, tol: float, arity: int, compose) -> VerificationReport:

@@ -58,15 +58,6 @@ class Factorization:
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def square_split(self) -> tuple[int, int]:
-        """n = m*m * s with s squarefree; returns (m, s)."""
-        m = s = 1
-        for p, e in self.factors:
-            m *= p ** (e // 2)
-            if e % 2:
-                s *= p
-        return m, s
-
 
 def _primes_below(limit: int) -> tuple[int, ...]:
     """Sieve of Eratosthenes."""
@@ -162,12 +153,10 @@ class SquareRep:
 @lru_cache(maxsize=None)
 def _prime_two_square(p: int) -> tuple[int, int]:
     # p = 2 or p = 1 mod 4; a representation always exists.
-    for a in range(1, isqrt(p) + 1):
-        b2 = p - a * a
-        b = isqrt(b2)
-        if b * b == b2:
-            return (a, b)
-    raise ArithmeticError(f"no two-square representation found for prime {p}")
+    found = two_square_brute_force(p)
+    if found is None:
+        raise ArithmeticError(f"no two-square representation found for prime {p}")
+    return found[::-1]
 
 
 @lru_cache(maxsize=None)

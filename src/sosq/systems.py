@@ -322,15 +322,9 @@ def solve_four(
         s2 = as_ * as_ + cs * cs
         qa = 16.0 * (s2 + ds * ds)
         if qa == 0.0:
-            # a, c, d all underflowed at b's scale; |bs| >= 0.5 by the
-            # normalization, so the d = 0 shapes apply in the limit
-            if bs > 0.0:
-                t = math.sqrt(bs / 2.0)
-                scaled = (t, 0.0, t, 0.0)
-                alpha_report = math.ldexp(t, half)
-            else:
-                t = math.sqrt(max(-bs, 0.0) / 2.0)
-                scaled = (0.0, t, 0.0, t)
+            # the squares of a, c and d all underflow at b's scale, so the
+            # d = 0 shape applies in the limit
+            scaled, alpha_report = _d_zero_shape(b, as_, bs, cs, half)
         else:
             qb = 8.0 * (2.0 * ds * (s2 + ds * ds) - bs * s2)
             qc = -((s2 + 2.0 * bs * ds) ** 2)

@@ -71,6 +71,9 @@ CASES = [
      "1;pow(x,0.5);1;1;1;1;1;1", "--samples", "1", "--seed", "2"],
     ["stability", "--arity", "2", "--model", "power:c=2", "--bounds", "1;pow(x,0.5);1;1",
      "--samples", "100"],
+    # past the expression limits: too many tokens, nested too deep
+    ["stability", "--arity", "2", "--model", "one", "--bounds", "+".join(["x"] * 5000)],
+    ["stability", "--arity", "2", "--model", "one", "--bounds", "(" * 250 + "x" + ")" * 250],
     ["classify", "--model", "power:c=2"],
     ["classify", "--model", "zero"],
     ["classify", "--model", "power:c=2", "--mult-tol", "0"],

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sosq.exprs import ExpressionError, parse_bound_expression
+from sosq.exprs import MAX_DEPTH, MAX_TOKENS, ExpressionError, parse_bound_expression
 
 
 def ev(src, x=0.0):
@@ -44,6 +44,10 @@ class TestGrammar:
     def test_whitespace_insensitive(self):
         assert ev(" 1+ 2 *x ", 2.0) == ev("1+2*x", 2.0) == 5.0
 
+    def test_literals_are_floats(self):
+        assert type(ev("pow(2, 10)")) is float
+        assert ev("007") == 7.0
+
     @given(st.floats(min_value=-100, max_value=100))
     def test_quarter_min_identity(self, x):
         fn = parse_bound_expression("min(1/4, abs(x))")
@@ -81,6 +85,57 @@ class TestErrors:
             parse_bound_expression("1 + bogus")
         assert exc.value.token == "bogus"
         assert exc.value.position == 4
+
+
+def nested(depth, form="({})"):
+    src = "x"
+    for _ in range(depth):
+        src = form.format(src)
+    return src
+
+
+class TestLimits:
+    """Sources up to the limits compile and run; past them, ExpressionError."""
+
+    @pytest.mark.parametrize(
+        "src,value",
+        [
+            ("-x" + " + x" * (MAX_TOKENS // 2 - 1), 249.0),
+            ("x" + " * -x" * ((MAX_TOKENS - 1) // 3), -(0.5**334)),
+            ("-" * (MAX_TOKENS - 1) + "x", -0.5),
+            ("min(" + ", ".join(["x"] * (MAX_TOKENS // 2 - 1)) + ")", 0.5),
+            (nested(MAX_DEPTH), 0.5),
+            (nested(MAX_DEPTH, "abs({})"), 0.5),
+            (nested(MAX_DEPTH, "pow({}, 1)"), 0.5),
+            (nested(MAX_DEPTH // 2, "-(-({}) + 1) - 1"), -99.5),
+        ],
+        ids=["sum", "product", "negations", "min", "parens", "abs", "pow", "mixed"],
+    )
+    def test_at_the_limits(self, src, value):
+        assert parse_bound_expression(src)(0.5) == value
+
+    def test_one_token_too_many(self):
+        src = "x" + " + x" * (MAX_TOKENS // 2)
+        with pytest.raises(ExpressionError) as exc:
+            parse_bound_expression(src)
+        assert (exc.value.token, exc.value.position) == ("x", src.rindex("x"))
+        assert f"more than {MAX_TOKENS} tokens" in str(exc.value)
+
+    @pytest.mark.parametrize("form", ["({})", "abs({})", "min({}, 1)"])
+    def test_one_level_too_deep(self, form):
+        src = nested(MAX_DEPTH + 1, form)
+        with pytest.raises(ExpressionError) as exc:
+            parse_bound_expression(src)
+        assert exc.value.token == "("
+        assert src[: exc.value.position + 1].count("(") == MAX_DEPTH + 1
+        assert f"nested deeper than {MAX_DEPTH}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "src", ["x" + "+x" * 4999, nested(250), "-" * 5000 + "x"], ids=["sum", "parens", "neg"]
+    )
+    def test_far_past_the_limits(self, src):
+        with pytest.raises(ExpressionError):
+            parse_bound_expression(src)
 
 
 # operand source -> its generic closure; "abs(x-1)" stands for any

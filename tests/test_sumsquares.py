@@ -72,17 +72,6 @@ class TestFactorize:
     def test_matches_wheel_large(self, n):
         assert factorize(n).factors == wheel_factors(n)
 
-    def test_square_split(self):
-        assert factorize(45).square_split() == (3, 5)
-        assert factorize(1).square_split() == (1, 1)
-        assert factorize(360).square_split() == (6, 10)
-
-    @given(st.integers(min_value=1, max_value=10**6))
-    def test_square_split_reconstructs(self, n):
-        m, s = factorize(n).square_split()
-        assert m * m * s == n
-        assert all(e == 1 for _, e in factorize(s).factors)
-
 
 class TestRepresentabilityCriterion:
     def test_examples(self):
@@ -148,6 +137,13 @@ class TestTwoSquareDecompose:
             assert a * a + b * b == n
         else:
             assert not is_sum_of_two_squares(n)
+
+
+    def test_prime_parts_match_oracle(self):
+        # the first (smallest-first) witness of each prime p = 2 or 1 mod 4
+        for p in range(2, 10**4):
+            if is_prime(p) and p % 4 != 3:
+                assert sumsquares._prime_two_square(p) == two_square_witnesses(p)[0], p
 
 
 class TestFourSquareDecompose:

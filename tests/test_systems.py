@@ -194,6 +194,15 @@ class TestSolveFour:
         defects = system_four_defects(*rhs, *report.solution)
         assert max(map(abs, defects)) <= 1e-6 * (1.0 + sum(map(abs, rhs)))
 
+    def test_case_d_when_every_square_underflows_at_b_scale(self):
+        # a, c and d square to 0 at b's scale, but c itself does not: the
+        # d = 0 shape keeps c in y and w, so only d is left in the residual
+        rhs = (0.0, 1.0045e-48, -3.5715e-276, -1.5145e-299)
+        report = solve_four(*rhs)
+        assert report.case_label is CaseFour.D
+        assert report.residual == 1.5145e-299
+        assert report.solution[1] != 0.0 and report.solution[3] != 0.0
+
     @given(
         st.floats(min_value=-100, max_value=300),
         st.floats(min_value=150, max_value=400),
