@@ -10,10 +10,15 @@ and solve_four finds (x, y, z, w) with
     (x+z)(y+w) = a,   2xz - y^2 - w^2 = b,
     (x+z)(w-y) = c,   x^2 - z^2 = d.
 
-Both systems are solvable for every finite right-hand side.  The solvers
-return one canonical solution (every +/- family resolved to the + branch)
-together with the achieved residual; callers can also ask for every sign
-variant that satisfies the system.
+Both systems are solvable for every finite right-hand side, and each
+solver is one closed-form stable square root.  With p = x + z, q = x - z,
+s = y + w and t = w - y the four-variable system reads a = ps, c = pt,
+d = pq and 2b = p^2 - q^2 - s^2 - t^2, so p^2 = b + sqrt(a^2 + b^2 + c^2 +
+d^2) and (s, t, q) = (a, c, d)/p: the analogue of the complex square root
+that solve_two is.  The solvers return one canonical solution of each +/-
+pair -- x >= 0 for solve_two, x + z = p >= 0 for solve_four -- together
+with the achieved residual; callers can also ask for every sign variant
+that satisfies the system.
 
 Every equation is homogeneous of degree 2 in the solution, so the solvers
 normalize the inputs by an even power of two, solve in a well-conditioned
@@ -88,9 +93,10 @@ class SolveReport:
 
     residual is the maximum equation defect divided by (1 + sum of absolute
     inputs); norm_residual measures the squared-norm consequence on the same
-    scale.  alpha is the quadratic-branch parameter when one was used, and
-    variants (when requested) lists every sign pattern of the canonical
-    solution that satisfies the system within tol.
+    scale.  alpha is set by solve_four alone: x (= z) in cases B and C, z^2
+    in plain units in case D (inf past DBL_MAX), None in case A.  variants
+    (when requested) lists every sign pattern of the canonical solution that
+    satisfies the system within tol.
     """
 
     solution: tuple[float, ...]
@@ -226,39 +232,6 @@ def solve_two(
     return SolveReport(solution, case, residual, norm_residual, tol, None, variants)
 
 
-def _larger_quadratic_root(qa: float, qb: float, qc: float) -> float:
-    """Larger root of qa*t^2 + qb*t + qc with qa > 0 and qc <= 0.
-
-    The coefficients are first brought to a common power-of-two scale (roots
-    are invariant, the scaling is exact) so the discriminant neither
-    overflows nor underflows.  Because qc <= 0 the discriminant is at least
-    qb^2, the roots are real and straddle zero, and the two-branch formula
-    avoids cancellation on either sign of qb.
-    """
-    _, ex = math.frexp(max(abs(qa), abs(qb), abs(qc)))
-    qa, qb, qc = (math.ldexp(q, -ex) for q in (qa, qb, qc))
-    disc = qb * qb - 4.0 * qa * qc
-    root = math.sqrt(max(disc, 0.0))
-    if qb <= 0.0:
-        return (-qb + root) / (2.0 * qa)
-    return -2.0 * qc / (qb + root)
-
-
-def _d_zero_shape(b: float, as_: float, bs: float, cs: float, half: int):
-    """Branch B/C solution for d = 0 in scaled units (see solve_four), with
-    alpha in plain units; alpha is None where a and c vanish at b's scale
-    with b <= 0 and the limiting (0, t, 0, t) shape is taken.  The sign of
-    the unscaled b picks the form of the inner sum, since bs may underflow."""
-    r = math.hypot(as_, bs, cs)
-    inner = bs + r if b >= 0.0 else (as_ * as_ + cs * cs) / (r - bs)
-    alpha = math.sqrt(inner) / 2.0
-    if alpha == 0.0:
-        t = math.sqrt(max(-bs, 0.0) / 2.0)
-        return (0.0, t, 0.0, t), None
-    scaled = (alpha, (as_ - cs) / (4.0 * alpha), alpha, (as_ + cs) / (4.0 * alpha))
-    return scaled, math.ldexp(alpha, half)
-
-
 def solve_four(
     a: float,
     b: float,
@@ -271,30 +244,33 @@ def solve_four(
 ) -> SolveReport:
     """Solve the four-variable system for one canonical (x, y, z, w).
 
-    Branches:
+    With p = x + z, q = x - z, s = y + w and t = w - y the system reads
 
-    * A: a = c = d = 0 and b <= 0 -> (0, sqrt(-b/2), 0, sqrt(-b/2)).
-    * B (d = 0, b > 0) and C (d = 0, b <= 0, (a, c) != (0, 0)): set
-      x = z = alpha with alpha = sqrt(b + sqrt(a^2 + b^2 + c^2)) / 2 and
-      y = (a - c)/(4 alpha), w = (a + c)/(4 alpha).  In branch C the inner
-      sum is evaluated as (a^2 + c^2)/(sqrt(a^2+b^2+c^2) - b) to dodge
-      cancellation for b < 0; it is strictly positive there, so alpha > 0.
-    * D (d != 0): set x = sqrt(d + alpha), z = +/- sqrt(alpha) where alpha
-      is the larger root of
+        a = p s,   c = p t,   d = p q,   2b = p^2 - q^2 - s^2 - t^2,
 
-          16(a^2+c^2+d^2) t^2 + 8(2d(a^2+c^2+d^2) - b(a^2+c^2)) t
-              - (a^2 + c^2 + 2bd)^2 = 0,
+    so p^2 = b + r with r = sqrt(a^2 + b^2 + c^2 + d^2), and
+    (s, t, q) = (a, c, d)/p.  As in solve_two, the root is taken in the
+    form free of cancellation: p = sqrt(b + r) for b >= 0, and for b < 0
+    m = |(s, t, q)| = sqrt(r - b), p = |(a, c, d)|/m and (s, t, q) = m
+    times the direction of (a, c, d).  That direction is found at the own
+    power-of-two scale of (a, c, d), which can be subnormal at b's.  Where
+    p = 0 (a, c and d vanish at b's scale) the solution is case A's
+    (0, t, 0, t) with t = m/2.
 
-      which is admissible (alpha >= 0 and alpha >= -d) because the
-      quadratic has a positive leading coefficient and is <= 0 at both
-      t = 0 and t = -d.  Squaring loses the relative sign of x and z, so
-      both orientations are formed and the one with the smaller residual
-      wins (ties keep the same-sign orientation).
+    Canonical sign: p is the nonnegative root, so of the pair
+    +/-(x, y, z, w) the solver returns the one with x + z > 0, or
+    x = z = 0 and y = w >= 0.  (Where p is below the rounding error of q,
+    x + z rounds to 0; x - z still has the sign of d.)
 
-    Nonzero components whose magnitudes span more than roughly 140 orders
-    of magnitude can exhaust double precision in the branch-D quadratic
-    setup; the solver then raises ResidualExceededError rather than
-    returning an inaccurate solution.
+    The case label records the structure of the input, with zero_eps
+    widening its zero tests; it does not change the formula:
+
+    * A: a = c = d = 0 and b <= 0; the solution is
+      (0, sqrt(-b/2), 0, sqrt(-b/2)) and alpha is None.
+    * B (d = 0, b > 0) and C (d = 0, b <= 0, (a, c) != (0, 0)): q = 0, so
+      x = z, reported as alpha.
+    * D (d != 0): alpha is z^2 = x^2 - d, so alpha >= 0 and alpha >= -d;
+      it is inf when z^2 passes DBL_MAX, while the solution stays finite.
     """
     _require_finite(a=a, b=b, c=c, d=d)
     e2 = _even_exponent(max(abs(a), abs(b), abs(c), abs(d)))
@@ -302,68 +278,23 @@ def solve_four(
     as_, bs = math.ldexp(a, -e2), math.ldexp(b, -e2)
     cs, ds = math.ldexp(c, -e2), math.ldexp(d, -e2)
 
-    def near_zero(t: float) -> bool:
-        return abs(t) <= zero_eps
-
-    # alpha is a coordinate (x = z = alpha) in branches B/C but a squared
-    # coordinate (z^2) in branch D, so it converts back to plain units with
-    # 2^half and 2^e2 respectively
-    alpha_report: float | None = None
-    if near_zero(d):
-        if near_zero(a) and near_zero(c) and b <= 0.0:
-            t = math.sqrt(max(-bs, 0.0) / 2.0)
-            scaled = (0.0, t, 0.0, t)
-            case = CaseFour.A
-        else:
-            case = CaseFour.B if b > 0.0 else CaseFour.C
-            scaled, alpha_report = _d_zero_shape(b, as_, bs, cs, half)
+    r = math.hypot(as_, bs, cs, ds)
+    if b >= 0.0:
+        p = math.sqrt(bs + r)
+        # p = 0 only for the all-zero input
+        s, t, q = (as_ / p, cs / p, ds / p) if p else (0.0, 0.0, 0.0)
     else:
-        case = CaseFour.D
-        s2 = as_ * as_ + cs * cs
-        qa = 16.0 * (s2 + ds * ds)
-        if qa == 0.0:
-            # the squares of a, c and d all underflow at b's scale, so the
-            # d = 0 shape applies in the limit
-            scaled, alpha_report = _d_zero_shape(b, as_, bs, cs, half)
-        else:
-            qb = 8.0 * (2.0 * ds * (s2 + ds * ds) - bs * s2)
-            qc = -((s2 + 2.0 * bs * ds) ** 2)
-            alpha = _larger_quadratic_root(qa, qb, qc)
-            # The true larger root clears both bounds; max() only absorbs the
-            # last-ulp rounding of the quadratic formula.
-            alpha = max(alpha, 0.0, -ds)
-            x_mag = math.sqrt(max(ds + alpha, 0.0))
-            z_mag = math.sqrt(alpha)
-            sum_same = x_mag + z_mag
-            if sum_same == 0.0:
-                # alpha vanished with d, which underflowed at b's scale;
-                # the d = 0 shape applies in the limit
-                scaled, alpha_report = _d_zero_shape(b, as_, bs, cs, half)
-            else:
-                try:
-                    alpha_report = math.ldexp(alpha, e2)
-                except OverflowError:
-                    # alpha is a squared coordinate: it can pass DBL_MAX
-                    # while the solution stays in range
-                    alpha_report = math.inf
-                candidates = [
-                    (x_mag, (as_ - cs) / (2.0 * sum_same),
-                     z_mag, (as_ + cs) / (2.0 * sum_same))
-                ]
-                # Opposite orientation: x + z = x_mag - z_mag = d/(x_mag + z_mag),
-                # computed in the stable quotient form.  sum_opp only vanishes
-                # when ds underflowed, and then the orientations coincide.
-                sum_opp = ds / sum_same
-                if sum_opp != 0.0:
-                    candidates.append(
-                        (x_mag, (as_ - cs) / (2.0 * sum_opp),
-                         -z_mag, (as_ + cs) / (2.0 * sum_opp))
-                    )
-                scaled = min(
-                    candidates, key=lambda t: _residual_four(as_, bs, cs, ds, *t, e2)
-                )
-
-    scaled = tuple(_unsign_zero(t) for t in scaled)
+        # direction of (a, c, d) at its own scale: at b's it can be subnormal
+        e3 = _even_exponent(max(abs(a), abs(c), abs(d)))
+        a3, c3, d3 = math.ldexp(a, -e3), math.ldexp(c, -e3), math.ldexp(d, -e3)
+        n3 = math.hypot(a3, c3, d3)
+        m = math.sqrt(r - bs)
+        p = math.ldexp(n3, e3 - e2) / m
+        s, t, q = (m * a3 / n3, m * c3 / n3, m * d3 / n3) if p else (m, 0.0, 0.0)
+    scaled = tuple(
+        _unsign_zero(v)
+        for v in ((p + q) / 2.0, (s - t) / 2.0, (p - q) / 2.0, (s + t) / 2.0)
+    )
     residual = _residual_four(as_, bs, cs, ds, *scaled, e2)
     if not residual <= tol:
         raise ResidualExceededError(
@@ -372,9 +303,9 @@ def solve_four(
             residual,
         )
     xs, ys, zs, ws = scaled
-    norm_residual = abs(
-        xs * xs + ys * ys + zs * zs + ws * ws - math.hypot(as_, bs, cs, ds)
-    ) / (_one_in_scaled_units(e2) + abs(as_) + abs(bs) + abs(cs) + abs(ds))
+    norm_residual = abs(xs * xs + ys * ys + zs * zs + ws * ws - r) / (
+        _one_in_scaled_units(e2) + abs(as_) + abs(bs) + abs(cs) + abs(ds)
+    )
 
     variants = None
     if enumerate_signs:
@@ -382,6 +313,12 @@ def solve_four(
             scaled, lambda *t: _residual_four(as_, bs, cs, ds, *t, e2), tol, half
         )
     solution = tuple(math.ldexp(t, half) for t in scaled)
-    return SolveReport(
-        solution, case, residual, norm_residual, tol, alpha_report, variants
-    )
+    x, _, z, _ = solution
+    if abs(d) > zero_eps:
+        # z^2 = x^2 - d >= -d; max() absorbs the rounding of z^2 near x = 0
+        case, alpha = CaseFour.D, max(z * z, -d)
+    elif abs(a) <= zero_eps and abs(c) <= zero_eps and b <= 0.0:
+        case, alpha = CaseFour.A, None
+    else:
+        case, alpha = (CaseFour.B if b > 0.0 else CaseFour.C), x
+    return SolveReport(solution, case, residual, norm_residual, tol, alpha, variants)

@@ -45,6 +45,9 @@ CASES = [
     # branch D's alpha (a squared coordinate) passes DBL_MAX: reported as inf
     ["solve4", "--", "6.242860920368655e-05", "-2.154589341872986e+201",
      "-1.7976931348623157e+308", "-1.7976931348623157e+308"],
+    # b < 0 dominates, and x + z rounds to 0 beside x - z
+    ["solve4", "--", "-3.2805988059568653e+76", "-1.5827434674871792e+201",
+     "-5.144581422464274e-197", "-2.5331356772152737e+25"],
     ["verify", "--arity", "2", "--model", "power:c=2", "--samples", "300", "--seed", "7"],
     ["verify", "--arity", "4", "--model", "power:c=3", "--samples", "200", "--seed", "11"],
     ["verify", "--arity", "2", "--model", "power:c=2,sigma=-1", "--samples", "200"],

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -114,14 +115,14 @@ class TestSolveFour:
         assert x == z == report.alpha == 1.0 and y == w == 0.0
 
     def test_case_c(self):
-        # alpha = sqrt(0 + sqrt(16)) / 2 = 1, then y = w = 1
+        # p = x + z = sqrt(0 + sqrt(16)) = 2 and y + w = a/p = 2, y = w
         report = solve_four(4.0, 0.0, 0.0, 0.0)
         assert report.solution == (1.0, 1.0, 1.0, 1.0)
         assert report.case_label is CaseFour.C
         assert system_four_defects(4, 0, 0, 0, *report.solution) == (0, 0, 0, 0)
 
     def test_case_d(self):
-        # quadratic 16 t^2 + 16 t has larger root 0
+        # p = x + z = sqrt(0 + 1) = 1 = x - z, so z = alpha = z^2 = 0
         report = solve_four(0.0, 0.0, 0.0, 1.0)
         assert report.solution == (1.0, 0.0, 0.0, 0.0)
         assert report.case_label is CaseFour.D
@@ -169,6 +170,16 @@ class TestSolveFour:
         assert report.alpha >= 0.0
         assert report.alpha >= -d
 
+    def test_canonical_sign(self):
+        # p = x + z is the nonnegative root: of the pair +/-(x, y, z, w) the
+        # solver returns the one with x + z > 0, or x = z = 0 and y = w >= 0
+        structured = [(0.0, -2.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0),
+                      (0.0, 0.0, 0.0, -1.0), (0.0, -5.0, 0.0, -2.0),
+                      (1.0, -4.0, 1.0, -2.0), (4.0, 0.0, 0.0, 0.0)]
+        for rhs in [*UniformSampler(29, 2000, -100, 100).tuples(4), *structured]:
+            x, y, z, w = solve_four(*rhs).solution
+            assert x + z > 0.0 or (x == z == 0.0 and y == w >= 0.0), rhs
+
     def test_sign_variants_include_global_flip(self):
         report = solve_four(1.0, 2.0, 3.0, 4.0, enumerate_signs=True)
         x, y, z, w = report.solution
@@ -186,8 +197,8 @@ class TestSolveFour:
             solve_four(1.0, math.nan, 0.0, 0.0)
 
     def test_case_d_when_d_underflows_at_b_scale(self):
-        # scaled by b's magnitude, d underflows to 0 and the branch-D alpha
-        # with it, so x + z would vanish; the d = 0 shape is used instead
+        # scaled by b's magnitude, d underflows to 0, so q = x - z is 0 and
+        # x + z comes from c alone
         rhs = (0.0, -1e200, 1e50, 1e-250)
         report = solve_four(*rhs)
         assert report.case_label is CaseFour.D
@@ -195,8 +206,9 @@ class TestSolveFour:
         assert max(map(abs, defects)) <= 1e-6 * (1.0 + sum(map(abs, rhs)))
 
     def test_case_d_when_every_square_underflows_at_b_scale(self):
-        # a, c and d square to 0 at b's scale, but c itself does not: the
-        # d = 0 shape keeps c in y and w, so only d is left in the residual
+        # a, c and d square to 0 at b's scale, but c itself does not: c stays
+        # in y and w, while q = d/p is lost in rounding x = (p + q)/2, so
+        # x = z and d is the residual
         rhs = (0.0, 1.0045e-48, -3.5715e-276, -1.5145e-299)
         report = solve_four(*rhs)
         assert report.case_label is CaseFour.D
@@ -248,7 +260,8 @@ def within_tol_exactly(defects, rhs, solution, tol):
 
 
 class TestFullRange:
-    """Every finite input: a solution within tol, or ResidualExceededError."""
+    """Every finite input has a solution within tol; solve_two may still raise
+    ResidualExceededError."""
 
     @given(FULL_RANGE, FULL_RANGE)
     def test_solve_two(self, u, v):
@@ -263,13 +276,25 @@ class TestFullRange:
              7.964156753622094e-201, -1.7976931348623157e308)
     @example(6.242860920368655e-05, -2.154589341872986e201,
              -1.7976931348623157e308, -1.7976931348623157e308)
+    # b < 0 dominates a, c and d by over 100 orders of magnitude, and
+    # x + z rounds to 0 beside x - z
+    @example(-3.2805988059568653e+76, -1.5827434674871792e+201,
+             -5.144581422464274e-197, -2.5331356772152737e+25)
+    @example(-1.0436168875176836e-143, -1.2309144494234267e+213,
+             -8.777610288146277e+85, -7686772.250251657)
+    # a, c and d subnormal at b's scale: the direction of (a, c, d) needs
+    # its own scale
+    @example(-1.233840817143603e-109, -3.475440372314721e+265,
+             -9.090329116752127e-61, -3.930714519103368e+106)
+    @example(1.9264411704768078e-221, -5.7423706836746385e+240,
+             -3.6121638831020043e+80, -2.9225246769502383e+50)
     def test_solve_four(self, a, b, c, d):
-        try:
-            report = solve_four(a, b, c, d)
-        except ResidualExceededError:
-            return
+        report = solve_four(a, b, c, d)
         rhs = (a, b, c, d)
         assert within_tol_exactly(system_four_defects, rhs, report.solution, report.tol)
+        # the canonical sign, up to rounding where x + z is far below x - z
+        x, _, z, _ = report.solution
+        assert x >= -z
 
     def test_alpha_past_the_double_range_is_inf(self):
         # branch D's alpha is a squared coordinate; the solution stays finite
@@ -278,3 +303,31 @@ class TestFullRange:
         assert report.case_label is CaseFour.D
         assert report.alpha == math.inf
         assert all(math.isfinite(t) for t in report.solution)
+
+
+# zero or 1e-100 <= |t| <= 1e100: scaled by 4**k with |k| <= 60, still normal
+SCALABLE = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-100, max_value=1e100),
+    st.floats(min_value=-1e100, max_value=-1e-100),
+)
+
+
+def assert_scales_exactly(solve, rhs, k):
+    """solve(4**k * rhs) is 2**k * solve(rhs), bit for bit."""
+    base = solve(*rhs).solution
+    assume(all(t == 0.0 or abs(t) >= 2.0**60 * sys.float_info.min for t in base))
+    scaled = solve(*(math.ldexp(t, 2 * k) for t in rhs)).solution
+    assert scaled == tuple(math.ldexp(t, k) for t in base)
+
+
+class TestPowerOfFourScaling:
+    """The even-power-of-two normalization is exact (module docstring)."""
+
+    @given(st.tuples(SCALABLE, SCALABLE), st.integers(-60, 60))
+    def test_solve_two(self, rhs, k):
+        assert_scales_exactly(solve_two, rhs, k)
+
+    @given(st.tuples(SCALABLE, SCALABLE, SCALABLE, SCALABLE), st.integers(-60, 60))
+    def test_solve_four(self, rhs, k):
+        assert_scales_exactly(solve_four, rhs, k)
