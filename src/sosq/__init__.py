@@ -2,10 +2,14 @@
 
 Modules:
 
-* identities  -- exact two-/four-square composition laws (integer).
+* identities  -- exact two-/four-square composition laws (integer) and
+                 their norm.
+* sampling    -- the seeded, index-addressable UniformSampler; its
+                 splitmix64 reference is in tests/oracles.py.
 * systems     -- closed-form solvers for the induced nonlinear systems.
 * solutions   -- candidate solutions of the functional equations:
-                 synthesis, seeded verification, structure extraction.
+                 synthesis, seeded verification, structure extraction
+                 (extract_structure(f, arity)).
 * stability   -- approximate-equation excess checks and the empirical
                  bounded-vs-multiplicative classifier.
 * sumsquares  -- representability and constructive 2-/4-square
@@ -18,20 +22,17 @@ from .identities import (
     IntQuad,
     compose_two,
     compose_four,
-    norm2,
-    norm4,
+    norm,
 )
-from .sampling import DiagonalSampler, FixedSampler, UniformSampler
+from .sampling import UniformSampler
 from .solutions import (
     Arity,
     MultiplicativeFamily,
     SignumMap,
     SolutionModel,
     VerificationReport,
-    builtin_families,
     evaluate,
-    extract_structure_two,
-    extract_structure_four,
+    extract_structure,
     verify_equation_two,
     verify_equation_four,
 )
@@ -61,7 +62,6 @@ from .sumsquares import (
     SquareRep,
     factorize,
     four_square_decompose,
-    is_prime,
     is_sum_of_two_squares,
     two_square_decompose,
 )

@@ -23,7 +23,7 @@ import sys
 
 from . import jsonfmt
 from .exprs import ExpressionError
-from .identities import IntPair, IntQuad, compose_two, compose_four, norm2, norm4
+from .identities import IntPair, IntQuad, compose_two, compose_four, norm
 from .sampling import UniformSampler
 from .solutions import (
     Arity,
@@ -187,16 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solve 2xy = u, x^2 - y^2 = v")
     p.add_argument("u", type=_finite_float)
     p.add_argument("v", type=_finite_float)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--zero-eps", type=float, default=0.0,
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--zero-eps", type=_finite_float, default=0.0,
                    help="treat |u| <= eps as structural zero (default 0)")
 
     p = sub.add_parser("solve4", parents=[common],
                        help="solve the four-variable composition system")
     for name in ("a", "b", "c", "d"):
         p.add_argument(name, type=_finite_float)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--zero-eps", type=float, default=0.0)
+    p.add_argument("--tol", type=_finite_float, default=1e-6)
+    p.add_argument("--zero-eps", type=_finite_float, default=0.0)
 
     p = sub.add_parser("verify", parents=[common],
                        help="verify a model against the functional equation")
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model spec, e.g. power:c=2 or power:c=2,sigma=-1")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
 
     p = sub.add_parser("stability", parents=[common],
                        help="hypothesis/conclusion excess checks plus classification")
@@ -216,15 +216,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "replicated to every slot)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--growth-threshold", type=float, default=DEFAULT_GROWTH_THRESHOLD)
-    p.add_argument("--mult-tol", type=float, default=DEFAULT_MULT_TOL)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--growth-threshold", type=_finite_float,
+                   default=DEFAULT_GROWTH_THRESHOLD)
+    p.add_argument("--mult-tol", type=_finite_float, default=DEFAULT_MULT_TOL)
 
     p = sub.add_parser("classify", parents=[common],
                        help="classify a model's first-axis restriction")
     p.add_argument("--model", required=True)
-    p.add_argument("--growth-threshold", type=float, default=DEFAULT_GROWTH_THRESHOLD)
-    p.add_argument("--mult-tol", type=float, default=DEFAULT_MULT_TOL)
+    p.add_argument("--growth-threshold", type=_finite_float,
+                   default=DEFAULT_GROWTH_THRESHOLD)
+    p.add_argument("--mult-tol", type=_finite_float, default=DEFAULT_MULT_TOL)
 
     p = sub.add_parser("decompose", parents=[common],
                        help="decompose n into 2 or 4 squares")
@@ -240,9 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compose(args):
     two = args.command == "compose2"
-    coords, point, compose, norm = (
-        ("xy", IntPair, compose_two, norm2) if two
-        else ("xyzw", IntQuad, compose_four, norm4)
+    coords, point, compose = (
+        ("xy", IntPair, compose_two) if two else ("xyzw", IntQuad, compose_four)
     )
     first = [getattr(args, f"{c}1") for c in coords]
     second = [getattr(args, f"{c}2") for c in coords]

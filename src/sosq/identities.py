@@ -20,13 +20,12 @@ __all__ = [
     "compose_four",
     "compose_two_raw",
     "compose_four_raw",
-    "norm2",
-    "norm4",
+    "norm",
 ]
 
 
 class IntPair(namedtuple("IntPair", "x y")):
-    """Integer pair (x, y); norm2 is x^2 + y^2, computed exactly."""
+    """Integer pair (x, y); its norm is x^2 + y^2, computed exactly."""
 
     __slots__ = ()
 
@@ -40,7 +39,7 @@ class IntPair(namedtuple("IntPair", "x y")):
 
 
 class IntQuad(namedtuple("IntQuad", "x y z w")):
-    """Integer quadruple (x, y, z, w); norm4 is the exact sum of squares."""
+    """Integer quadruple (x, y, z, w); its norm is the exact sum of squares."""
 
     __slots__ = ()
 
@@ -80,20 +79,15 @@ def compose_four_raw(x1, y1, z1, w1, x2, y2, z2, w2):
 
 
 def compose_two(p1: IntPair, p2: IntPair) -> IntPair:
-    """Compose two pairs; norm2(result) == norm2(p1) * norm2(p2) exactly."""
+    """Compose two pairs; norm(result) == norm(p1) * norm(p2) exactly."""
     return tuple.__new__(IntPair, compose_two_raw(*p1, *p2))
 
 
 def compose_four(q1: IntQuad, q2: IntQuad) -> IntQuad:
-    """Compose two quadruples; norm4(result) == norm4(q1) * norm4(q2) exactly."""
+    """Compose two quadruples; norm(result) == norm(q1) * norm(q2) exactly."""
     return tuple.__new__(IntQuad, compose_four_raw(*q1, *q2))
 
 
-def norm2(p: IntPair) -> int:
-    x, y = p
-    return x * x + y * y
-
-
-def norm4(q: IntQuad) -> int:
-    x, y, z, w = q
-    return x * x + y * y + z * z + w * w
+def norm(components) -> int:
+    """Sum of the squared components; exact for an IntPair or IntQuad."""
+    return sum(c * c for c in components)

@@ -9,8 +9,12 @@ multiplicative m and a sign map sigma, and analogously in four variables
 with the four-square composition.  The shape is necessary; it is
 sufficient for sigma identically +1 with any multiplicative m, and other
 sign maps are treated as candidates only.  verify_equation_two/four
-therefore re-check the equation on a seeded sample sweep, and the
-extract_structure_* helpers recover (m, sigma) tables from a black-box f.
+therefore re-check the equation on a seeded sample sweep, and
+extract_structure(f, arity) recovers (m, sigma) tables from a black-box f
+on the default_probes(arity) grid.  A sweep takes any sampler with seed,
+count and tuples(width): sosq.sampling.UniformSampler, or the point-list
+FixedSampler and DiagonalSampler in tests/oracles.py, which also holds the
+builtin_families the tests sweep over.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from itertools import product
 
 from .identities import compose_two_raw, compose_four_raw
 
@@ -30,15 +35,12 @@ __all__ = [
     "SolutionModel",
     "VerificationReport",
     "StructureReport",
-    "builtin_families",
     "evaluate",
     "verify_equation_two",
     "verify_equation_four",
-    "extract_structure_two",
-    "extract_structure_four",
+    "extract_structure",
     "probe_ladder",
-    "default_probes_two",
-    "default_probes_four",
+    "default_probes",
 ]
 
 
@@ -60,8 +62,7 @@ class MultiplicativeFamily:
 
     Every kind satisfies the law identically (POWER with exponent 0 is the
     constant 1, including at 0).  Negative-exponent powers are undefined at
-    0 and evaluate to 0 there by convention; `undefined_at_zero` exposes
-    that so callers can flag it.
+    0 and evaluate to 0 there by convention.
     """
 
     kind: FamilyKind
@@ -82,13 +83,6 @@ class MultiplicativeFamily:
     @classmethod
     def zero(cls) -> "MultiplicativeFamily":
         return cls(FamilyKind.ZERO)
-
-    @property
-    def undefined_at_zero(self) -> bool:
-        return (
-            self.kind in (FamilyKind.POWER, FamilyKind.SIGNED_POWER)
-            and self.exponent < 0
-        )
 
     def __call__(self, t: float) -> float:
         # A power past the double range is inf, not an OverflowError, so
@@ -114,20 +108,6 @@ class MultiplicativeFamily:
         return 0.0
 
 
-def builtin_families() -> tuple[MultiplicativeFamily, ...]:
-    """Representative built-in families, used by sweeps and tests."""
-    return (
-        MultiplicativeFamily.power(0.0),
-        MultiplicativeFamily.power(1.0),
-        MultiplicativeFamily.power(2.0),
-        MultiplicativeFamily.power(3.0),
-        MultiplicativeFamily.signed_power(1.0),
-        MultiplicativeFamily.signed_power(2.0),
-        MultiplicativeFamily.one(),
-        MultiplicativeFamily.zero(),
-    )
-
-
 @dataclass(frozen=True)
 class SignumMap:
     """Sign map into {+1, -1}; fn=None means constantly +1."""
@@ -141,10 +121,6 @@ class SignumMap:
     @classmethod
     def constant_minus(cls) -> "SignumMap":
         return cls(lambda point: -1)
-
-    @classmethod
-    def from_function(cls, fn: Callable[[tuple[float, ...]], int]) -> "SignumMap":
-        return cls(fn)
 
     def __call__(self, point: tuple[float, ...]) -> int:
         if self.fn is None:
@@ -267,29 +243,17 @@ def probe_ladder() -> tuple[float, ...]:
     return tuple(sorted([-(2.0 ** k) for k in ks] + [2.0 ** k for k in ks]))
 
 
-def default_probes_two() -> tuple[tuple[float, float], ...]:
+def default_probes(arity: int) -> tuple[tuple[float, ...], ...]:
+    """Probe points over the axis probe_ladder() + (0.0,).
+
+    Every point with at most two nonzero coordinates, in itertools.product
+    order, then the diagonal (t, ..., t); duplicates are dropped.
+    """
     axis = probe_ladder() + (0.0,)
-    return tuple((u, v) for u in axis for v in axis)
-
-
-def default_probes_four() -> tuple[tuple[float, ...], ...]:
-    ladder = probe_ladder()
-    sub = (-16.0, -4.0, -1.0, -0.25, 0.25, 1.0, 4.0, 16.0)
-    points: dict[tuple[float, ...], None] = {(0.0, 0.0, 0.0, 0.0): None}
-    for i in range(4):
-        for t in ladder:
-            p = [0.0] * 4
-            p[i] = t
-            points[tuple(p)] = None
-    for t in ladder:
-        points[(t, t, t, t)] = None
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for s in sub:
-                for t in sub:
-                    p = [0.0] * 4
-                    p[i], p[j] = s, t
-                    points[tuple(p)] = None
+    points = dict.fromkeys(
+        p for p in product(axis, repeat=arity) if arity - p.count(0.0) <= 2
+    )
+    points.update(dict.fromkeys((t,) * arity for t in axis))
     return tuple(points)
 
 
@@ -315,13 +279,17 @@ class StructureReport:
     consistent: bool
 
 
-def _extract_structure(f, probes, tol: float, arity: int) -> StructureReport:
+def extract_structure(f, arity: int, probes=None, tol: float = 1e-9) -> StructureReport:
+    """Recover m(t) = f(t, 0, ...) and sigma = f / (m o norm) on a probe grid.
+
+    f takes arity coordinates; probes defaults to default_probes(arity).
+    """
     pad = (0.0,) * (arity - 1)
     m_table = tuple((t, f(t, *pad)) for t in probe_ladder() + (0.0,))
     sigma_table = []
     violations = []
     zero_m = []
-    for point in probes:
+    for point in probes or default_probes(arity):
         m_at_norm = f(math.hypot(*point), *pad)
         if abs(m_at_norm) <= tol:
             zero_m.append(point)
@@ -340,13 +308,3 @@ def _extract_structure(f, probes, tol: float, arity: int) -> StructureReport:
         zero_m_points=tuple(zero_m),
         consistent=not violations,
     )
-
-
-def extract_structure_two(f, probes=None, tol: float = 1e-9) -> StructureReport:
-    """Recover m(t) = f(t, 0) and sigma = f / (m o norm) on a probe grid."""
-    return _extract_structure(f, probes or default_probes_two(), tol, 2)
-
-
-def extract_structure_four(f, probes=None, tol: float = 1e-9) -> StructureReport:
-    """Four-variable analog of extract_structure_two (axis is f(t, 0, 0, 0))."""
-    return _extract_structure(f, probes or default_probes_four(), tol, 4)

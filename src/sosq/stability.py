@@ -50,10 +50,6 @@ __all__ = [
 DEFAULT_GROWTH_THRESHOLD = 1e6
 DEFAULT_MULT_TOL = 1e-6
 
-_BOUND_SLOTS = {Arity.TWO: 4, Arity.FOUR: 8}
-# Slot order: (M1, M2, N1, N2) for two variables,
-# (K1, K2, L1, L2, M1, M2, N1, N2) for four.
-
 
 class InvalidBoundError(ValueError):
     """A bound function raised, or returned a value outside [0, inf), at a probe."""
@@ -61,13 +57,17 @@ class InvalidBoundError(ValueError):
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """Per-coordinate nonnegative bound functions of one real variable."""
+    """Per-coordinate nonnegative bound functions of one real variable.
+
+    There are 2 * arity slots, one per sample coordinate: (M1, M2, N1, N2)
+    for two variables, (K1, K2, L1, L2, M1, M2, N1, N2) for four.
+    """
 
     arity: Arity
     bounds: tuple[Callable[[float], float], ...]
 
     def __post_init__(self) -> None:
-        want = _BOUND_SLOTS[self.arity]
+        want = 2 * self.arity
         if len(self.bounds) != want:
             raise ValueError(
                 f"arity {int(self.arity)} needs {want} bounds, got {len(self.bounds)}"
@@ -78,12 +78,12 @@ class BoundSpec:
         if value < 0:
             raise InvalidBoundError(f"constant bound {value!r} is negative")
         fn = lambda x: value
-        return cls(arity, (fn,) * _BOUND_SLOTS[arity])
+        return cls(arity, (fn,) * (2 * arity))
 
     @classmethod
     def from_expressions(cls, arity: Arity, exprs: Sequence[str]) -> "BoundSpec":
         """Build from expression strings; a single string is used for all slots."""
-        want = _BOUND_SLOTS[arity]
+        want = 2 * arity
         if len(exprs) == 1:
             exprs = list(exprs) * want
         if len(exprs) != want:

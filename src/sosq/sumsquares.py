@@ -27,28 +27,12 @@ from .identities import IntPair, IntQuad, compose_two, compose_four
 __all__ = [
     "Factorization",
     "SquareRep",
-    "is_prime",
     "factorize",
     "is_sum_of_two_squares",
     "two_square_brute_force",
     "two_square_decompose",
     "four_square_decompose",
 ]
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n in (2, 3):
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,124 @@
-"""Independent brute-force oracles used to pin expected test values.
+"""Independent oracles used to pin expected test values, and shared fixtures.
 
-These deliberately avoid the library's code paths: factorization by the
-plain trial-division wheel, representability by exhaustive search, system
-checks by direct substitution, multiplicativity by direct evaluation.
+The oracles deliberately avoid the library's code paths: factorization by
+the plain trial-division wheel, primality by the 6k-1, 6k+1 wheel,
+representability by exhaustive search, system checks by direct
+substitution, multiplicativity by direct evaluation, and the sampler's
+draws by one SplitMix64 object per sample index.  The fixtures are the
+samplers over explicit points and the representative multiplicative
+families the tests sweep over.
 """
 
+from collections.abc import Iterator
+from dataclasses import dataclass
 from math import isqrt
+
+from sosq.sampling import UniformSampler
+from sosq.solutions import MultiplicativeFamily
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """Counter-based 64-bit generator."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK64
+        return _mix64(self._state)
+
+    def uniform(self, low: float, high: float) -> float:
+        u = (self.next_u64() >> 11) * 2.0**-53
+        return low + (high - low) * u
+
+    def randint(self, low: int, high: int) -> int:
+        return low + self.next_u64() % (high - low + 1)
+
+
+def stream_for(seed: int, index: int) -> SplitMix64:
+    """Independent generator for one sample index: the draws that
+    UniformSampler.tuples must reproduce for that index."""
+    return SplitMix64(_mix64((seed + (index + 1) * _GOLDEN) & _MASK64))
+
+
+@dataclass(frozen=True)
+class FixedSampler:
+    """Sweep over an explicit point list; useful for targeted checks."""
+
+    points: tuple[tuple[float, ...], ...]
+    seed: int = 0
+
+    @property
+    def count(self) -> int:
+        return len(self.points)
+
+    def tuples(self, width: int) -> Iterator[tuple[float, ...]]:
+        for p in self.points:
+            if len(p) != width:
+                raise ValueError(f"expected width-{width} tuples, got {p!r}")
+            yield tuple(p)
+
+
+@dataclass(frozen=True)
+class DiagonalSampler:
+    """Lift a width-w sampler to width-2w by pairing each tuple with itself."""
+
+    inner: UniformSampler | FixedSampler
+
+    @property
+    def seed(self) -> int:
+        return self.inner.seed
+
+    @property
+    def count(self) -> int:
+        return self.inner.count
+
+    def tuples(self, width: int) -> Iterator[tuple[float, ...]]:
+        if width % 2:
+            raise ValueError("diagonal sweeps need an even tuple width")
+        for t in self.inner.tuples(width // 2):
+            yield t + t
+
+
+def builtin_families() -> tuple[MultiplicativeFamily, ...]:
+    """Representative built-in families, used by sweeps and tests."""
+    return (
+        MultiplicativeFamily.power(0.0),
+        MultiplicativeFamily.power(1.0),
+        MultiplicativeFamily.power(2.0),
+        MultiplicativeFamily.power(3.0),
+        MultiplicativeFamily.signed_power(1.0),
+        MultiplicativeFamily.signed_power(2.0),
+        MultiplicativeFamily.one(),
+        MultiplicativeFamily.zero(),
+    )
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division over 2, 3, then 6k-1, 6k+1."""
+    if n < 2:
+        return False
+    if n in (2, 3):
+        return True
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    f = 5
+    while f * f <= n:
+        if n % f == 0 or n % (f + 2) == 0:
+            return False
+        f += 6
+    return True
 
 
 def two_square_witnesses(n: int) -> list[tuple[int, int]]:

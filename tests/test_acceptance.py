@@ -7,15 +7,15 @@ tolerance is pinned here; nothing is deferred to later calibration.
 import json
 import time
 
-from oracles import is_two_square
+from oracles import DiagonalSampler, is_two_square, stream_for
 from sosq.cli import main
-from sosq.identities import IntPair, IntQuad, compose_two, compose_four, norm2, norm4
-from sosq.sampling import DiagonalSampler, UniformSampler, stream_for
+from sosq.identities import IntPair, IntQuad, compose_two, compose_four, norm
+from sosq.sampling import UniformSampler
 from sosq.solutions import (
     Arity,
     MultiplicativeFamily,
     SolutionModel,
-    extract_structure_two,
+    extract_structure,
     probe_ladder,
     verify_equation_two,
     verify_equation_four,
@@ -46,12 +46,12 @@ def test_criterion_1_exact_norm_multiplicativity():
         rng = stream_for(29, i)
         p1 = IntPair(rng.randint(-1000, 1000), rng.randint(-1000, 1000))
         p2 = IntPair(rng.randint(-1000, 1000), rng.randint(-1000, 1000))
-        assert norm2(compose_two(p1, p2)) == norm2(p1) * norm2(p2)
+        assert norm(compose_two(p1, p2)) == norm(p1) * norm(p2)
     for i in range(count):
         rng = stream_for(31, i)
         q1 = IntQuad(*(rng.randint(-1000, 1000) for _ in range(4)))
         q2 = IntQuad(*(rng.randint(-1000, 1000) for _ in range(4)))
-        assert norm4(compose_four(q1, q2)) == norm4(q1) * norm4(q2)
+        assert norm(compose_four(q1, q2)) == norm(q1) * norm(q2)
     elapsed = time.perf_counter() - started
     report(
         elapsed < 10.0,
@@ -129,7 +129,7 @@ def test_criterion_4_model_verification():
 
 def test_criterion_5_structure_extraction():
     f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2)).as_function()
-    structure = extract_structure_two(f, tol=1e-9)
+    structure = extract_structure(f, 2, tol=1e-9)
     table = dict(structure.m_table)
     m_ok = all(
         abs(table[t] - t * t) <= 1e-9 * (1.0 + t * t) for t in probe_ladder()

@@ -342,6 +342,30 @@ class TestUsage:
                      "--tol", "0"]) == 2
         assert main(["solve2", "1", "2", "--tol", "-1"]) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve2", "1", "2", "--tol"],
+            ["solve2", "1", "2", "--zero-eps"],
+            ["solve4", "1", "2", "3", "4", "--tol"],
+            ["solve4", "1", "2", "3", "4", "--zero-eps"],
+            ["verify", "--arity", "2", "--model", "one", "--tol"],
+            ["stability", "--arity", "2", "--model", "one", "--bounds", "1", "--tol"],
+            ["stability", "--arity", "2", "--model", "one", "--bounds", "1",
+             "--growth-threshold"],
+            ["stability", "--arity", "2", "--model", "one", "--bounds", "1",
+             "--mult-tol"],
+            ["classify", "--model", "one", "--growth-threshold"],
+            ["classify", "--model", "one", "--mult-tol"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_option_is_usage_error(self, capsys, argv, value):
+        # a non-finite tolerance or threshold would turn any residual into a PASS
+        assert main([*argv, value]) == 2
+        assert f"{value!r} is not finite" in capsys.readouterr().err
+
     def test_json_parses_with_stdlib(self, capsys):
         _, report, out = run_json(
             capsys, "verify", "--arity", "2", "--model", "power:c=1",

@@ -107,6 +107,13 @@ USAGE_CASES = [
     ["decompose", "--squares", "2", "0"],
     ["decompose", "--squares", "4", "-3"],
     ["rep-check", "0"],
+    # a non-finite tolerance or threshold is refused, not a vacuous PASS
+    ["verify", "--arity", "2", "--model", "power:c=2,sigma=-1", "--samples", "50",
+     "--tol", "inf"],
+    ["verify", "--output", "json", "--arity", "2", "--model", "power:c=2,sigma=-1",
+     "--samples", "50", "--tol", "inf"],
+    ["classify", "--model", "power:c=2,sigma=-1", "--mult-tol", "inf"],
+    ["classify", "--output", "json", "--model", "power:c=2,sigma=-1", "--mult-tol", "inf"],
 ]
 
 

@@ -9,8 +9,7 @@ from sosq.identities import (
     compose_four,
     compose_two_raw,
     compose_four_raw,
-    norm2,
-    norm4,
+    norm,
 )
 from sosq.sampling import UniformSampler
 
@@ -26,13 +25,13 @@ class TestComposeTwo:
         # oracle: 5 * 5 = 25 = 4^2 + (-3)^2
         result = compose_two(IntPair(1, 2), IntPair(2, 1))
         assert result == IntPair(4, -3)
-        assert norm2(result) == 25 == norm2(IntPair(1, 2)) * norm2(IntPair(2, 1))
+        assert norm(result) == 25 == norm(IntPair(1, 2)) * norm(IntPair(2, 1))
 
     def test_equal_pairs(self):
         # oracle: 2 * 2 = 4 = 2^2 + 0^2
         result = compose_two(IntPair(1, 1), IntPair(1, 1))
         assert result == IntPair(2, 0)
-        assert norm2(result) == 4
+        assert norm(result) == 4
 
     @given(small_ints, small_ints)
     def test_identity_on_left(self, x, y):
@@ -41,12 +40,12 @@ class TestComposeTwo:
     @given(ints, ints, ints, ints)
     def test_norm_law_exact(self, x1, y1, x2, y2):
         p1, p2 = IntPair(x1, y1), IntPair(x2, y2)
-        assert norm2(compose_two(p1, p2)) == norm2(p1) * norm2(p2)
+        assert norm(compose_two(p1, p2)) == norm(p1) * norm(p2)
 
     def test_norm_law_huge_integers(self):
         p1 = IntPair(10**60 + 7, -(10**59))
         p2 = IntPair(3**40, 7**33)
-        assert norm2(compose_two(p1, p2)) == norm2(p1) * norm2(p2)
+        assert norm(compose_two(p1, p2)) == norm(p1) * norm(p2)
 
 
 class TestComposeFour:
@@ -57,37 +56,37 @@ class TestComposeFour:
     def test_all_ones_squared(self):
         result = compose_four(IntQuad(1, 1, 1, 1), IntQuad(1, 1, 1, 1))
         assert result == IntQuad(4, 0, 0, 0)
-        assert norm4(result) == 16
+        assert norm(result) == 16
 
     def test_second_axis_squared(self):
         result = compose_four(IntQuad(0, 1, 0, 0), IntQuad(0, 1, 0, 0))
         assert result == IntQuad(1, 0, 0, 0)
-        assert norm4(result) == 1
+        assert norm(result) == 1
 
     @given(*([small_ints] * 8))
     def test_norm_law_exact(self, x1, y1, z1, w1, x2, y2, z2, w2):
         q1, q2 = IntQuad(x1, y1, z1, w1), IntQuad(x2, y2, z2, w2)
-        assert norm4(compose_four(q1, q2)) == norm4(q1) * norm4(q2)
+        assert norm(compose_four(q1, q2)) == norm(q1) * norm(q2)
 
     @given(*([ints] * 8))
     def test_norm_law_unbounded(self, x1, y1, z1, w1, x2, y2, z2, w2):
         q1, q2 = IntQuad(x1, y1, z1, w1), IntQuad(x2, y2, z2, w2)
-        assert norm4(compose_four(q1, q2)) == norm4(q1) * norm4(q2)
+        assert norm(compose_four(q1, q2)) == norm(q1) * norm(q2)
 
 
 class TestNorms:
     def test_zero(self):
-        assert norm2(IntPair(0, 0)) == 0
+        assert norm(IntPair(0, 0)) == 0
 
     def test_pythagorean(self):
-        assert norm2(IntPair(3, 4)) == 25
+        assert norm(IntPair(3, 4)) == 25
 
     def test_quad(self):
-        assert norm4(IntQuad(1, 1, 1, 1)) == 4
+        assert norm(IntQuad(1, 1, 1, 1)) == 4
 
     @given(ints, ints)
     def test_nonnegative(self, x, y):
-        assert norm2(IntPair(x, y)) >= 0
+        assert norm(IntPair(x, y)) >= 0
 
 
 class TestRawHelpers:
@@ -174,4 +173,4 @@ def test_seeded_sweep_norm_law():
     for sample in UniformSampler(3, 20000, -1000, 1000, integer=True).tuples(4):
         x1, y1, x2, y2 = (int(t) for t in sample)
         p1, p2 = IntPair(x1, y1), IntPair(x2, y2)
-        assert norm2(compose_two(p1, p2)) == norm2(p1) * norm2(p2)
+        assert norm(compose_two(p1, p2)) == norm(p1) * norm(p2)

@@ -1,6 +1,7 @@
 import pytest
 
-from sosq.sampling import DiagonalSampler, FixedSampler, UniformSampler, stream_for
+from oracles import DiagonalSampler, FixedSampler, stream_for
+from sosq.sampling import UniformSampler
 
 
 class TestUniformSampler:

@@ -1,21 +1,22 @@
 import json
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import FixedSampler, builtin_families
 from sosq import jsonfmt
-from sosq.sampling import FixedSampler, UniformSampler
+from sosq.sampling import UniformSampler
 from sosq.solutions import (
     Arity,
     MultiplicativeFamily,
     SignumMap,
     SolutionModel,
-    builtin_families,
+    default_probes,
     evaluate,
-    extract_structure_two,
-    extract_structure_four,
+    extract_structure,
     probe_ladder,
     verify_equation_two,
     verify_equation_four,
@@ -61,7 +62,7 @@ class TestEvaluate:
             evaluate(m, (math.nan, 0.0))
 
     def test_signum_range_enforced(self):
-        bad = SignumMap.from_function(lambda p: 2)
+        bad = SignumMap(lambda p: 2)
         m = model_two(MultiplicativeFamily.one(), bad)
         with pytest.raises(ValueError):
             evaluate(m, (1, 1))
@@ -74,9 +75,7 @@ class TestEvaluate:
 
     def test_negative_power_at_zero_flagged(self):
         fam = MultiplicativeFamily.power(-1)
-        assert fam.undefined_at_zero
         assert fam(0.0) == 0.0
-        assert not MultiplicativeFamily.power(2).undefined_at_zero
 
 
 class TestMultiplicativity:
@@ -186,9 +185,19 @@ class TestReportSerialization:
 
 
 class TestStructureExtraction:
+    def test_default_probes_two_is_the_axis_grid(self):
+        axis = probe_ladder() + (0.0,)
+        assert default_probes(2) == tuple(product(axis, axis))
+
+    def test_default_probes_four(self):
+        probes = default_probes(4)
+        assert len(probes) == len(set(probes)) == 3015
+        for p in probes:
+            assert sum(t != 0.0 for t in p) <= 2 or len(set(p)) == 1, p
+
     def test_norm_square_recovers_square(self):
         f = model_two(MultiplicativeFamily.power(2)).as_function()
-        report = extract_structure_two(f)
+        report = extract_structure(f, 2)
         table = dict(report.m_table)
         for t in probe_ladder():
             assert abs(table[t] - t * t) <= 1e-9 * (1.0 + t * t)
@@ -196,7 +205,7 @@ class TestStructureExtraction:
         assert all(s == 1.0 for _, s in report.sigma_table)
 
     def test_zero_function_degenerate(self):
-        report = extract_structure_two(lambda x, y: 0.0)
+        report = extract_structure(lambda x, y: 0.0, 2)
         assert report.consistent
         assert len(report.zero_m_points) == len(report.sigma_table)
         assert all(s == 1.0 for _, s in report.sigma_table)
@@ -207,14 +216,14 @@ class TestStructureExtraction:
         # restriction, yet fails the functional equation: the two checks are
         # independent
         f = lambda x, y: x * x + y * y + 1.0
-        structure = extract_structure_two(f, tol=1e-9)
+        structure = extract_structure(f, 2, tol=1e-9)
         sweep = verify_equation_two(f, UniformSampler(7, 1000), 1e-9)
         assert structure.consistent
         assert sweep.verdict == "FAIL"
 
     def test_four_variable_norm(self):
         f = model_four(MultiplicativeFamily.power(2)).as_function()
-        report = extract_structure_four(f)
+        report = extract_structure(f, 4)
         table = dict(report.m_table)
         for t in probe_ladder():
             assert abs(table[t] - t * t) <= 1e-9 * (1.0 + t * t)
@@ -224,7 +233,7 @@ class TestStructureExtraction:
         # f = -(x^2+y^2+z^2+w^2): the axis restriction is -t^2, so sigma
         # still comes out +1 everywhere it is defined
         f = lambda x, y, z, w: -(x * x + y * y + z * z + w * w)
-        report = extract_structure_four(f)
+        report = extract_structure(f, 4)
         assert report.consistent
         table = dict(report.m_table)
         assert table[2.0] == -4.0
@@ -234,7 +243,13 @@ class TestStructureExtraction:
     def test_violation_detected(self):
         # breaking the norm symmetry makes |sigma| != 1 on some probes
         f = lambda x, y: x * x + 2.0 * y * y
-        report = extract_structure_two(f)
+        report = extract_structure(f, 2)
+        assert not report.consistent
+        assert report.violations
+
+    def test_violation_detected_four(self):
+        f = lambda x, y, z, w: x * x + 2.0 * y * y + z * z + w * w
+        report = extract_structure(f, 4)
         assert not report.consistent
         assert report.violations
 
@@ -243,7 +258,7 @@ class TestStructureExtraction:
         # synthesized models with the constant +1 sign map give back their
         # own m on the axis, and sigma = +1 wherever m is nonzero
         f = model_two(family).as_function()
-        report = extract_structure_two(f)
+        report = extract_structure(f, 2)
         assert report.consistent
         zero_points = set(report.zero_m_points)
         for t, value in report.m_table:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sosq.sampling import DiagonalSampler, FixedSampler, UniformSampler
-from sosq.solutions import Arity, MultiplicativeFamily, SolutionModel, builtin_families
+from oracles import DiagonalSampler, FixedSampler, builtin_families
+from sosq.sampling import UniformSampler
+from sosq.solutions import Arity, MultiplicativeFamily, SolutionModel
 from sosq.stability import (
     BoundSpec,
     DiagonalVerdict,

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     four_square_witness,
+    is_prime,
     is_two_square,
     two_square_witnesses,
     wheel_factors,
@@ -12,7 +13,6 @@ from sosq import sumsquares
 from sosq.sumsquares import (
     factorize,
     four_square_decompose,
-    is_prime,
     is_sum_of_two_squares,
     two_square_brute_force,
     two_square_decompose,
