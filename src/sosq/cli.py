@@ -154,6 +154,11 @@ def _check_run_config(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
         raise UsageError(f"--tol must be > 0, got {tol!r}")
+    for option in ("mult_tol", "growth_threshold"):
+        value = getattr(args, option, None)
+        if value is not None and value < 0:
+            flag = "--" + option.replace("_", "-")
+            raise UsageError(f"{flag} must be >= 0, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

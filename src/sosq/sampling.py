@@ -5,20 +5,57 @@ partitioned across workers and still reproduce the serial stream bit for
 bit.  The generator is a 64-bit splitmix: cheap to seed, stable across
 platforms and Python versions.
 
-UniformSampler.tuples inlines the generator: coordinate k of sample i is
-mixed straight from the counter, with no generator object per sample and
-no method call per coordinate.  The reference it must match draw for draw,
-one SplitMix64 stream per sample index (stream_for), lives with the tests
-in tests/oracles.py, as do the FixedSampler and DiagonalSampler fixtures.
+UniformSampler.tuples mixes a block of samples at a time in a few
+big-integer operations.  Each 64-bit splitmix state sits in its own
+128-bit lane of one Python int, in the low half with zeros above it.  A
+lane's product with a 64-bit constant fits in its 128 bits, so it cannot
+carry into the lane above, and what a right shift moves down from the
+lane above lands in the zero half, where the mask clears it.  So each
+lane goes through exactly the scalar mix: the draws are those of one
+splitmix64 stream per sample index, draw for draw.  Lanes are packed and
+unpacked little-endian whatever the host's byte order.  The reference,
+one SplitMix64 per sample index (stream_for), lives with the tests in
+tests/oracles.py, as do the FixedSampler and DiagonalSampler fixtures.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# samples per block: 128-512 run equally fast, and at width 8 a block's
+# lanes make one int of ~32 KB
+_BLOCK = 256
+
+
+def _lanes(words) -> int:
+    """One int with words[j] (< 2**64) in the low half of 128-bit lane j."""
+    packed = array("Q", bytes(16 * len(words)))
+    packed[::2] = array("Q", words)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return int.from_bytes(packed, "little")
+
+
+def _words(z: int, n: int) -> array:
+    """The low halves of the lowest n lanes of z: the inverse of _lanes."""
+    packed = array("Q", z.to_bytes(16 * n, "little"))
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed[::2]
+
+
+def _mix(z: int, mask: int) -> int:
+    """splitmix64's output function on every lane of z at once."""
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return (z ^ (z >> 31)) & mask
 
 
 @dataclass(frozen=True)
@@ -36,11 +73,9 @@ class UniformSampler:
     integer: bool = False
 
     def tuples(self, width: int) -> Iterator[tuple[float, ...]]:
-        # stream_for(seed, i) followed by `width` next_u64 calls, inlined:
-        # the k-th draw mixes the stream's start state plus (k + 1) * _GOLDEN
-        mask = _MASK64
-        steps = [(k + 1) * _GOLDEN for k in range(width)]
-        counter = self.seed & mask
+        if width == 0:
+            yield from repeat((), self.count)
+            return
         integer = self.integer
         if integer:
             low = int(self.low)
@@ -48,19 +83,29 @@ class UniformSampler:
         else:
             low = self.low
             span = self.high - low
-        for _ in range(self.count):
-            counter = (counter + _GOLDEN) & mask
-            z = (counter ^ (counter >> 30)) * 0xBF58476D1CE4E5B9 & mask
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
-            start = z ^ (z >> 31)
-            out = []
-            for step in steps:
-                z = (start + step) & mask
-                z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
-                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
-                z ^= z >> 31
-                if integer:
-                    out.append(float(low + z % span))
-                else:
-                    out.append(low + span * ((z >> 11) * 2.0**-53))
-            yield tuple(out)
+        built = 0
+        for first in range(0, self.count, _BLOCK):
+            n = min(_BLOCK, self.count - first)
+            if n != built:
+                # lane constants for n samples: built for the full blocks
+                # and once more for a shorter last block
+                built = n
+                ones = _lanes([1] * n)
+                ramp = _lanes([i * _GOLDEN & _MASK64 for i in range(n)])
+                steps = _lanes([(k + 1) * _GOLDEN & _MASK64 for k in range(width)] * n)
+                mask = _lanes([_MASK64] * (n * width))
+            # sample i's stream starts at mix(seed + (i + 1) * _GOLDEN), and
+            # its k-th draw mixes that start plus (k + 1) * _GOLDEN
+            # (a lane's sum of two words < 2**64 stays below 2**65, and the
+            # mask reduces it mod 2**64)
+            counter = (self.seed + (first + 1) * _GOLDEN) & _MASK64
+            starts = _words(_mix((counter * ones + ramp) & mask, mask), n)
+            spread = array("Q", bytes(8 * n * width))
+            for k in range(width):
+                spread[k::width] = starts
+            draws = _words(_mix((_lanes(spread) + steps) & mask, mask), n * width)
+            if integer:
+                coords = [float(low + z % span) for z in draws]
+            else:
+                coords = [low + span * ((z >> 11) * 2.0**-53) for z in draws]
+            yield from zip(*[iter(coords)] * width)

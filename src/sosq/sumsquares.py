@@ -134,7 +134,12 @@ class SquareRep:
     components: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+# per-prime representations kept: more than the 303 primes below 2000, yet
+# bounded, so a long-lived process decomposing ever new primes stays small
+_PRIME_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def _prime_two_square(p: int) -> tuple[int, int]:
     # p = 2 or p = 1 mod 4; a representation always exists.
     found = two_square_brute_force(p)
@@ -143,7 +148,7 @@ def _prime_two_square(p: int) -> tuple[int, int]:
     return found[::-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def _prime_four_square(n: int) -> tuple[int, int, int, int]:
     # Descending nested search for a >= b >= c >= d >= 0; always succeeds.
     # Each loop stops once its value is too small to carry its share of

@@ -342,6 +342,26 @@ class TestUsage:
                      "--tol", "0"]) == 2
         assert main(["solve2", "1", "2", "--tol", "-1"]) == 2
 
+    @pytest.mark.parametrize("option", ["--mult-tol", "--growth-threshold"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--model", "power:c=2"],
+            ["stability", "--arity", "2", "--model", "power:c=1", "--bounds", "1",
+             "--samples", "10"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_classifier_option_is_usage_error(self, capsys, argv, option):
+        # a negative tolerance or threshold can be met by no residual, so the
+        # verdict would rest on the other test alone
+        assert main([*argv, option, "-1"]) == 2
+        assert capsys.readouterr().err == f"error: {option} must be >= 0, got -1.0\n"
+
+    @pytest.mark.parametrize("option", ["--mult-tol", "--growth-threshold"])
+    def test_zero_classifier_option_is_valid(self, capsys, option):
+        assert main(["classify", "--model", "power:c=2", option, "0"]) == 0
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize(
         "argv",

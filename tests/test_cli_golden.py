@@ -53,6 +53,8 @@ CASES = [
     ["verify", "--arity", "2", "--model", "power:c=2,sigma=-1", "--samples", "200"],
     ["verify", "--arity", "4", "--model", "signedpower:c=1", "--samples", "100"],
     ["verify", "--arity", "2", "--model", "power:c=400", "--samples", "10"],
+    # more samples than one sampler block (256)
+    ["verify", "--arity", "4", "--model", "power:c=2", "--samples", "1000"],
     ["stability", "--arity", "2", "--model", "power:c=2", "--bounds", "0",
      "--samples", "300"],
     ["stability", "--arity", "4", "--model", "zero", "--bounds", "min(1/4, abs(x))",
@@ -66,6 +68,8 @@ CASES = [
      "--samples", "100"],
     ["stability", "--arity", "2", "--model", "power:c=400", "--bounds", "1",
      "--samples", "10"],
+    ["stability", "--arity", "4", "--model", "power:c=1", "--bounds", "1+abs(x)",
+     "--samples", "600"],
     # slot 1 reads x2 in the hypothesis and x1 in the conclusion: at seed 2
     # the one sample has x1 < 0 <= x2, so only the conclusion sees a bad bound
     ["stability", "--arity", "2", "--model", "power:c=2", "--bounds", "1;pow(x,0.5);1;1",
@@ -114,6 +118,14 @@ USAGE_CASES = [
      "--samples", "50", "--tol", "inf"],
     ["classify", "--model", "power:c=2,sigma=-1", "--mult-tol", "inf"],
     ["classify", "--output", "json", "--model", "power:c=2,sigma=-1", "--mult-tol", "inf"],
+    # nor is a negative one, which no residual (or sup) can meet
+    ["classify", "--model", "power:c=2", "--mult-tol", "-1"],
+    ["classify", "--output", "json", "--model", "power:c=2", "--mult-tol", "-1"],
+    ["classify", "--model", "power:c=2", "--growth-threshold", "-5"],
+    ["classify", "--output", "json", "--model", "power:c=2", "--growth-threshold", "-5"],
+    ["stability", "--arity", "2", "--model", "power:c=1", "--bounds", "1", "--mult-tol", "-1"],
+    ["stability", "--output", "json", "--arity", "2", "--model", "power:c=1", "--bounds", "1",
+     "--mult-tol", "-1"],
 ]
 
 

@@ -1,7 +1,24 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import DiagonalSampler, FixedSampler, stream_for
+from sosq.sampling import _BLOCK as B
 from sosq.sampling import UniformSampler
+
+
+def reference_draws(sampler, width):
+    """One SplitMix64 per sample, one method call per draw."""
+    want = []
+    for i in range(sampler.count):
+        rng = stream_for(sampler.seed, i)
+        if sampler.integer:
+            lo, hi = int(sampler.low), int(sampler.high)
+            draws = (float(rng.randint(lo, hi)) for _ in range(width))
+        else:
+            draws = (rng.uniform(sampler.low, sampler.high) for _ in range(width))
+        want.append(tuple(draws))
+    return want
 
 
 class TestUniformSampler:
@@ -45,23 +62,43 @@ class TestUniformSampler:
             UniformSampler(11, 0),
             UniformSampler(11, 1, -2, 2, integer=True),
             UniformSampler(11, 0, -2, 2, integer=True),
+            # block boundaries
+            UniformSampler(-17, B - 1),
+            UniformSampler(-17, B),
+            UniformSampler(-17, B + 1, -1.0, 1.0),
+            UniformSampler(2**64 - 1, 2 * B + 3),
+            UniformSampler(5, 2 * B + 3, -9, -2, integer=True),
+            UniformSampler(-1, B + 1, -1000, 7, integer=True),
         ],
         ids=repr,
     )
     def test_inlined_draws_match_stream_for(self, sampler):
         for width in range(1, 9):
-            # the reference: one SplitMix64 per sample, one method call per draw
-            want = []
-            for i in range(sampler.count):
-                rng = stream_for(sampler.seed, i)
-                if sampler.integer:
-                    lo, hi = int(sampler.low), int(sampler.high)
-                    draws = (float(rng.randint(lo, hi)) for _ in range(width))
-                else:
-                    draws = (rng.uniform(sampler.low, sampler.high) for _ in range(width))
-                want.append(tuple(draws))
+            want = reference_draws(sampler, width)
             # repr compares bit for bit, the sign of zero included
             assert repr(list(sampler.tuples(width))) == repr(want), width
+
+    def test_width_zero_yields_count_empty_tuples(self):
+        assert list(UniformSampler(3, 5).tuples(0)) == [()] * 5
+        assert list(UniformSampler(3, B + 1, -2, 2, integer=True).tuples(0)) == [()] * (B + 1)
+        assert list(UniformSampler(3, 0).tuples(0)) == []
+
+    @given(
+        seed=st.integers(-(2**70), -1) | st.integers(0, 2**64 - 1) | st.integers(2**64, 2**70),
+        count=st.integers(0, 3 * B),
+        width=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_draws_match_stream_for_property(self, seed, count, width, data):
+        if data.draw(st.booleans(), label="integer"):
+            low = data.draw(st.integers(-(10**6), 10**6 - 1), label="low")
+            high = data.draw(st.integers(low + 1, 10**6), label="high")
+            sampler = UniformSampler(seed, count, low, high, integer=True)
+        else:
+            low = data.draw(st.floats(-1e6, 1e6, exclude_max=True), label="low")
+            high = data.draw(st.floats(low, 1e6, exclude_min=True), label="high")
+            sampler = UniformSampler(seed, count, low, high)
+        assert repr(list(sampler.tuples(width))) == repr(reference_draws(sampler, width))
 
 
 class TestFixedSampler:

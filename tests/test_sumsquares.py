@@ -1,3 +1,5 @@
+from itertools import count, islice
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -199,6 +201,22 @@ class TestFourSquareDecompose:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             four_square_decompose(-1)
+
+
+@pytest.mark.parametrize("name", ["_prime_two_square", "_prime_four_square"])
+def test_prime_cache_is_bounded(name):
+    cached = getattr(sumsquares, name)
+    bound = cached.cache_info().maxsize
+    assert bound == sumsquares._PRIME_CACHE_SIZE
+    # every prime factor of a smooth n (all primes below 2000) fits at once
+    assert bound >= sum(map(is_prime, range(2000)))
+    primes = list(islice((p for p in count(2) if p % 4 != 3 and is_prime(p)), bound + 100))
+    cached.cache_clear()
+    got = [cached(p) for p in primes]
+    assert cached.cache_info().currsize == bound
+    # the evicted ones are recomputed, and every answer is the uncached one
+    assert [cached(p) for p in primes] == got == list(map(cached.__wrapped__, primes))
+    assert cached.cache_info().currsize == bound
 
 
 class TestBruteForceRoute:
