@@ -296,7 +296,7 @@ def classify_diagonal(
     |m(s) m(t) - m(st)| / (1 + |m(st)|) to stay within mult_tol over all
     ladder pairs, with the ladder spanning at least three magnitude decades;
     it wins outright when both hold (the constant 1 is multiplicative, not
-    merely bounded).  Otherwise BOUNDED requires sup |m| on the ladder to
+    merely bounded).  A NaN residual counts as infinite.  Otherwise BOUNDED requires sup |m| on the ladder to
     stay within growth_threshold, and anything else is INCONCLUSIVE.
     """
     ladder = tuple(ladder) if ladder is not None else probe_ladder()
@@ -316,6 +316,7 @@ def classify_diagonal(
 
     max_residual = 0.0
     worst_pair = None
+    nan_pair = None
     for s in ladder:
         for t in ladder:
             prod_value = m(s * t)
@@ -323,6 +324,13 @@ def classify_diagonal(
             if residual > max_residual:
                 max_residual = residual
                 worst_pair = (s, t)
+            elif residual != residual and nan_pair is None:
+                nan_pair = (s, t)
+    if nan_pair is not None and max_residual < math.inf:
+        # NaN from an overflowed value (inf * 0, inf - inf): no finite
+        # residual bounds it; a pair with an infinite residual stays worst
+        max_residual = math.inf
+        worst_pair = nan_pair
 
     if max_residual <= mult_tol and decades >= 3.0:
         verdict = DiagonalVerdict.MULTIPLICATIVE

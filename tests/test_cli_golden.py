@@ -85,6 +85,8 @@ CASES = [
     ["classify", "--model", "zero"],
     ["classify", "--model", "power:c=2", "--mult-tol", "0"],
     ["classify", "--model", "power:c=-1", "--growth-threshold", "10"],
+    # every nonzero residual is NaN (inf * 0, inf - inf) and counts as inf
+    ["classify", "--model", "power:c=1e308"],
     ["decompose", "--squares", "2", "65"],
     ["decompose", "--squares", "2", "21"],
     ["decompose", "--squares", "2", "1"],

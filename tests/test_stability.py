@@ -216,6 +216,20 @@ class TestClassifyDiagonal:
         report = classify_diagonal(lambda t: complex(0.0, t * t))
         assert report.verdict is DiagonalVerdict.BOUNDED
 
+    def test_nan_residual_counts_as_infinite(self):
+        # |t|^1e308 is inf off [-1, 1] and 0 inside it, so every nonzero
+        # residual is inf * 0 or inf - inf: NaN, which must not read as 0
+        report = classify_diagonal(MultiplicativeFamily.power(1e308))
+        assert report.verdict is DiagonalVerdict.INCONCLUSIVE
+        assert report.max_mult_residual == math.inf
+        assert report.worst_pair == (-64.0, -64.0)
+
+    def test_infinite_residual_stays_worst_beside_nan(self):
+        # (-64, -64) gives inf - inf first; (-16, -0.25) gives inf - finite
+        report = classify_diagonal(MultiplicativeFamily.power(400))
+        assert report.max_mult_residual == math.inf
+        assert report.worst_pair == (-16.0, -0.25)
+
 
 class TestExactArithmetic:
     def test_fraction_pipeline_stays_exact(self):
