@@ -11,12 +11,14 @@ arguments and the seed (flag --seed, else env var SOSQ_SEED, else 42), and
 JSON output renders floats with 17 significant digits, so identical runs
 produce identical bytes.
 
-Exit codes: 0 on PASS/success, 1 on FAIL/violation, 2 on usage errors.
+Exit codes: 0 on PASS/success, 1 on FAIL/violation, 2 on usage errors
+(including an --out path that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -462,10 +464,14 @@ _HANDLERS = {
 _VERDICT_EXIT = {"PASS": EXIT_OK, "BOUNDED": EXIT_OK, "MULTIPLICATIVE": EXIT_OK}
 
 
+# parsing keeps no state in the parser, so one per process serves every
+# main() call; built on the first call, so importing sosq.cli stays cheap
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
 
@@ -488,8 +494,13 @@ def main(argv: list[str] | None = None) -> int:
         text = human
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out!r}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     return _VERDICT_EXIT.get(verdict, EXIT_FAIL)
 
 

@@ -20,6 +20,7 @@ builtin_families the tests sweep over.
 from __future__ import annotations
 
 import math
+from math import hypot, inf, isfinite
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -108,6 +109,10 @@ class MultiplicativeFamily:
         return 0.0
 
 
+def _constant_minus(point: tuple[float, ...]) -> int:
+    return -1
+
+
 @dataclass(frozen=True)
 class SignumMap:
     """Sign map into {+1, -1}; fn=None means constantly +1."""
@@ -120,7 +125,7 @@ class SignumMap:
 
     @classmethod
     def constant_minus(cls) -> "SignumMap":
-        return cls(lambda point: -1)
+        return cls(_constant_minus)
 
     def __call__(self, point: tuple[float, ...]) -> int:
         if self.fn is None:
@@ -142,7 +147,40 @@ class SolutionModel:
     sigma: SignumMap = field(default_factory=SignumMap)
 
     def as_function(self) -> Callable[..., float]:
-        return lambda *coords: evaluate(self, coords)
+        """f(*coords), equal to evaluate(self, coords) bit for bit.
+
+        A built-in family under a constant sign map compiles to one closure
+        that computes sigma * m(hypot(*coords)) inline; every other point
+        and model goes through evaluate.
+        """
+        m, fn = self.m, self.sigma.fn
+        if (
+            type(m) is not MultiplicativeFamily
+            or type(self.sigma) is not SignumMap
+            or not (fn is None or fn is _constant_minus)
+        ):
+            return lambda *coords: evaluate(self, coords)
+        arity = int(self.arity)
+        sign = 1 if fn is None else -1
+        # one and zero are constant; a power takes its value at 0 from m,
+        # and elsewhere hypot > 0, so |t|^c is t^c and a signed power is
+        # on its positive branch
+        constant = m.kind not in (FamilyKind.POWER, FamilyKind.SIGNED_POWER)
+        at_zero = sign * m(0.0)
+        c = m.exponent
+
+        def f(*coords):
+            if len(coords) == arity and isfinite(sum(coords)):
+                t = hypot(*coords)
+                if t == 0.0 or constant:
+                    return at_zero
+                try:
+                    return sign * t ** c
+                except OverflowError:
+                    return sign * inf
+            return evaluate(self, coords)
+
+        return f
 
 
 def evaluate(model: SolutionModel, point: Iterable[float]) -> float:

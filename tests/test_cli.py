@@ -102,6 +102,17 @@ class TestVerifyCommand:
         assert json.loads(on_disk)["verdict"] == "PASS"
         assert on_disk.rstrip("\n") == capsys.readouterr().out.rstrip("\n")
 
+    @pytest.mark.parametrize("output", ["human", "json"])
+    def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path, output):
+        target = tmp_path / "missing" / "report.json"
+        code = main(["verify", "--arity", "2", "--model", "power:c=2", "--samples", "3",
+                     "--output", output, "--out", str(target)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out  # the report itself still reaches stdout
+        assert err == f"error: cannot write {str(target)!r}: No such file or directory\n"
+        assert not target.exists()
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("SOSQ_SEED", "123")
         _, report, _ = run_json(
@@ -313,6 +324,14 @@ class TestModelSpecParsing:
         model = parse_model_spec("power:c=2,sigma=+1", Arity.TWO)
         assert model.sigma((1.0, 1.0)) == 1
 
+    def test_same_spec_gives_equal_models(self):
+        for spec in ("power:c=2,sigma=-1", "signedpower:c=1.5", "one,sigma=-1"):
+            a, b = parse_model_spec(spec, Arity.TWO), parse_model_spec(spec, Arity.TWO)
+            assert a == b and hash(a) == hash(b)
+        assert parse_model_spec("one,sigma=-1", Arity.TWO) != parse_model_spec(
+            "one", Arity.TWO
+        )
+
     @pytest.mark.parametrize(
         "spec", ["power", "power:d=2", "power:c=abc", "power:c=inf",
                  "wibble", "one,sigma=0", "power:c=2,flip=1"]
@@ -394,3 +413,37 @@ class TestUsage:
         # floats keep a marker so types survive the round trip
         assert isinstance(report["result"]["max_rel_residual"], float)
         assert isinstance(report["result"]["tol"], float)
+
+
+class TestParserReuse:
+    # a usage error first, then two subcommands, each after the other
+    SEQUENCE = [
+        ["verify", "--arity", "3", "--model", "one"],
+        ["verify", "--arity", "2", "--model", "power:c=2", "--samples", "50",
+         "--output", "json"],
+        ["stability", "--arity", "4", "--model", "power:c=1,sigma=-1", "--bounds", "1",
+         "--samples", "20"],
+        ["verify", "--arity", "2", "--model", "power:c=2", "--samples", "50"],
+        ["solve2", "--", "3", "-4"],
+        ["classify", "--model", "zero", "--mult-tol", "-1"],
+        ["frobnicate"],
+        ["decompose", "--squares", "4", "2026", "--output", "json"],
+    ]
+
+    def test_calls_match_a_fresh_parser(self, capsys, monkeypatch):
+        monkeypatch.delenv("SOSQ_SEED", raising=False)
+
+        def run(argv):
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        built = cli._parser()
+        reused = [run(argv) for argv in self.SEQUENCE]
+        assert cli._parser() is built
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == [2, 0, 1, 0, 0, 2, 2, 0]

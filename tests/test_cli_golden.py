@@ -100,6 +100,20 @@ CASES = [
     ["rep-check", str(3 * 2**64)],
 ]
 
+# the benchmark's sweep mix (SWEEP_MIX in perfbench/workloads.py) at its full
+# size: 2000 samples, several sampler blocks per sweep
+SWEEP_MIX_HEADS = [
+    ["verify", "--arity", "2", "--model", "power:c=2"],
+    ["verify", "--arity", "4", "--model", "power:c=2"],
+    ["stability", "--arity", "2", "--model", "power:c=2",
+     "--bounds", "1+abs(x);2+x*x;max(1,abs(x));pow(x,2)+1"],
+    ["stability", "--arity", "4", "--model", "power:c=1",
+     "--bounds", "1+abs(x);2+x*x;max(1,abs(x));pow(x,2)+1;"
+                 "abs(x)+3;min(x*x+1,100);1;x*x+abs(x)+1"],
+    ["verify", "--arity", "2", "--model", "power:c=2,sigma=-1"],
+]
+CASES += [head + ["--samples", "2000", "--seed", "3"] for head in SWEEP_MIX_HEADS]
+
 USAGE_CASES = [
     ["frobnicate"],
     ["verify", "--arity", "2"],

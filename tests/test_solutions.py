@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import FixedSampler, builtin_families
-from sosq import jsonfmt
+from sosq import jsonfmt, solutions
 from sosq.sampling import UniformSampler
 from sosq.solutions import (
     Arity,
@@ -76,6 +76,111 @@ class TestEvaluate:
     def test_negative_power_at_zero_flagged(self):
         fam = MultiplicativeFamily.power(-1)
         assert fam(0.0) == 0.0
+
+
+def outcome(call):
+    """What a call returns or raises, with -0.0, inf and NaN told apart."""
+    try:
+        value = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value), math.copysign(1.0, value)
+
+
+def _sign_by_first(point):
+    return 1 if point[0] >= 0 else -1
+
+
+EXPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -2.5, 0.5, 1 / 3, 2.0, 400.0, -400.0]),
+    st.floats(-500, 500),
+)
+FAMILIES = st.one_of(
+    st.builds(MultiplicativeFamily.power, EXPONENTS),
+    st.builds(MultiplicativeFamily.signed_power, EXPONENTS),
+    st.sampled_from([MultiplicativeFamily.one(), MultiplicativeFamily.zero()]),
+)
+SIGMAS = st.sampled_from([
+    SignumMap(),
+    SignumMap.constant_minus(),
+    SignumMap(_sign_by_first),
+    SignumMap(lambda point: 2),
+])
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1.0, -1.0, 1e-200, 1e200, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+)
+BAD = st.sampled_from([math.nan, -math.inf, math.inf, "x", None, 1j])
+
+
+@st.composite
+def model_and_point(draw):
+    arity = draw(st.sampled_from([Arity.TWO, Arity.FOUR]))
+    model = SolutionModel(arity, draw(FAMILIES), draw(SIGMAS))
+    length = draw(st.sampled_from([arity, arity, arity, arity - 1, arity + 1, 0]))
+    point = draw(st.lists(FINITE, min_size=length, max_size=length))
+    if point and draw(st.booleans()):
+        point[draw(st.integers(0, length - 1))] = draw(BAD)
+    return model, tuple(point)
+
+
+class TestAsFunction:
+    @given(model_and_point())
+    def test_equals_evaluate_bit_for_bit(self, case):
+        model, point = case
+        f = model.as_function()
+        assert outcome(lambda: f(*point)) == outcome(lambda: evaluate(model, point))
+
+    @pytest.mark.parametrize("family", builtin_families() + (
+        MultiplicativeFamily.power(-1.0),
+        MultiplicativeFamily.power(400.0),
+        MultiplicativeFamily.signed_power(0.0),
+        MultiplicativeFamily.signed_power(-0.5),
+    ), ids=str)
+    @pytest.mark.parametrize("sigma", [SignumMap(), SignumMap.constant_minus()])
+    @pytest.mark.parametrize("point", [(0.0, -0.0), (-0.0, 0.0, 0.0, -0.0), (3, 4),
+                                       (1e200, 1e200, -1e200, 1e200)])
+    def test_zeros_and_extremes(self, family, sigma, point):
+        model = SolutionModel(Arity(len(point)), family, sigma)
+        f = model.as_function()
+        assert outcome(lambda: f(*point)) == outcome(lambda: evaluate(model, point))
+
+    @pytest.mark.parametrize("sigma", [SignumMap(), SignumMap.constant_minus()])
+    def test_fast_path_skips_evaluate(self, sigma, monkeypatch):
+        f = model_two(MultiplicativeFamily.power(2), sigma).as_function()
+        expected = f(3.0, 4.0)
+
+        def fail(model, point):
+            raise AssertionError("evaluate called")
+
+        monkeypatch.setattr(solutions, "evaluate", fail)
+        assert f(3.0, 4.0) == expected
+        with pytest.raises(AssertionError, match="evaluate called"):
+            f(math.nan, 4.0)
+
+    def test_custom_sign_map_goes_through_evaluate(self, monkeypatch):
+        f = model_two(MultiplicativeFamily.power(2), SignumMap(_sign_by_first)).as_function()
+        calls = []
+        monkeypatch.setattr(
+            solutions, "evaluate", lambda model, point: calls.append(point) or 0.0
+        )
+        f(1.0, 2.0)
+        assert calls == [(1.0, 2.0)]
+
+
+class TestSignumMap:
+    def test_constant_minus_maps_are_equal(self):
+        a, b = SignumMap.constant_minus(), SignumMap.constant_minus()
+        assert a == b and hash(a) == hash(b)
+        assert a != SignumMap.constant_plus()
+        assert len({a, b, SignumMap.constant_plus(), SignumMap()}) == 2
+
+    def test_models_with_constant_minus_are_equal(self):
+        family = MultiplicativeFamily.power(2)
+        assert model_two(family, SignumMap.constant_minus()) == model_two(
+            family, SignumMap.constant_minus()
+        )
 
 
 class TestMultiplicativity:
