@@ -15,6 +15,14 @@ on the default_probes(arity) grid.  A sweep takes any sampler with seed,
 count and tuples(width): sosq.sampling.UniformSampler, or the point-list
 FixedSampler and DiagonalSampler in tests/oracles.py, which also holds the
 builtin_families the tests sweep over.
+
+evaluate(model, point) is the reference evaluation.  model.as_function()
+compiles the model once into one closure f(*coords) for its family kind,
+exponent and sign map: behind evaluate's own fast-path test (matching
+arity, finite coordinate sum) it computes sigma * m(hypot(*coords))
+inline, and it hands every other point, and every model it does not
+specialise (a custom SignumMap.fn), to evaluate, so values and errors
+match evaluate bit for bit.
 """
 
 from __future__ import annotations
@@ -147,12 +155,8 @@ class SolutionModel:
     sigma: SignumMap = field(default_factory=SignumMap)
 
     def as_function(self) -> Callable[..., float]:
-        """f(*coords), equal to evaluate(self, coords) bit for bit.
-
-        A built-in family under a constant sign map compiles to one closure
-        that computes sigma * m(hypot(*coords)) inline; every other point
-        and model goes through evaluate.
-        """
+        """f(*coords), equal to evaluate(self, coords) bit for bit; compiled
+        once, as the module docstring describes."""
         m, fn = self.m, self.sigma.fn
         if (
             type(m) is not MultiplicativeFamily

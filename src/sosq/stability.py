@@ -296,8 +296,9 @@ def classify_diagonal(
     |m(s) m(t) - m(st)| / (1 + |m(st)|) to stay within mult_tol over all
     ladder pairs, with the ladder spanning at least three magnitude decades;
     it wins outright when both hold (the constant 1 is multiplicative, not
-    merely bounded).  A NaN residual counts as infinite.  Otherwise BOUNDED requires sup |m| on the ladder to
-    stay within growth_threshold, and anything else is INCONCLUSIVE.
+    merely bounded).  Otherwise BOUNDED requires sup |m| on the ladder to
+    stay within growth_threshold, and anything else is INCONCLUSIVE.  A NaN
+    residual (from an infinite value) counts as infinite.
     """
     ladder = tuple(ladder) if ladder is not None else probe_ladder()
     values = {t: m(t) for t in ladder}

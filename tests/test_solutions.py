@@ -176,12 +176,6 @@ class TestSignumMap:
         assert a != SignumMap.constant_plus()
         assert len({a, b, SignumMap.constant_plus(), SignumMap()}) == 2
 
-    def test_models_with_constant_minus_are_equal(self):
-        family = MultiplicativeFamily.power(2)
-        assert model_two(family, SignumMap.constant_minus()) == model_two(
-            family, SignumMap.constant_minus()
-        )
-
 
 class TestMultiplicativity:
     @pytest.mark.parametrize("family", builtin_families(), ids=str)
