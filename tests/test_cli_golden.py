@@ -1,8 +1,8 @@
 """Byte-for-byte pins of the CLI's output.
 
-Each case in CASES runs once in human form and once with `--output json`;
-tests/data/cli_golden.txt holds, one JSON record per line, the exit code,
-stdout and stderr of every run.  Usage errors from argparse (exit 2, with
+Each case in CASES and SIGN_CASES runs once in human form and once with
+`--output json`; tests/data/cli_golden.txt holds, one JSON record per line,
+the exit code, stdout and stderr of every run.  Usage errors from argparse (exit 2, with
 a usage line first) pin only the exit code, because argparse's wording
 differs between Python versions; sosq's own usage errors (exit 2,
 "error: ...") are pinned in full.
@@ -145,10 +145,26 @@ USAGE_CASES = [
 ]
 
 
-# options go before the positionals, which may follow "--"
-INVOCATIONS = [
-    form for argv in CASES for form in (argv, [argv[0], "--output", "json", *argv[1:]])
-] + USAGE_CASES
+# sigma = -1 on the models the cases above cover only with sigma = +1
+SIGN_CASES = [
+    [command, *arity, "--model", model, *samples]
+    for model in ("one,sigma=-1", "zero,sigma=-1", "signedpower:c=0,sigma=-1")
+    for command, arity, samples in (
+        ("verify", ("--arity", "2"), ("--samples", "200")),
+        ("verify", ("--arity", "4"), ("--samples", "200")),
+        ("classify", (), ()),
+    )
+]
+
+
+def both_forms(cases):
+    # options go before the positionals, which may follow "--"
+    return [
+        form for argv in cases for form in (argv, [argv[0], "--output", "json", *argv[1:]])
+    ]
+
+
+INVOCATIONS = both_forms(CASES) + USAGE_CASES + both_forms(SIGN_CASES)
 
 
 def run_cli(argv):
