@@ -28,7 +28,6 @@ from .sampling import UniformSampler
 from .solutions import (
     Arity,
     MultiplicativeFamily,
-    SignumMap,
     SolutionModel,
     VerificationReport,
     evaluate,

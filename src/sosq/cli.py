@@ -30,7 +30,6 @@ from .sampling import UniformSampler
 from .solutions import (
     Arity,
     MultiplicativeFamily,
-    SignumMap,
     SolutionModel,
     verify_equation_two,
     verify_equation_four,
@@ -88,14 +87,15 @@ def _nonneg_int(text: str) -> int:
 
 def parse_model_spec(spec: str, arity: Arity) -> SolutionModel:
     """Parse `power:c=<real>`, `signedpower:c=<real>`, `one`, or `zero`,
-    optionally followed by `,sigma=-1` for the constant negative sign map."""
+    optionally followed by `,sigma=-1` for the constant sign -1 (or
+    `,sigma=+1`, the default +1)."""
     head, *options = [part.strip() for part in spec.split(",")]
-    sigma = SignumMap.constant_plus()
+    sign = 1
     for option in options:
         if option == "sigma=-1":
-            sigma = SignumMap.constant_minus()
+            sign = -1
         elif option in ("sigma=1", "sigma=+1"):
-            sigma = SignumMap.constant_plus()
+            sign = 1
         else:
             raise UsageError(f"unrecognized model option {option!r}")
 
@@ -121,7 +121,7 @@ def parse_model_spec(spec: str, arity: Arity) -> SolutionModel:
             if kind == "power"
             else MultiplicativeFamily.signed_power(c)
         )
-    return SolutionModel(arity, family, sigma)
+    return SolutionModel(arity, family, sign)
 
 
 def parse_bounds_spec(spec: str, arity: Arity) -> BoundSpec:

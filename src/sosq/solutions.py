@@ -7,22 +7,21 @@ A two-variable function f satisfies
 exactly when it has the shape sigma(point) * m(||point||) for a
 multiplicative m and a sign map sigma, and analogously in four variables
 with the four-square composition.  The shape is necessary; it is
-sufficient for sigma identically +1 with any multiplicative m, and other
-sign maps are treated as candidates only.  verify_equation_two/four
-therefore re-check the equation on a seeded sample sweep, and
-extract_structure(f, arity) recovers (m, sigma) tables from a black-box f
-on the default_probes(arity) grid.  A sweep takes any sampler with seed,
+sufficient for sigma identically +1 with any multiplicative m.  A
+SolutionModel takes sigma as the constant sign +1 or -1; any other
+candidate is a plain callable f.  verify_equation_two/four re-check the
+equation for any f on a seeded sample sweep, and extract_structure(f,
+arity) recovers (m, sigma) tables from a black-box f on the
+default_probes(arity) grid.  A sweep takes any sampler with seed,
 count and tuples(width): sosq.sampling.UniformSampler, or the point-list
 FixedSampler and DiagonalSampler in tests/oracles.py, which also holds the
 builtin_families the tests sweep over.
 
 evaluate(model, point) is the reference evaluation.  model.as_function()
 compiles the model once into one closure f(*coords) for its family kind,
-exponent and sign map: behind evaluate's own fast-path test (matching
-arity, finite coordinate sum) it computes sigma * m(hypot(*coords))
-inline, and it hands every other point, and every model it does not
-specialise (a custom SignumMap.fn), to evaluate, so values and errors
-match evaluate bit for bit.
+exponent and sign: for a point of matching arity with a finite coordinate
+sum it computes sign * m(hypot(*coords)) inline, and it hands every other
+point to evaluate, so values and errors match evaluate bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 from math import hypot, inf, isfinite
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import product
 
@@ -40,7 +39,6 @@ __all__ = [
     "Arity",
     "FamilyKind",
     "MultiplicativeFamily",
-    "SignumMap",
     "SolutionModel",
     "VerificationReport",
     "StructureReport",
@@ -94,78 +92,41 @@ class MultiplicativeFamily:
         return cls(FamilyKind.ZERO)
 
     def __call__(self, t: float) -> float:
-        # A power past the double range is inf, not an OverflowError, so
-        # sweeps report it as a non-finite value.
         kind = self.kind
-        if kind is FamilyKind.POWER:
-            if t == 0.0:
-                return 1.0 if self.exponent == 0.0 else 0.0
-            try:
-                return abs(t) ** self.exponent
-            except OverflowError:
-                return math.inf
-        if kind is FamilyKind.SIGNED_POWER:
-            if t == 0.0:
-                return 0.0
-            try:
-                mag = abs(t) ** self.exponent
-            except OverflowError:
-                mag = math.inf
-            return mag if t > 0.0 else -mag
         if kind is FamilyKind.CONSTANT_ONE:
             return 1.0
-        return 0.0
-
-
-def _constant_minus(point: tuple[float, ...]) -> int:
-    return -1
-
-
-@dataclass(frozen=True)
-class SignumMap:
-    """Sign map into {+1, -1}; fn=None means constantly +1."""
-
-    fn: Callable[[tuple[float, ...]], int] | None = None
-
-    @classmethod
-    def constant_plus(cls) -> "SignumMap":
-        return cls()
-
-    @classmethod
-    def constant_minus(cls) -> "SignumMap":
-        return cls(_constant_minus)
-
-    def __call__(self, point: tuple[float, ...]) -> int:
-        if self.fn is None:
-            return 1
-        s = self.fn(point)
-        if s == 1:
-            return 1
-        if s == -1:
-            return -1
-        raise ValueError(f"signum map returned {s!r}; must be +1 or -1")
+        if kind is FamilyKind.ZERO:
+            return 0.0
+        if t == 0.0:
+            return 1.0 if kind is FamilyKind.POWER and self.exponent == 0.0 else 0.0
+        # A power past the double range is inf, not an OverflowError, so
+        # sweeps report it as a non-finite value.
+        try:
+            mag = abs(t) ** self.exponent
+        except OverflowError:
+            mag = math.inf
+        if kind is FamilyKind.POWER:
+            return mag
+        return mag if t > 0.0 else -mag
 
 
 @dataclass(frozen=True)
 class SolutionModel:
-    """Candidate solution f(point) = sigma(point) * m(||point||)."""
+    """Candidate solution f(point) = sign * m(||point||), sign +1 or -1."""
 
     arity: Arity
     m: MultiplicativeFamily
-    sigma: SignumMap = field(default_factory=SignumMap)
+    sign: int = 1
+
+    def __post_init__(self) -> None:
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign is {self.sign!r}; must be +1 or -1")
 
     def as_function(self) -> Callable[..., float]:
         """f(*coords), equal to evaluate(self, coords) bit for bit; compiled
         once, as the module docstring describes."""
-        m, fn = self.m, self.sigma.fn
-        if (
-            type(m) is not MultiplicativeFamily
-            or type(self.sigma) is not SignumMap
-            or not (fn is None or fn is _constant_minus)
-        ):
-            return lambda *coords: evaluate(self, coords)
+        m, sign = self.m, self.sign
         arity = int(self.arity)
-        sign = 1 if fn is None else -1
         # one and zero are constant; a power takes its value at 0 from m,
         # and elsewhere hypot > 0, so |t|^c is t^c and a signed power is
         # on its positive branch
@@ -190,17 +151,16 @@ class SolutionModel:
 def evaluate(model: SolutionModel, point: Iterable[float]) -> float:
     """Evaluate the model at a point of matching arity."""
     point = tuple(point)
-    # a finite sum means every coordinate is finite; an overflowing sum of
-    # finite coordinates takes the checks below and passes them
-    if len(point) == model.arity and math.isfinite(sum(point)):
-        return model.sigma(point) * model.m(math.hypot(*point))
-    if len(point) != int(model.arity):
+    if len(point) != model.arity:
         raise ValueError(
             f"point has {len(point)} coordinates; model arity is {int(model.arity)}"
         )
-    if not all(math.isfinite(t) for t in point):
+    # sum first, as in as_function, so a non-numeric coordinate raises the
+    # same TypeError; a finite sum means finite coordinates, and an
+    # overflowing sum of finite ones passes the per-coordinate test
+    if not math.isfinite(sum(point)) and not all(math.isfinite(t) for t in point):
         raise ValueError(f"point {point!r} has non-finite coordinates")
-    return model.sigma(point) * model.m(math.hypot(*point))
+    return model.sign * model.m(math.hypot(*point))
 
 
 @dataclass(frozen=True)

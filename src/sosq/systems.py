@@ -17,8 +17,7 @@ d = pq and 2b = p^2 - q^2 - s^2 - t^2, so p^2 = b + sqrt(a^2 + b^2 + c^2 +
 d^2) and (s, t, q) = (a, c, d)/p: the analogue of the complex square root
 that solve_two is.  The solvers return one canonical solution of each +/-
 pair -- x >= 0 for solve_two, x + z = p >= 0 for solve_four -- together
-with the achieved residual; callers can also ask for every sign variant
-that satisfies the system.
+with the achieved residual; the other member of the pair is its negation.
 
 Every equation is homogeneous of degree 2 in the solution, so the solvers
 normalize the inputs by an even power of two, solve in a well-conditioned
@@ -36,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 
 __all__ = [
     "CaseTwo",
@@ -94,9 +92,7 @@ class SolveReport:
     residual is the maximum equation defect divided by (1 + sum of absolute
     inputs); norm_residual measures the squared-norm consequence on the same
     scale.  alpha is set by solve_four alone: x (= z) in cases B and C, z^2
-    in plain units in case D (inf past DBL_MAX), None in case A.  variants
-    (when requested) lists every sign pattern of the canonical solution that
-    satisfies the system within tol.
+    in plain units in case D (inf past DBL_MAX), None in case A.
     """
 
     solution: tuple[float, ...]
@@ -105,7 +101,6 @@ class SolveReport:
     norm_residual: float
     tol: float
     alpha: float | None = None
-    variants: tuple[tuple[float, ...], ...] | None = None
 
 
 def _require_finite(**values: float) -> None:
@@ -153,27 +148,12 @@ def _residual_four(as_, bs, cs, ds, xs, ys, zs, ws, e2: int) -> float:
     return defect / (_one_in_scaled_units(e2) + abs(as_) + abs(bs) + abs(cs) + abs(ds))
 
 
-def _sign_variants(
-    canonical: tuple[float, ...],
-    residual_of,
-    tol: float,
-    half: int,
-) -> tuple[tuple[float, ...], ...]:
-    found = set()
-    for signs in product((1.0, -1.0), repeat=len(canonical)):
-        cand = tuple(_unsign_zero(s * t) for s, t in zip(signs, canonical))
-        if residual_of(*cand) <= tol:
-            found.add(tuple(math.ldexp(t, half) for t in cand))
-    return tuple(sorted(found))
-
-
 def solve_two(
     u: float,
     v: float,
     *,
     tol: float = DEFAULT_TOL_TWO,
     zero_eps: float = 0.0,
-    enumerate_signs: bool = False,
 ) -> SolveReport:
     """Solve 2xy = u, x^2 - y^2 = v for one canonical (x, y).
 
@@ -222,14 +202,8 @@ def solve_two(
     norm_residual = abs(xs * xs + ys * ys - s) / (
         _one_in_scaled_units(e2) + abs(us) + abs(vs)
     )
-
-    variants = None
-    if enumerate_signs:
-        variants = _sign_variants(
-            (xs, ys), lambda *t: _residual_two(us, vs, *t, e2), tol, half
-        )
     solution = (math.ldexp(xs, half), math.ldexp(ys, half))
-    return SolveReport(solution, case, residual, norm_residual, tol, None, variants)
+    return SolveReport(solution, case, residual, norm_residual, tol)
 
 
 def solve_four(
@@ -240,7 +214,6 @@ def solve_four(
     *,
     tol: float = DEFAULT_TOL_FOUR,
     zero_eps: float = 0.0,
-    enumerate_signs: bool = False,
 ) -> SolveReport:
     """Solve the four-variable system for one canonical (x, y, z, w).
 
@@ -306,12 +279,6 @@ def solve_four(
     norm_residual = abs(xs * xs + ys * ys + zs * zs + ws * ws - r) / (
         _one_in_scaled_units(e2) + abs(as_) + abs(bs) + abs(cs) + abs(ds)
     )
-
-    variants = None
-    if enumerate_signs:
-        variants = _sign_variants(
-            scaled, lambda *t: _residual_four(as_, bs, cs, ds, *t, e2), tol, half
-        )
     solution = tuple(math.ldexp(t, half) for t in scaled)
     x, _, z, _ = solution
     if abs(d) > zero_eps:
@@ -321,4 +288,4 @@ def solve_four(
         case, alpha = CaseFour.A, None
     else:
         case, alpha = (CaseFour.B if b > 0.0 else CaseFour.C), x
-    return SolveReport(solution, case, residual, norm_residual, tol, alpha, variants)
+    return SolveReport(solution, case, residual, norm_residual, tol, alpha)

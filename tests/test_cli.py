@@ -320,9 +320,9 @@ class TestModelSpecParsing:
 
     def test_sigma_option(self):
         model = parse_model_spec("power:c=2,sigma=-1", Arity.TWO)
-        assert model.sigma((1.0, 1.0)) == -1
+        assert model.sign == -1
         model = parse_model_spec("power:c=2,sigma=+1", Arity.TWO)
-        assert model.sigma((1.0, 1.0)) == 1
+        assert model.sign == 1
 
     def test_same_spec_gives_equal_models(self):
         for spec in ("power:c=2,sigma=-1", "signedpower:c=1.5", "one,sigma=-1"):

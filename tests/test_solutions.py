@@ -12,7 +12,6 @@ from sosq.sampling import UniformSampler
 from sosq.solutions import (
     Arity,
     MultiplicativeFamily,
-    SignumMap,
     SolutionModel,
     default_probes,
     evaluate,
@@ -25,12 +24,12 @@ from sosq.solutions import (
 nonzero_float = st.floats(min_value=-1000, max_value=1000, allow_nan=False)
 
 
-def model_two(family, sigma=None):
-    return SolutionModel(Arity.TWO, family, sigma or SignumMap())
+def model_two(family, sign=1):
+    return SolutionModel(Arity.TWO, family, sign)
 
 
-def model_four(family, sigma=None):
-    return SolutionModel(Arity.FOUR, family, sigma or SignumMap())
+def model_four(family, sign=1):
+    return SolutionModel(Arity.FOUR, family, sign)
 
 
 class TestEvaluate:
@@ -48,7 +47,7 @@ class TestEvaluate:
         assert evaluate(m, (0, 0)) == 1.0
 
     def test_negative_sigma(self):
-        m = model_two(MultiplicativeFamily.power(1), SignumMap.constant_minus())
+        m = model_two(MultiplicativeFamily.power(1), -1)
         assert evaluate(m, (3, 4)) == -5.0
 
     def test_arity_mismatch(self):
@@ -61,11 +60,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(m, (math.nan, 0.0))
 
-    def test_signum_range_enforced(self):
-        bad = SignumMap(lambda p: 2)
-        m = model_two(MultiplicativeFamily.one(), bad)
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_signum_range_enforced(self, sign):
         with pytest.raises(ValueError):
-            evaluate(m, (1, 1))
+            model_two(MultiplicativeFamily.one(), sign)
 
     def test_power_past_double_range_is_infinite(self):
         assert MultiplicativeFamily.power(400)(10.0) == math.inf
@@ -77,6 +75,18 @@ class TestEvaluate:
         fam = MultiplicativeFamily.power(-1)
         assert fam(0.0) == 0.0
 
+    def test_family_values_at_zero_and_nan(self):
+        # at 0 each kind takes its own value; NaN passes the zero test, so
+        # |NaN|^0 = 1 and a signed power takes its negative branch
+        assert MultiplicativeFamily.power(0)(-0.0) == 1.0
+        assert MultiplicativeFamily.power(2)(0.0) == 0.0
+        assert MultiplicativeFamily.signed_power(0)(0.0) == 0.0
+        assert MultiplicativeFamily.one()(0.0) == 1.0
+        assert MultiplicativeFamily.power(0)(math.nan) == 1.0
+        assert MultiplicativeFamily.signed_power(0)(math.nan) == -1.0
+        assert math.isnan(MultiplicativeFamily.power(2)(math.nan))
+        assert math.isnan(MultiplicativeFamily.signed_power(2)(math.nan))
+
 
 def outcome(call):
     """What a call returns or raises, with -0.0, inf and NaN told apart."""
@@ -85,10 +95,6 @@ def outcome(call):
     except Exception as exc:
         return type(exc), str(exc)
     return type(value), repr(value), math.copysign(1.0, value)
-
-
-def _sign_by_first(point):
-    return 1 if point[0] >= 0 else -1
 
 
 EXPONENTS = st.one_of(
@@ -100,12 +106,7 @@ FAMILIES = st.one_of(
     st.builds(MultiplicativeFamily.signed_power, EXPONENTS),
     st.sampled_from([MultiplicativeFamily.one(), MultiplicativeFamily.zero()]),
 )
-SIGMAS = st.sampled_from([
-    SignumMap(),
-    SignumMap.constant_minus(),
-    SignumMap(_sign_by_first),
-    SignumMap(lambda point: 2),
-])
+SIGNS = st.sampled_from([1, -1])
 FINITE = st.one_of(
     st.sampled_from([0.0, -0.0, 0, 1.0, -1.0, 1e-200, 1e200, 1.7976931348623157e308]),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -117,7 +118,7 @@ BAD = st.sampled_from([math.nan, -math.inf, math.inf, "x", None, 1j])
 @st.composite
 def model_and_point(draw):
     arity = draw(st.sampled_from([Arity.TWO, Arity.FOUR]))
-    model = SolutionModel(arity, draw(FAMILIES), draw(SIGMAS))
+    model = SolutionModel(arity, draw(FAMILIES), draw(SIGNS))
     length = draw(st.sampled_from([arity, arity, arity, arity - 1, arity + 1, 0]))
     point = draw(st.lists(FINITE, min_size=length, max_size=length))
     if point and draw(st.booleans()):
@@ -138,17 +139,17 @@ class TestAsFunction:
         MultiplicativeFamily.signed_power(0.0),
         MultiplicativeFamily.signed_power(-0.5),
     ), ids=str)
-    @pytest.mark.parametrize("sigma", [SignumMap(), SignumMap.constant_minus()])
+    @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("point", [(0.0, -0.0), (-0.0, 0.0, 0.0, -0.0), (3, 4),
                                        (1e200, 1e200, -1e200, 1e200)])
-    def test_zeros_and_extremes(self, family, sigma, point):
-        model = SolutionModel(Arity(len(point)), family, sigma)
+    def test_zeros_and_extremes(self, family, sign, point):
+        model = SolutionModel(Arity(len(point)), family, sign)
         f = model.as_function()
         assert outcome(lambda: f(*point)) == outcome(lambda: evaluate(model, point))
 
-    @pytest.mark.parametrize("sigma", [SignumMap(), SignumMap.constant_minus()])
-    def test_fast_path_skips_evaluate(self, sigma, monkeypatch):
-        f = model_two(MultiplicativeFamily.power(2), sigma).as_function()
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_fast_path_skips_evaluate(self, sign, monkeypatch):
+        f = model_two(MultiplicativeFamily.power(2), sign).as_function()
         expected = f(3.0, 4.0)
 
         def fail(model, point):
@@ -158,23 +159,6 @@ class TestAsFunction:
         assert f(3.0, 4.0) == expected
         with pytest.raises(AssertionError, match="evaluate called"):
             f(math.nan, 4.0)
-
-    def test_custom_sign_map_goes_through_evaluate(self, monkeypatch):
-        f = model_two(MultiplicativeFamily.power(2), SignumMap(_sign_by_first)).as_function()
-        calls = []
-        monkeypatch.setattr(
-            solutions, "evaluate", lambda model, point: calls.append(point) or 0.0
-        )
-        f(1.0, 2.0)
-        assert calls == [(1.0, 2.0)]
-
-
-class TestSignumMap:
-    def test_constant_minus_maps_are_equal(self):
-        a, b = SignumMap.constant_minus(), SignumMap.constant_minus()
-        assert a == b and hash(a) == hash(b)
-        assert a != SignumMap.constant_plus()
-        assert len({a, b, SignumMap.constant_plus(), SignumMap()}) == 2
 
 
 class TestMultiplicativity:

@@ -71,12 +71,6 @@ class TestSolveTwo:
             assert report.residual <= 1e-9
             assert report.norm_residual <= 1e-9
 
-    def test_sign_variants(self):
-        variants = solve_two(0.0, 4.0, enumerate_signs=True).variants
-        assert variants == ((-2.0, 0.0), (2.0, 0.0))
-        variants = solve_two(2.0, 0.0, enumerate_signs=True).variants
-        assert variants == ((-1.0, -1.0), (1.0, 1.0))
-
     def test_zero_eps_knob(self):
         assert solve_two(1e-40, 4.0).case_label is CaseTwo.UNZ
         report = solve_two(1e-40, 4.0, zero_eps=1e-30)
@@ -179,13 +173,6 @@ class TestSolveFour:
         for rhs in [*UniformSampler(29, 2000, -100, 100).tuples(4), *structured]:
             x, y, z, w = solve_four(*rhs).solution
             assert x + z > 0.0 or (x == z == 0.0 and y == w >= 0.0), rhs
-
-    def test_sign_variants_include_global_flip(self):
-        report = solve_four(1.0, 2.0, 3.0, 4.0, enumerate_signs=True)
-        x, y, z, w = report.solution
-        flipped = tuple(-t if t != 0.0 else 0.0 for t in (x, y, z, w))
-        assert report.solution in report.variants
-        assert flipped in report.variants
 
     def test_zero_eps_knob(self):
         assert solve_four(4.0, 0.0, 0.0, 1e-40).case_label is CaseFour.D
