@@ -18,6 +18,7 @@ Exit codes: 0 on PASS/success, 1 on FAIL/violation, 2 on usage errors
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -492,7 +493,10 @@ def main(argv: list[str] | None = None) -> int:
         )
     else:
         text = human
-    print(text)
+    # a reader that closes stdout early (`sosq ... | head`) changes
+    # neither --out nor the exit code
+    with contextlib.suppress(BrokenPipeError):
+        print(text)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -505,7 +509,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit cannot fail again
+        # and print "Exception ignored"
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -447,3 +451,47 @@ class TestParserReuse:
         assert cli._parser() is built
         assert reused == fresh
         assert [code for code, _, _ in fresh] == [2, 0, 1, 0, 0, 2, 2, 0]
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (`sosq ... | head`) changes neither
+    the exit code nor --out, and leaves stderr clean."""
+
+    # buffered, the report fails in the flush at exit; unbuffered, in print
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("model, code", [("power:c=2", 0), ("power:c=2,sigma=-1", 1)])
+    def test_run_keeps_verdict_exit_code(self, model, code, unbuffered):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sosq.cli", "verify", "--arity", "2",
+                 "--model", model, "--samples", "10", "--output", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert b"Traceback" not in proc.stderr
+        assert b"Exception ignored" not in proc.stderr
+
+    def test_main_writes_out_after_failed_print(self, tmp_path, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        target = tmp_path / "report.txt"
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["verify", "--arity", "2", "--model", "power:c=2,sigma=-1",
+                     "--samples", "10", "--out", str(target)])
+        assert code == 1
+        assert target.read_text(encoding="utf-8").startswith("FAIL: ")
