@@ -164,7 +164,24 @@ def both_forms(cases):
     ]
 
 
-INVOCATIONS = both_forms(CASES) + USAGE_CASES + both_forms(SIGN_CASES)
+# stability runs whose diagonal verdict turns on the zero-coordinate bound
+# slots at 0: f = -1 under bound 2 (bounded, not multiplicative), and a slot
+# fed by a zero coordinate that is undefined at 0
+LINE_CASES = [
+    ["stability", "--arity", "2", "--model", "one,sigma=-1", "--bounds", "2",
+     "--samples", "100"],
+    ["stability", "--arity", "4", "--model", "one,sigma=-1", "--bounds", "2",
+     "--samples", "100"],
+    ["stability", "--arity", "2", "--model", "power:c=2", "--bounds", "1;1;1/abs(x);1",
+     "--samples", "100"],
+    ["stability", "--arity", "4", "--model", "power:c=2", "--bounds",
+     "1;1;1/abs(x);1;1;1;1;1", "--samples", "100"],
+]
+
+
+INVOCATIONS = (
+    both_forms(CASES) + USAGE_CASES + both_forms(SIGN_CASES) + both_forms(LINE_CASES)
+)
 
 
 def run_cli(argv):
