@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=_finite_float, default=1e-9)
-    p.add_argument("--growth-threshold", type=_finite_float,
-                   default=DEFAULT_GROWTH_THRESHOLD)
     p.add_argument("--mult-tol", type=_finite_float, default=DEFAULT_MULT_TOL)
 
     p = sub.add_parser("classify", parents=[common],
@@ -334,9 +332,7 @@ def _cmd_stability(args):
     bounds = parse_bounds_spec(args.bounds, arity)
     f = model.as_function()
     report = run_stability(
-        f, bounds,
-        seed=seed, samples=args.samples, tol=args.tol,
-        growth_threshold=args.growth_threshold, mult_tol=args.mult_tol,
+        f, bounds, seed=seed, samples=args.samples, tol=args.tol, mult_tol=args.mult_tol
     )
     config = {
         "arity": args.arity,
@@ -345,7 +341,6 @@ def _cmd_stability(args):
         "samples": args.samples,
         "seed": seed,
         "tol": args.tol,
-        "growth_threshold": args.growth_threshold,
         "mult_tol": args.mult_tol,
     }
     verdict = "PASS" if report.passed else "FAIL"
@@ -361,26 +356,13 @@ def _cmd_stability(args):
 def _cmd_classify(args):
     model = parse_model_spec(args.model, Arity.TWO)
     f = model.as_function()
-    report = classify_diagonal(
-        lambda t: f(t, 0.0),
-        growth_threshold=args.growth_threshold,
-        mult_tol=args.mult_tol,
-    )
+    report = classify_diagonal(lambda t: f(t, 0.0), args.growth_threshold, args.mult_tol)
     config = {
         "model": args.model,
         "growth_threshold": args.growth_threshold,
         "mult_tol": args.mult_tol,
     }
-    detail = {
-        "classification": report.verdict.value,
-        "max_mult_residual": report.max_mult_residual,
-        "worst_pair": list(report.worst_pair) if report.worst_pair else None,
-        "sup_abs": report.sup_abs,
-        "sup_at": report.sup_at,
-        "decades": report.decades,
-        "growth_threshold": report.growth_threshold,
-        "mult_tol": report.mult_tol,
-    }
+    detail = {"classification": report.verdict.value, **report.to_dict()}
     verdict = report.verdict.value
     human = (
         f"{verdict}: max multiplicativity residual {report.max_mult_residual:.3e}, "

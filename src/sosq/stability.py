@@ -12,6 +12,13 @@ multiplicative; classify_diagonal renders that verdict empirically, with
 INCONCLUSIVE as the honest third answer (a finite sample sweep cannot
 prove the dichotomy, only exhibit evidence).
 
+run_stability draws the BOUNDED line from the bounds.  As (s, 0, ...) o
+(t, 0, ...) = (st, 0, ...), the hypothesis gives g(t) = f(t, 0, ...) the
+bound |g(s) g(t) - g(st)| <= delta, the least zero-coordinate slot at 0, so
+by Baker's superstability theorem (Baker, Lawrence & Zorzitto, Proc. AMS
+74, 1979; Baker, Proc. AMS 80, 1980) g is multiplicative or
+|g| <= (1 + sqrt(1 + 4 delta))/2.
+
 f may return float, complex, or Fraction values; the checks never coerce,
 so exact inputs stay exact.  Real-valued f is simply the complex case with
 zero imaginary part.
@@ -279,14 +286,23 @@ class DiagonalReport:
     worst_pair: tuple[float, float] | None
     sup_abs: float
     sup_at: float
-    decades: float
     growth_threshold: float
     mult_tol: float
+
+    def to_dict(self) -> dict:
+        """The evidence, without the verdict."""
+        return {
+            "max_mult_residual": self.max_mult_residual,
+            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
+            "sup_abs": self.sup_abs,
+            "sup_at": self.sup_at,
+            "growth_threshold": self.growth_threshold,
+            "mult_tol": self.mult_tol,
+        }
 
 
 def classify_diagonal(
     m: Callable[[float], float],
-    ladder: Sequence[float] | None = None,
     growth_threshold: float = DEFAULT_GROWTH_THRESHOLD,
     mult_tol: float = DEFAULT_MULT_TOL,
 ) -> DiagonalReport:
@@ -294,13 +310,13 @@ def classify_diagonal(
 
     MULTIPLICATIVE requires the relative product residual
     |m(s) m(t) - m(st)| / (1 + |m(st)|) to stay within mult_tol over all
-    ladder pairs, with the ladder spanning at least three magnitude decades;
-    it wins outright when both hold (the constant 1 is multiplicative, not
-    merely bounded).  Otherwise BOUNDED requires sup |m| on the ladder to
-    stay within growth_threshold, and anything else is INCONCLUSIVE.  A NaN
-    residual (from an infinite value) counts as infinite.
+    pairs of probe_ladder() points (+-2^-4 .. +-2^6); it wins outright (the
+    constant 1 is multiplicative, not merely bounded).  Otherwise BOUNDED
+    requires sup |m| on the ladder to stay within growth_threshold, and
+    anything else is INCONCLUSIVE.  A NaN residual (from an infinite value)
+    counts as infinite.
     """
-    ladder = tuple(ladder) if ladder is not None else probe_ladder()
+    ladder = probe_ladder()
     values = {t: m(t) for t in ladder}
 
     sup_abs = -1.0
@@ -310,10 +326,6 @@ def classify_diagonal(
         if mag > sup_abs:
             sup_abs = mag
             sup_at = t
-    magnitudes = [abs(t) for t in ladder if t != 0.0]
-    decades = (
-        math.log10(max(magnitudes) / min(magnitudes)) if len(magnitudes) > 1 else 0.0
-    )
 
     max_residual = 0.0
     worst_pair = None
@@ -333,7 +345,7 @@ def classify_diagonal(
         max_residual = math.inf
         worst_pair = nan_pair
 
-    if max_residual <= mult_tol and decades >= 3.0:
+    if max_residual <= mult_tol:
         verdict = DiagonalVerdict.MULTIPLICATIVE
     elif sup_abs <= growth_threshold:
         verdict = DiagonalVerdict.BOUNDED
@@ -345,7 +357,6 @@ def classify_diagonal(
         worst_pair=worst_pair,
         sup_abs=sup_abs,
         sup_at=sup_at,
-        decades=decades,
         growth_threshold=growth_threshold,
         mult_tol=mult_tol,
     )
@@ -390,16 +401,17 @@ def run_stability(
     *,
     seed: int = 42,
     samples: int = 10000,
-    low: float = -10.0,
-    high: float = 10.0,
     tol: float = 1e-9,
-    growth_threshold: float = DEFAULT_GROWTH_THRESHOLD,
     mult_tol: float = DEFAULT_MULT_TOL,
 ) -> StabilityReport:
     """Hypothesis + conclusion sweeps plus the diagonal classification.
 
     The arity is bounds.arity: f takes that many coordinates, and the
     diagonal verdict is on its first-axis restriction t -> f(t, 0, ...).
+    Its BOUNDED line is (1 + sqrt(1 + 4 delta))/2, with delta the least of
+    the slots fed by a zero coordinate (slots 2 onward) at 0.  They are
+    evaluated after the sweep, so a bound invalid at a sample still raises
+    first; one invalid only at 0 raises InvalidBoundError at probe 0.0.
 
     Both sweeps run as one pass over one UniformSampler.  Its draws for a
     sample index are a prefix of one counter stream, so the conclusion's
@@ -412,10 +424,13 @@ def run_stability(
     arity = int(bounds.arity)
     compose = compose_two_raw if bounds.arity is Arity.TWO else compose_four_raw
     hyp, con = _run_excess_sweep(
-        f, bounds, UniformSampler(seed, samples, low, high), tol, compose, True, True
+        f, bounds, UniformSampler(seed, samples), tol, compose, True, True
     )
+    delta = float(min(_bound_at(fn, 0.0) for fn in bounds.bounds[2:]))
     pad = (0.0,) * (arity - 1)
-    diag = classify_diagonal(lambda t: f(t, *pad), None, growth_threshold, mult_tol)
+    diag = classify_diagonal(
+        lambda t: f(t, *pad), (1.0 + math.sqrt(1.0 + 4.0 * delta)) / 2.0, mult_tol
+    )
     evidence = {
         "hypothesis_worst_point": list(hyp.worst_point) if hyp.worst_point else None,
         "hypothesis_defect": hyp.defect_at_worst,
@@ -423,13 +438,8 @@ def run_stability(
         "conclusion_worst_point": list(con.worst_point) if con.worst_point else None,
         "conclusion_defect": con.defect_at_worst,
         "conclusion_bound": con.bound_at_worst,
-        "sup_abs": diag.sup_abs,
-        "sup_at": diag.sup_at,
-        "max_mult_residual": diag.max_mult_residual,
-        "worst_pair": list(diag.worst_pair) if diag.worst_pair else None,
-        "decades": diag.decades,
-        "growth_threshold": diag.growth_threshold,
-        "mult_tol": diag.mult_tol,
+        "delta": delta,
+        **diag.to_dict(),
     }
     return StabilityReport(
         arity=arity,

@@ -195,6 +195,12 @@ class TestStabilityCommand:
                      "--bounds", "sin(x)"]) == 2
         assert "'sin'" in capsys.readouterr().err
 
+    def test_growth_threshold_is_not_an_option(self, capsys):
+        # the BOUNDED line is derived from --bounds
+        assert main(["stability", "--arity", "2", "--model", "one", "--bounds", "1",
+                     "--growth-threshold", "5"]) == 2
+        assert "unrecognized arguments: --growth-threshold 5" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_multiplicative(self, capsys):
@@ -365,15 +371,15 @@ class TestUsage:
                      "--tol", "0"]) == 2
         assert main(["solve2", "1", "2", "--tol", "-1"]) == 2
 
-    @pytest.mark.parametrize("option", ["--mult-tol", "--growth-threshold"])
     @pytest.mark.parametrize(
-        "argv",
+        "argv,option",
         [
-            ["classify", "--model", "power:c=2"],
-            ["stability", "--arity", "2", "--model", "power:c=1", "--bounds", "1",
-             "--samples", "10"],
+            (["classify", "--model", "power:c=2"], "--mult-tol"),
+            (["classify", "--model", "power:c=2"], "--growth-threshold"),
+            (["stability", "--arity", "2", "--model", "power:c=1", "--bounds", "1",
+              "--samples", "10"], "--mult-tol"),
         ],
-        ids=lambda argv: argv[0],
+        ids=lambda value: value if isinstance(value, str) else value[0],
     )
     def test_negative_classifier_option_is_usage_error(self, capsys, argv, option):
         # a negative tolerance or threshold can be met by no residual, so the
@@ -395,8 +401,6 @@ class TestUsage:
             ["solve4", "1", "2", "3", "4", "--zero-eps"],
             ["verify", "--arity", "2", "--model", "one", "--tol"],
             ["stability", "--arity", "2", "--model", "one", "--bounds", "1", "--tol"],
-            ["stability", "--arity", "2", "--model", "one", "--bounds", "1",
-             "--growth-threshold"],
             ["stability", "--arity", "2", "--model", "one", "--bounds", "1",
              "--mult-tol"],
             ["classify", "--model", "one", "--growth-threshold"],

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import DiagonalSampler, FixedSampler, builtin_families
@@ -174,7 +174,6 @@ class TestClassifyDiagonal:
         report = classify_diagonal(lambda t: t * t)
         assert report.verdict is DiagonalVerdict.MULTIPLICATIVE
         assert report.max_mult_residual == 0.0
-        assert report.decades >= 3.0
 
     def test_constant_half_is_bounded(self):
         report = classify_diagonal(lambda t: 0.5)
@@ -206,11 +205,6 @@ class TestClassifyDiagonal:
         m = SolutionModel(Arity.TWO, family).as_function()
         report = classify_diagonal(lambda t: m(t, 0.0))
         assert report.verdict is DiagonalVerdict.MULTIPLICATIVE
-
-    def test_short_ladder_cannot_claim_multiplicative(self):
-        report = classify_diagonal(lambda t: t * t, ladder=(1.0, 2.0, 4.0))
-        assert report.decades < 3.0
-        assert report.verdict is DiagonalVerdict.BOUNDED
 
     def test_complex_values_accepted(self):
         report = classify_diagonal(lambda t: complex(0.0, t * t))
@@ -462,3 +456,50 @@ class TestBoundCaps:
         )
         assert report.bound_at_worst == 1e308
         assert report.max_excess == 0.0
+
+
+class TestSuperstabilityLine:
+    """run_stability's BOUNDED line is (1 + sqrt(1 + 4 delta))/2."""
+
+    @pytest.mark.parametrize("arity", [Arity.TWO, Arity.FOUR])
+    @given(
+        c=st.floats(min_value=1.001, max_value=1e6),
+        ratio=st.floats(min_value=0.0, max_value=2.0),
+    )
+    def test_sharp_on_constants(self, arity, c, ratio):
+        # f = c > 1 has defect c^2 - c everywhere, and c lies under the line
+        # for b exactly when c^2 - c <= b: BOUNDED exactly when the
+        # hypothesis holds (below 1, |c^2 - c| = c - c^2 breaks the match)
+        b = ratio * (c * c - c)
+        line = (1.0 + math.sqrt(1.0 + 4.0 * b)) / 2.0
+        assume(abs(c - line) > 1e-9 * line)  # off the line, where rounding decides
+        report = run_stability(
+            lambda *p: c, BoundSpec.constant(arity, b), seed=1, samples=20
+        )
+        held = report.hypothesis_max_violation == 0.0
+        assert held == (c < line)
+        assert report.diagonal_classification == ("BOUNDED" if held else "INCONCLUSIVE")
+        assert report.evidence["growth_threshold"] == line
+
+    def test_delta_is_least_zero_coordinate_slot(self):
+        bounds = BoundSpec.from_expressions(Arity.FOUR, "9;9;7;6;5;4;3;8".split(";"))
+        report = run_stability(norm4f, bounds, seed=1, samples=20)
+        assert report.evidence["delta"] == 3.0
+
+    @pytest.mark.parametrize("arity", [Arity.TWO, Arity.FOUR])
+    def test_zero_slot_undefined_at_zero(self, arity):
+        exprs = ["1", "1", "1/abs(x)"] + ["1"] * (2 * int(arity) - 3)
+        bounds = BoundSpec.from_expressions(arity, exprs)
+        f = norm2f if arity is Arity.TWO else norm4f
+        assert one_pass(f, bounds, 1, 20) == (
+            InvalidBoundError,
+            "bound raised ZeroDivisionError: float division by zero at probe 0.0",
+        )
+
+    def test_sample_failure_wins_over_zero_failure(self):
+        # slot 1 is negative at every sample; slot 2 fails only at 0
+        bounds = BoundSpec.from_expressions(Arity.TWO, ["1", "-1", "1/abs(x)", "1"])
+        x2 = sample_at(Arity.TWO, 1, 20, 0)[2]
+        assert one_pass(norm2f, bounds, 1, 20) == (
+            InvalidBoundError, f"bound value -1.0 is not in [0, inf) at probe {x2!r}"
+        )
