@@ -157,7 +157,7 @@ def _check_run_config(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
         raise UsageError(f"--tol must be > 0, got {tol!r}")
-    for option in ("mult_tol", "growth_threshold"):
+    for option in ("mult_tol", "growth_threshold", "zero_eps"):
         value = getattr(args, option, None)
         if value is not None and value < 0:
             flag = "--" + option.replace("_", "-")

@@ -109,6 +109,12 @@ def _require_finite(**values: float) -> None:
             raise NonFiniteInputError(f"{name} = {value!r} is not finite")
 
 
+def _require_zero_eps(zero_eps: float) -> None:
+    # a negative (or NaN) zero_eps would call no input zero, not even 0.0
+    if not zero_eps >= 0.0:
+        raise ValueError(f"zero_eps = {zero_eps!r} must be >= 0")
+
+
 def _unsign_zero(t: float) -> float:
     return 0.0 if t == 0.0 else t
 
@@ -158,7 +164,8 @@ def solve_two(
     """Solve 2xy = u, x^2 - y^2 = v for one canonical (x, y).
 
     The case split on u is structural, so it compares against exact zero by
-    default; zero_eps widens the test for callers with computed inputs.
+    default; zero_eps >= 0 widens the test for callers with computed inputs
+    (a negative or NaN zero_eps raises ValueError).
 
     For u != 0 the textbook closed form x = sqrt((v + s)/2) with
     s = sqrt(u^2 + v^2) cancels catastrophically when v < 0 and |v| >> |u|.
@@ -168,6 +175,7 @@ def solve_two(
     The two forms are algebraically identical.
     """
     _require_finite(u=u, v=v)
+    _require_zero_eps(zero_eps)
     e2 = _even_exponent(max(abs(u), abs(v)))
     half = e2 // 2
     us, vs = math.ldexp(u, -e2), math.ldexp(v, -e2)
@@ -235,7 +243,7 @@ def solve_four(
     x = z = 0 and y = w >= 0.  (Where p is below the rounding error of q,
     x + z rounds to 0; x - z still has the sign of d.)
 
-    The case label records the structure of the input, with zero_eps
+    The case label records the structure of the input, with zero_eps >= 0
     widening its zero tests; it does not change the formula:
 
     * A: a = c = d = 0 and b <= 0; the solution is
@@ -246,6 +254,7 @@ def solve_four(
       it is inf when z^2 passes DBL_MAX, while the solution stays finite.
     """
     _require_finite(a=a, b=b, c=c, d=d)
+    _require_zero_eps(zero_eps)
     e2 = _even_exponent(max(abs(a), abs(b), abs(c), abs(d)))
     half = e2 // 2
     as_, bs = math.ldexp(a, -e2), math.ldexp(b, -e2)

@@ -387,6 +387,14 @@ class TestUsage:
         assert main([*argv, option, "-1"]) == 2
         assert capsys.readouterr().err == f"error: {option} must be >= 0, got -1.0\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["solve2", "0", "4"], ["solve4", "1", "4", "1", "0"]], ids=lambda a: a[0]
+    )
+    def test_negative_zero_eps_is_usage_error(self, capsys, argv):
+        # no input is within a negative eps of zero, not even 0
+        assert main([*argv, "--zero-eps", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --zero-eps must be >= 0, got -1.0\n"
+
     @pytest.mark.parametrize("option", ["--mult-tol", "--growth-threshold"])
     def test_zero_classifier_option_is_valid(self, capsys, option):
         assert main(["classify", "--model", "power:c=2", option, "0"]) == 0

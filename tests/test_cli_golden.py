@@ -142,6 +142,9 @@ USAGE_CASES = [
     ["stability", "--arity", "2", "--model", "power:c=1", "--bounds", "1", "--mult-tol", "-1"],
     ["stability", "--output", "json", "--arity", "2", "--model", "power:c=1", "--bounds", "1",
      "--mult-tol", "-1"],
+    # a negative --zero-eps calls no input zero, so the case label would be wrong
+    ["solve2", "0", "4", "--zero-eps", "-1"],
+    ["solve4", "1", "4", "1", "0", "--zero-eps", "-1"],
 ]
 
 

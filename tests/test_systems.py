@@ -77,6 +77,12 @@ class TestSolveTwo:
         assert report.case_label is CaseTwo.U0_VPOS
         assert report.solution == (2.0, 0.0)
 
+    @pytest.mark.parametrize("eps", [-1.0, -0.5e-300, math.nan])
+    def test_rejects_negative_zero_eps(self, eps):
+        # u = 0 is U0_VPOS; an eps below 0 would report UNZ
+        with pytest.raises(ValueError, match="zero_eps"):
+            solve_two(0.0, 4.0, zero_eps=eps)
+
     @pytest.mark.parametrize("u,v", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
     def test_rejects_non_finite(self, u, v):
         with pytest.raises(NonFiniteInputError):
@@ -178,6 +184,12 @@ class TestSolveFour:
         assert solve_four(4.0, 0.0, 0.0, 1e-40).case_label is CaseFour.D
         report = solve_four(4.0, 0.0, 0.0, 1e-40, zero_eps=1e-30)
         assert report.case_label is CaseFour.C
+
+    @pytest.mark.parametrize("eps", [-1.0, -0.5e-300, math.nan])
+    def test_rejects_negative_zero_eps(self, eps):
+        # d = 0 with b > 0 is case B; an eps below 0 would report D
+        with pytest.raises(ValueError, match="zero_eps"):
+            solve_four(1.0, 4.0, 1.0, 0.0, zero_eps=eps)
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteInputError):
