@@ -60,6 +60,9 @@ DEFAULT_SAMPLES = 10000
 # rep-check's brute-force cross-check takes O(sqrt n) steps; above this n it
 # is skipped and the witness comes from the factorization route instead
 BRUTE_FORCE_MAX = 10**12
+# compose operands of d digits give norms of at most 4d + 2 digits, which
+# stays under Python's default 4300-digit limit on int-to-str conversion
+OPERAND_DIGITS = 1000
 
 
 class UsageError(Exception):
@@ -74,6 +77,15 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not finite")
     return value
+
+
+def _operand(text: str) -> int:
+    if sum(ch.isdigit() for ch in text) > OPERAND_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {OPERAND_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
 
 
 def _nonneg_int(text: str) -> int:
@@ -181,15 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compose2", parents=[common],
                        help="compose two integer pairs exactly")
-    p.add_argument("x1", type=int)
-    p.add_argument("y1", type=int)
-    p.add_argument("x2", type=int)
-    p.add_argument("y2", type=int)
+    for name in ("x1", "y1", "x2", "y2"):
+        p.add_argument(name, type=_operand)
 
     p = sub.add_parser("compose4", parents=[common],
                        help="compose two integer quadruples exactly")
     for name in ("x1", "y1", "z1", "w1", "x2", "y2", "z2", "w2"):
-        p.add_argument(name, type=int)
+        p.add_argument(name, type=_operand)
 
     p = sub.add_parser("solve2", parents=[common],
                        help="solve 2xy = u, x^2 - y^2 = v")

@@ -41,6 +41,32 @@ class TestComposeCommands:
         assert report["result"]["result"] == [4, 0, 0, 0]
 
 
+    @pytest.mark.parametrize("output", ["human", "json"])
+    @pytest.mark.parametrize("command,names", [("compose2", "xy"), ("compose4", "xyzw")])
+    def test_operands_at_the_digit_cap(self, capsys, command, names, output):
+        # every norm printed stays under the 4300-digit int-to-str limit
+        big = 10**cli.OPERAND_DIGITS - 1
+        code = main([command, "--output", output] + [str(big)] * 2 * len(names))
+        out = capsys.readouterr().out
+        assert code == 0
+        norm = len(names) * big * big
+        if output == "json":
+            assert json.loads(out)["result"]["norm_of_result"] == norm * norm
+        else:
+            assert out.endswith(f" = {norm * norm}\n")
+
+    @pytest.mark.parametrize("output", ["human", "json"])
+    @pytest.mark.parametrize("command,last", [("compose2", "y2"), ("compose4", "w2")])
+    def test_operand_past_the_digit_cap(self, capsys, command, last, output):
+        arity = 4 if command == "compose2" else 8
+        operands = ["1"] * (arity - 1) + ["9" * (cli.OPERAND_DIGITS + 1)]
+        assert main([command, "--output", output, *operands]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {last}: more than {cli.OPERAND_DIGITS} digits" in captured.err
+        assert "integer string conversion" not in captured.err
+
+
 class TestSolveCommands:
     def test_solve2(self, capsys):
         code, report, _ = run_json(capsys, "solve2", "0", "4")
