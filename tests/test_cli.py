@@ -40,7 +40,6 @@ class TestComposeCommands:
         assert code == 0
         assert report["result"]["result"] == [4, 0, 0, 0]
 
-
     @pytest.mark.parametrize("output", ["human", "json"])
     @pytest.mark.parametrize("command,names", [("compose2", "xy"), ("compose4", "xyzw")])
     def test_operands_at_the_digit_cap(self, capsys, command, names, output):
@@ -56,10 +55,11 @@ class TestComposeCommands:
             assert out.endswith(f" = {norm * norm}\n")
 
     @pytest.mark.parametrize("output", ["human", "json"])
-    @pytest.mark.parametrize("command,last", [("compose2", "y2"), ("compose4", "w2")])
-    def test_operand_past_the_digit_cap(self, capsys, command, last, output):
-        arity = 4 if command == "compose2" else 8
-        operands = ["1"] * (arity - 1) + ["9" * (cli.OPERAND_DIGITS + 1)]
+    @pytest.mark.parametrize(
+        "command,count,last", [("compose2", 4, "y2"), ("compose4", 8, "w2")]
+    )
+    def test_operand_past_the_digit_cap(self, capsys, command, count, last, output):
+        operands = ["1"] * (count - 1) + ["9" * (cli.OPERAND_DIGITS + 1)]
         assert main([command, "--output", output, *operands]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
