@@ -1,13 +1,14 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and each module loads only what it uses.
 
-Each module's `__all__` names attributes the module has, and every name
-the package `__init__` imports is an attribute of the package, bound to
-the same object as in the module it comes from.
+Each module's `__all__` names attributes the module has.  The package root
+imports nothing, so importing one module in a fresh interpreter loads that
+module and the sosq modules it imports, and no other.
 """
 
-import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,16 +16,8 @@ import pytest
 import sosq
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(sosq.__path__))
-
-
-def init_imports():
-    tree = ast.parse(Path(sosq.__file__).read_text(encoding="utf-8"))
-    return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
+# the directory holding the sosq under test, so the fresh interpreter loads it
+ROOT = str(Path(sosq.__file__).resolve().parent.parent)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -34,9 +27,19 @@ def test_module_all_resolves(name):
     assert not [attr for attr in names if not hasattr(module, attr)]
 
 
-def test_package_imports_resolve():
-    imports = init_imports()
-    assert imports
-    for module_name, attr in imports:
-        module = importlib.import_module(f"sosq.{module_name}")
-        assert getattr(sosq, attr) is getattr(module, attr), attr
+@pytest.mark.parametrize(
+    "name,loaded",
+    [
+        ("sosq.systems", ["sosq", "sosq.systems"]),
+        ("sosq.sumsquares", ["sosq", "sosq.identities", "sosq.sumsquares"]),
+    ],
+)
+def test_import_loads_only_its_dependencies(name, loaded):
+    code = (
+        f"import sys; sys.path.insert(0, {ROOT!r}); import {name}; "
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'sosq'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == loaded
