@@ -113,7 +113,7 @@ def parse_model_spec(spec: str, arity: Arity) -> SolutionModel:
             raise UsageError(f"unrecognized model option {option!r}")
 
     if head == "one":
-        family = MultiplicativeFamily.one()
+        family = MultiplicativeFamily.power(0.0)
     elif head == "zero":
         family = MultiplicativeFamily.zero()
     else:

@@ -59,7 +59,6 @@ class Arity(IntEnum):
 class FamilyKind(Enum):
     POWER = "power"
     SIGNED_POWER = "signedpower"
-    CONSTANT_ONE = "one"
     ZERO = "zero"
 
 
@@ -84,17 +83,11 @@ class MultiplicativeFamily:
         return cls(FamilyKind.SIGNED_POWER, float(c))
 
     @classmethod
-    def one(cls) -> "MultiplicativeFamily":
-        return cls(FamilyKind.CONSTANT_ONE)
-
-    @classmethod
     def zero(cls) -> "MultiplicativeFamily":
         return cls(FamilyKind.ZERO)
 
     def __call__(self, t: float) -> float:
         kind = self.kind
-        if kind is FamilyKind.CONSTANT_ONE:
-            return 1.0
         if kind is FamilyKind.ZERO:
             return 0.0
         if t == 0.0:
@@ -127,10 +120,10 @@ class SolutionModel:
         once, as the module docstring describes."""
         m, sign = self.m, self.sign
         arity = int(self.arity)
-        # one and zero are constant; a power takes its value at 0 from m,
-        # and elsewhere hypot > 0, so |t|^c is t^c and a signed power is
-        # on its positive branch
-        constant = m.kind not in (FamilyKind.POWER, FamilyKind.SIGNED_POWER)
+        # zero is constant; a power takes its value at 0 from m, and
+        # elsewhere hypot > 0, so |t|^c is t^c and a signed power is on
+        # its positive branch
+        constant = m.kind is FamilyKind.ZERO
         at_zero = sign * m(0.0)
         c = m.exponent
 

@@ -100,7 +100,8 @@ def builtin_families() -> tuple[MultiplicativeFamily, ...]:
         MultiplicativeFamily.power(3.0),
         MultiplicativeFamily.signed_power(1.0),
         MultiplicativeFamily.signed_power(2.0),
-        MultiplicativeFamily.one(),
+        # the constant 1 again, by a signed-zero exponent
+        MultiplicativeFamily.power(-0.0),
         MultiplicativeFamily.zero(),
     )
 

@@ -9,7 +9,7 @@ import pytest
 
 from sosq import cli, sumsquares
 from sosq.cli import main, parse_model_spec, UsageError
-from sosq.solutions import Arity, FamilyKind
+from sosq.solutions import Arity, FamilyKind, MultiplicativeFamily
 
 
 def run_json(capsys, *argv):
@@ -351,7 +351,7 @@ class TestModelSpecParsing:
     def test_kinds(self):
         assert parse_model_spec("power:c=2", Arity.TWO).m.kind is FamilyKind.POWER
         assert parse_model_spec("signedpower:c=1.5", Arity.TWO).m.exponent == 1.5
-        assert parse_model_spec("one", Arity.FOUR).m.kind is FamilyKind.CONSTANT_ONE
+        assert parse_model_spec("one", Arity.FOUR).m == MultiplicativeFamily.power(0.0)
         assert parse_model_spec("zero", Arity.TWO).m.kind is FamilyKind.ZERO
 
     def test_sigma_option(self):
