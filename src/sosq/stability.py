@@ -313,8 +313,8 @@ def classify_diagonal(
     pairs of probe_ladder() points (+-2^-4 .. +-2^6); it wins outright (the
     constant 1 is multiplicative, not merely bounded).  Otherwise BOUNDED
     requires sup |m| on the ladder to stay within growth_threshold, and
-    anything else is INCONCLUSIVE.  A NaN residual (from an infinite value)
-    counts as infinite.
+    anything else is INCONCLUSIVE.  A NaN value, and a NaN residual (from
+    an infinite value), counts as infinite.
     """
     ladder = probe_ladder()
     values = {t: m(t) for t in ladder}
@@ -323,6 +323,8 @@ def classify_diagonal(
     sup_at = 0.0
     for t, val in values.items():
         mag = abs(val)
+        if mag != mag:  # a NaN value bounds nothing: count it as inf
+            mag = math.inf
         if mag > sup_abs:
             sup_abs = mag
             sup_at = t

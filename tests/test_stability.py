@@ -210,6 +210,21 @@ class TestClassifyDiagonal:
         report = classify_diagonal(lambda t: complex(0.0, t * t))
         assert report.verdict is DiagonalVerdict.BOUNDED
 
+    @pytest.mark.parametrize(
+        "m,threshold",
+        [
+            (lambda t: math.nan, 1e6),
+            (lambda t: 0.5 if abs(t) <= 1.0 else math.nan, 1.0),
+        ],
+        ids=["nan", "half-then-nan"],
+    )
+    def test_nan_value_counts_as_infinite(self, m, threshold):
+        # a NaN value fails every comparison, so it must not leave the sup
+        # of |m| under the threshold
+        report = classify_diagonal(m, growth_threshold=threshold)
+        assert report.verdict is DiagonalVerdict.INCONCLUSIVE
+        assert report.sup_abs == math.inf
+
     def test_nan_residual_counts_as_infinite(self):
         # |t|^1e308 is inf off [-1, 1] and 0 inside it, so every nonzero
         # residual is inf * 0 or inf - inf: NaN, which must not read as 0
