@@ -42,7 +42,8 @@ from .stability import (
     classify_diagonal,
     run_stability,
 )
-from .systems import ResidualExceededError, solve_two, solve_four
+from .systems import DEFAULT_TOL_FOUR, DEFAULT_TOL_TWO, ResidualExceededError
+from .systems import solve_two, solve_four
 from .sumsquares import (
     factorize,
     four_square_decompose,
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solve 2xy = u, x^2 - y^2 = v")
     p.add_argument("u", type=_finite_float)
     p.add_argument("v", type=_finite_float)
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL_TWO)
     p.add_argument("--zero-eps", type=_finite_float, default=0.0,
                    help="treat |u| <= eps as structural zero (default 0)")
 
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solve the four-variable composition system")
     for name in ("a", "b", "c", "d"):
         p.add_argument(name, type=_finite_float)
-    p.add_argument("--tol", type=_finite_float, default=1e-6)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL_FOUR)
     p.add_argument("--zero-eps", type=_finite_float, default=0.0)
 
     p = sub.add_parser("verify", parents=[common],
