@@ -80,20 +80,25 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _operand(text: str) -> int:
-    if sum(ch.isdigit() for ch in text) > OPERAND_DIGITS:
-        raise argparse.ArgumentTypeError(f"more than {OPERAND_DIGITS} digits")
+def _integer(text: str, max_digits: int) -> int:
+    """int(text), refusing more than max_digits digits (0: no cap)."""
+    if max_digits and sum(ch.isdigit() for ch in text) > max_digits:
+        raise argparse.ArgumentTypeError(f"more than {max_digits} digits")
     try:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
 
 
+def _operand(text: str) -> int:
+    return _integer(text, OPERAND_DIGITS)
+
+
 def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    # int() refuses more digits than the int-to-str limit (none where it is 0
+    # or, before Python 3.10.7, missing); the cap reports that reason
+    # instead of "not an integer"
+    value = _integer(text, getattr(sys, "get_int_max_str_digits", int)())
     if value < 0:
         raise argparse.ArgumentTypeError("value must be nonnegative")
     return value

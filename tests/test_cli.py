@@ -421,6 +421,21 @@ class TestUsage:
         assert main([*argv, "--zero-eps", "-1"]) == 2
         assert capsys.readouterr().err == "error: --zero-eps must be >= 0, got -1.0\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["rep-check"], ["decompose", "--squares", "4"]], ids=lambda a: a[0]
+    )
+    def test_integer_past_the_str_digit_limit(self, capsys, argv):
+        # int() refuses n for its length alone: the error says so, and does
+        # not echo the digits; one digit fewer is accepted
+        limit = sys.get_int_max_str_digits()
+        assert main([*argv, "1" + "0" * limit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument n: more than {limit} digits\n")
+        assert len(captured.err) < 300
+        assert main([*argv, "1" + "0" * (limit - 1)]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("option", ["--mult-tol", "--growth-threshold"])
     def test_zero_classifier_option_is_valid(self, capsys, option):
         assert main(["classify", "--model", "power:c=2", option, "0"]) == 0
