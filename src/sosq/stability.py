@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from operator import itemgetter
 
@@ -385,16 +385,7 @@ class StabilityReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "arity": self.arity,
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "tol": self.tol,
-            "hypothesis_max_violation": self.hypothesis_max_violation,
-            "conclusion_max_violation": self.conclusion_max_violation,
-            "diagonal_classification": self.diagonal_classification,
-            "evidence": self.evidence,
-        }
+        return asdict(self)
 
 
 def run_stability(
