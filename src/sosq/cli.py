@@ -3,8 +3,8 @@
 Subcommands cover exact composition (compose2/compose4), the closed-form
 solvers (solve2/solve4), seeded equation verification (verify), stability
 checks (stability), the diagonal classifier (classify), integer square
-decompositions (decompose), and the representability cross-check
-(rep-check; its brute-force route is skipped above BRUTE_FORCE_MAX = 10**12).
+decompositions (decompose), and the representability check (rep-check,
+which proves its answer with a witness or a prime-power certificate).
 
 Every verification run is reproducible: reports depend only on the
 arguments and the seed (flag --seed, else env var SOSQ_SEED, else 42), and
@@ -48,7 +48,6 @@ from .sumsquares import (
     factorize,
     four_square_decompose,
     is_sum_of_two_squares,
-    two_square_brute_force,
     two_square_decompose,
 )
 
@@ -58,9 +57,6 @@ EXIT_USAGE = 2
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 10000
-# rep-check's brute-force cross-check takes O(sqrt n) steps; above this n it
-# is skipped and the witness comes from the factorization route instead
-BRUTE_FORCE_MAX = 10**12
 # compose operands of d digits give norms of at most 4d + 2 digits, which
 # stays under Python's default 4300-digit limit on int-to-str conversion
 OPERAND_DIGITS = 1000
@@ -94,11 +90,15 @@ def _operand(text: str) -> int:
     return _integer(text, OPERAND_DIGITS)
 
 
-def _nonneg_int(text: str) -> int:
+def _int(text: str) -> int:
     # int() refuses more digits than the int-to-str limit (none where it is 0
     # or, before Python 3.10.7, missing); the cap reports that reason
-    # instead of "not an integer"
-    value = _integer(text, getattr(sys, "get_int_max_str_digits", int)())
+    # instead of "not an integer", and echoes none of the digits
+    return _integer(text, getattr(sys, "get_int_max_str_digits", int)())
+
+
+def _nonneg_int(text: str) -> int:
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("value must be nonnegative")
     return value
@@ -163,9 +163,9 @@ def _resolve_seed(args) -> int:
     env = os.environ.get("SOSQ_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"SOSQ_SEED={env!r} is not an integer")
+            return _int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"SOSQ_SEED: {exc}")
     return DEFAULT_SEED
 
 
@@ -224,22 +224,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="verify a model against the functional equation")
-    p.add_argument("--arity", type=int, choices=(2, 4), required=True)
+    p.add_argument("--arity", type=_int, choices=(2, 4), required=True)
     p.add_argument("--model", required=True,
                    help="model spec, e.g. power:c=2 or power:c=2,sigma=-1")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=_int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument("--tol", type=_finite_float, default=1e-9)
 
     p = sub.add_parser("stability", parents=[common],
                        help="hypothesis/conclusion excess checks plus classification")
-    p.add_argument("--arity", type=int, choices=(2, 4), required=True)
+    p.add_argument("--arity", type=_int, choices=(2, 4), required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--bounds", required=True,
                    help="bound expressions, ';'-separated (one expression is "
                         "replicated to every slot)")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=_int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.add_argument("--mult-tol", type=_finite_float, default=DEFAULT_MULT_TOL)
 
@@ -252,11 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", parents=[common],
                        help="decompose n into 2 or 4 squares")
-    p.add_argument("--squares", type=int, choices=(2, 4), required=True)
+    p.add_argument("--squares", type=_int, choices=(2, 4), required=True)
     p.add_argument("n", type=_nonneg_int)
 
     p = sub.add_parser("rep-check", parents=[common],
-                       help="two-square representability: criterion vs brute force")
+                       help="two-square representability, with a checked proof")
     p.add_argument("n", type=_nonneg_int)
 
     return parser
@@ -419,32 +419,29 @@ def _cmd_rep_check(args):
     config = {"n": n}
     fac = factorize(n)
     criterion = is_sum_of_two_squares(n, factorization=fac)
-    if n <= BRUTE_FORCE_MAX:
-        witness = two_square_brute_force(n)
-        brute_force = witness is not None
-        route = "brute force"
+    witness = certificate = None
+    if criterion:
+        a, b = witness = list(two_square_decompose(n, factorization=fac).components)
+        agree = a * a + b * b == n
+        text, route, proof = "representable", "witness", f"{n} = {a}^2 + {b}^2"
     else:
-        rep = two_square_decompose(n, factorization=fac)
-        witness = rep.components if rep is not None else None
-        brute_force = None
-        route = "decomposition"
-    agree = criterion == (witness is not None) and (
-        witness is None or sum(c * c for c in witness) == n
-    )
+        # factorize proves each factor prime, so a q = 3 mod 4 whose odd
+        # power q^e divides n exactly shows that n is no sum of two squares
+        q, e = certificate = next([p, e] for p, e in fac.factors if p % 4 == 3 and e % 2)
+        agree = q % 4 == 3 and e % 2 == 1 and n % q**e == 0 and n % q ** (e + 1) != 0
+        text, route = "not representable", "certificate"
+        proof = f"{q}^{e} divides {n} and {q}^{e + 1} does not; {q} is a prime = 3 mod 4"
     detail = {
         "criterion": criterion,
-        "brute_force": brute_force,
-        "witness": list(witness) if witness else None,
+        "witness": witness,
+        "certificate": certificate,
         "factors": [[p, e] for p, e in fac.factors],
         "agree": agree,
     }
     verdict = "PASS" if agree else "FAIL"
-    text = "representable" if criterion else "not representable"
-    human = f"{verdict}: {n} is {text}; criterion and {route} agree: {agree}"
-    if brute_force is None:
-        human += f" (brute force skipped above {BRUTE_FORCE_MAX})"
-    if witness:
-        human += f"\nwitness: {n} = {witness[0]}^2 + {witness[1]}^2"
+    human = (
+        f"{verdict}: {n} is {text}; criterion and {route} agree: {agree}\n{route}: {proof}"
+    )
     return config, detail, verdict, human
 
 

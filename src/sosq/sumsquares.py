@@ -3,17 +3,20 @@
 A positive integer is a sum of two squares exactly when every prime factor
 congruent to 3 mod 4 occurs to an even power, and every nonnegative integer
 is a sum of four squares.  Decompositions are assembled constructively:
-factorize n, represent each prime by bounded brute force, and fold the
-parts together through the exact composition laws, so the squared-sum
-identity holds with no rounding anywhere.
+factorize n, represent each prime on its own, and fold the parts together
+through the exact composition laws, so the squared-sum identity holds with
+no rounding anywhere.  A prime p = 1 mod 4 is split into two squares by the
+Hermite-Serret descent: a square root of -1 mod p, then Euclid on p and that
+root (Brillhart, Math. Comp. 26, 1972).  A prime's four squares come from a
+bounded nested search.
 
 Factorization is trial division: by a table of the primes below 2048,
 sieved once at import, then by the 6k-1, 6k+1 wheel past the table,
 stopping once the divisor's square exceeds the unfactored rest.  Products
 of small primes factor quickly at any size, but a large prime factor p
 costs O(sqrt p) steps, which keeps this at desk scale (n up to ~1e12).
-The prime searches sit behind two helpers so a faster method could be
-swapped in without touching the folding.
+The per-prime representations sit behind two helpers, so a faster method
+could be swapped in without touching the folding.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "SquareRep",
     "factorize",
     "is_sum_of_two_squares",
-    "two_square_brute_force",
     "two_square_decompose",
     "four_square_decompose",
 ]
@@ -110,22 +112,6 @@ def is_sum_of_two_squares(n: int, *, factorization: Factorization | None = None)
     return all(e % 2 == 0 for p, e in _factors_of(n, factorization) if p % 4 == 3)
 
 
-def two_square_brute_force(n: int) -> tuple[int, int] | None:
-    """Direct search for a*a + b*b == n, independent of the factorization path.
-
-    Returns components sorted descending, or None when no representation
-    exists.  Used as the cross-check route; O(sqrt n).
-    """
-    if n < 0:
-        return None
-    for a in range(isqrt(n // 2) + 1):
-        b2 = n - a * a
-        b = isqrt(b2)
-        if b * b == b2:
-            return (b, a)
-    return None
-
-
 @dataclass(frozen=True)
 class SquareRep:
     """n as an exact sum of two or four squares, components nonnegative descending."""
@@ -141,11 +127,25 @@ _PRIME_CACHE_SIZE = 512
 
 @lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def _prime_two_square(p: int) -> tuple[int, int]:
-    # p = 2 or p = 1 mod 4; a representation always exists.
-    found = two_square_brute_force(p)
-    if found is None:
+    """(a, b) with a <= b and a*a + b*b == p, for p = 2 or a prime 1 mod 4.
+
+    Only primes from factorize reach this: on a composite such as 9 the
+    search for a quadratic non-residue c never ends.  s = c^((p-1)/4) is a
+    square root of -1 mod p, and Euclid on (p, s) passes through the pair:
+    the first remainder below sqrt(p) and the one after it.
+    """
+    if p == 2:
+        return (1, 1)
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    r, s = p, pow(c, (p - 1) // 4, p)
+    while s * s > p:
+        r, s = s, r % s
+    a, b = r % s, s
+    if a * a + b * b != p:
         raise ArithmeticError(f"no two-square representation found for prime {p}")
-    return found[::-1]
+    return (a, b)
 
 
 @lru_cache(maxsize=_PRIME_CACHE_SIZE)
@@ -178,7 +178,7 @@ def two_square_decompose(
     """Exact two-square representation of n >= 1, or None if none exists.
 
     Primes 3 mod 4 (even exponents only) contribute p^(e/2) as a common
-    multiplier; 2 and primes 1 mod 4 contribute brute-forced prime
+    multiplier; 2 and primes 1 mod 4 contribute their two-square
     representations, one copy per exponent, folded through the two-square
     composition law.  A factorization of n, when given, is used instead of
     factoring n again.

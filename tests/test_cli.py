@@ -293,17 +293,16 @@ class TestRepCheck:
 
     def test_unrepresentable(self, capsys):
         code, report, _ = run_json(capsys, "rep-check", "21")
-        assert code == 0  # routes agree, so the cross-check passes
+        assert code == 0  # the certificate checks, so the answer passes
         assert report["result"]["criterion"] is False
         assert report["result"]["witness"] is None
 
     @pytest.mark.parametrize("n, representable", [(2**64, True), (3 * 2**64, False)])
     def test_large_n_skips_brute_force(self, capsys, n, representable):
-        # the brute force would take ~3e9 steps here
+        # a brute-force search would take ~3e9 steps here
         code, report, out = run_json(capsys, "rep-check", str(n))
         assert code == 0
         result = report["result"]
-        assert result["brute_force"] is None
         assert result["criterion"] is representable
         assert result["agree"] is True
         if representable:
@@ -312,18 +311,45 @@ class TestRepCheck:
         else:
             assert result["witness"] is None
 
-    def test_cap_is_inclusive(self, capsys, monkeypatch):
-        # 50 = 7^2 + 1^2 by brute force, 5^2 + 5^2 by the fold
-        monkeypatch.setattr(cli, "BRUTE_FORCE_MAX", 50)
-        _, at_cap, _ = run_json(capsys, "rep-check", "50")
-        assert at_cap["result"]["brute_force"] is True
-        assert at_cap["result"]["witness"] == [7, 1]
-        monkeypatch.setattr(cli, "BRUTE_FORCE_MAX", 49)
-        _, above_cap, _ = run_json(capsys, "rep-check", "50")
-        assert above_cap["result"]["brute_force"] is None
-        assert above_cap["result"]["witness"] == [5, 5]
-        assert main(["rep-check", "50"]) == 0
-        assert "brute force skipped above 49" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "n, certificate", [(21, [3, 1]), (1323, [3, 3]), (3 * 2**64, [3, 1])], ids=str
+    )
+    def test_certificate(self, capsys, n, certificate):
+        # the first prime 3 mod 4 of odd exponent, here 3, in 1323 = 3^3 * 7^2
+        code, report, _ = run_json(capsys, "rep-check", str(n))
+        assert code == 0
+        assert report["result"]["certificate"] == certificate
+        q, e = certificate
+        assert n % q**e == 0 and n % q ** (e + 1) != 0
+        assert main(["rep-check", str(n)]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"\ncertificate: {q}^{e} divides {n} and {q}^{e + 1} does not; "
+            f"{q} is a prime = 3 mod 4\n"
+        )
+
+    @pytest.mark.parametrize("n", [45, 50, 2**64])
+    def test_representable_has_no_certificate(self, capsys, n):
+        _, report, _ = run_json(capsys, "rep-check", str(n))
+        assert report["result"]["certificate"] is None
+        assert "brute_force" not in report["result"]
+
+    def test_wrong_witness_fails(self, capsys, monkeypatch):
+        # an answer that does not check is reported as FAIL, exit 1
+        wrong = sumsquares.SquareRep(45, (6, 2))
+        monkeypatch.setattr(cli, "two_square_decompose", lambda n, factorization: wrong)
+        code, report, _ = run_json(capsys, "rep-check", "45")
+        assert code == 1
+        assert report["result"]["agree"] is False
+        assert report["verdict"] == "FAIL"
+
+    def test_wrong_certificate_fails(self, capsys, monkeypatch):
+        # 3^3 does not divide 21, so a factorization claiming it fails the check
+        wrong = sumsquares.Factorization(21, ((3, 3),))
+        monkeypatch.setattr(cli, "factorize", lambda n: wrong)
+        code, report, _ = run_json(capsys, "rep-check", "21")
+        assert code == 1
+        assert report["result"]["certificate"] == [3, 3]
+        assert report["result"]["agree"] is False
 
     @pytest.mark.parametrize("n", ["45", "21", str(2**64), str(3 * 2**64)])
     def test_factors_n_once(self, capsys, monkeypatch, n):
@@ -435,6 +461,26 @@ class TestUsage:
         assert len(captured.err) < 300
         assert main([*argv, "1" + "0" * (limit - 1)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("option", ["--seed", "--samples"])
+    def test_option_past_the_str_digit_limit(self, capsys, option):
+        limit = sys.get_int_max_str_digits()
+        argv = ["verify", "--arity", "2", "--model", "one", option, "1" + "0" * limit]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(
+            f"error: argument {option}: more than {limit} digits\n"
+        )
+        assert len(captured.err) < 300
+
+    def test_seed_variable_past_the_str_digit_limit(self, capsys, monkeypatch):
+        # SOSQ_SEED gets the same reason, and echoes none of its digits
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setenv("SOSQ_SEED", "1" + "0" * limit)
+        assert main(["verify", "--arity", "2", "--model", "one", "--samples", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: SOSQ_SEED: more than {limit} digits\n"
+        assert "not an integer" not in err and "0" * 10 not in err
 
     @pytest.mark.parametrize("option", ["--mult-tol", "--growth-threshold"])
     def test_zero_classifier_option_is_valid(self, capsys, option):

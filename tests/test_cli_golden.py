@@ -98,6 +98,8 @@ CASES = [
     ["rep-check", "1"],
     ["rep-check", str(2**64)],
     ["rep-check", str(3 * 2**64)],
+    # 1323 = 3^3 * 7^2: the certificate is 3^3, the even power of 7 is not one
+    ["rep-check", "1323"],
 ]
 
 # the benchmark's sweep mix (SWEEP_MIX in perfbench/workloads.py) at its full
@@ -145,6 +147,9 @@ USAGE_CASES = [
     # a negative --zero-eps calls no input zero, so the case label would be wrong
     ["solve2", "0", "4", "--zero-eps", "-1"],
     ["solve4", "1", "4", "1", "0", "--zero-eps", "-1"],
+    # past the int-to-str digit limit: refused for its length, digits not echoed
+    ["verify", "--arity", "2", "--model", "one", "--samples", "10",
+     "--seed", "1" + "0" * 4400],
 ]
 
 

@@ -1,7 +1,7 @@
 from itertools import count, islice
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import (
@@ -16,7 +16,6 @@ from sosq.sumsquares import (
     factorize,
     four_square_decompose,
     is_sum_of_two_squares,
-    two_square_brute_force,
     two_square_decompose,
 )
 
@@ -38,6 +37,13 @@ def next_prime(n):
     """Least prime >= n, found with the trial-division oracle."""
     while wheel_factors(n) != ((n, 1),):
         n += 1
+    return n
+
+
+def prime_1_mod_4_at_most(n):
+    """Greatest prime p = 1 mod 4 with p <= n, for n >= 5."""
+    while n % 4 != 1 or not is_prime(n):
+        n -= 1
     return n
 
 
@@ -94,7 +100,7 @@ class TestRepresentabilityCriterion:
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_oracle_agreement_random(self, n):
-        assert is_sum_of_two_squares(n) == (two_square_brute_force(n) is not None)
+        assert is_sum_of_two_squares(n) == is_two_square(n)
 
 
 class TestTwoSquareDecompose:
@@ -147,12 +153,25 @@ class TestTwoSquareDecompose:
         else:
             assert not is_sum_of_two_squares(n)
 
-
     def test_prime_parts_match_oracle(self):
         # the first (smallest-first) witness of each prime p = 2 or 1 mod 4
         for p in range(2, 10**4):
             if is_prime(p) and p % 4 != 3:
                 assert sumsquares._prime_two_square(p) == two_square_witnesses(p)[0], p
+
+    # 2029 is the last prime 1 mod 4 in the factor table
+    @given(st.integers(min_value=5, max_value=10**12).map(prime_1_mod_4_at_most))
+    @example(2)
+    @example(2029)
+    def test_descent_matches_oracle(self, p):
+        assert sumsquares._prime_two_square.__wrapped__(p) == two_square_witnesses(p)[0]
+
+    def test_descent_checks_its_pair(self, monkeypatch):
+        # a "root" of -1 that is wrong (p - 1 squares to 1) must not come back
+        # as a pair; any c passes the non-residue test under this pow
+        monkeypatch.setattr(sumsquares, "pow", lambda c, e, p: p - 1, raising=False)
+        with pytest.raises(ArithmeticError, match="prime 13"):
+            sumsquares._prime_two_square.__wrapped__(13)
 
 
 class TestFourSquareDecompose:
@@ -217,16 +236,3 @@ def test_prime_cache_is_bounded(name):
     # the evicted ones are recomputed, and every answer is the uncached one
     assert [cached(p) for p in primes] == got == list(map(cached.__wrapped__, primes))
     assert cached.cache_info().currsize == bound
-
-
-class TestBruteForceRoute:
-    def test_witness_matches_oracle(self):
-        for n in range(1, 500):
-            mine = two_square_brute_force(n)
-            oracle = two_square_witnesses(n)
-            if oracle:
-                assert mine is not None
-                a, b = mine
-                assert a * a + b * b == n
-            else:
-                assert mine is None
