@@ -47,7 +47,6 @@ from .systems import solve_two, solve_four
 from .sumsquares import (
     factorize,
     four_square_decompose,
-    is_sum_of_two_squares,
     two_square_decompose,
 )
 
@@ -418,16 +417,17 @@ def _cmd_rep_check(args):
         raise UsageError("rep-check requires n >= 1")
     config = {"n": n}
     fac = factorize(n)
-    criterion = is_sum_of_two_squares(n, factorization=fac)
-    witness = certificate = None
+    # n is a sum of two squares iff no prime q = 3 mod 4 has odd exponent e;
+    # factorize proves q prime, so q^e dividing n exactly proves n is none
+    certificate = next(([p, e] for p, e in fac.factors if p % 4 == 3 and e % 2), None)
+    criterion = certificate is None
+    witness = None
     if criterion:
         a, b = witness = list(two_square_decompose(n, factorization=fac).components)
         agree = a * a + b * b == n
         text, route, proof = "representable", "witness", f"{n} = {a}^2 + {b}^2"
     else:
-        # factorize proves each factor prime, so a q = 3 mod 4 whose odd
-        # power q^e divides n exactly shows that n is no sum of two squares
-        q, e = certificate = next([p, e] for p, e in fac.factors if p % 4 == 3 and e % 2)
+        q, e = certificate
         agree = q % 4 == 3 and e % 2 == 1 and n % q**e == 0 and n % q ** (e + 1) != 0
         text, route = "not representable", "certificate"
         proof = f"{q}^{e} divides {n} and {q}^{e + 1} does not; {q} is a prime = 3 mod 4"

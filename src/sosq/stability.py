@@ -291,14 +291,7 @@ class DiagonalReport:
 
     def to_dict(self) -> dict:
         """The evidence, without the verdict."""
-        return {
-            "max_mult_residual": self.max_mult_residual,
-            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-            "sup_abs": self.sup_abs,
-            "sup_at": self.sup_at,
-            "growth_threshold": self.growth_threshold,
-            "mult_tol": self.mult_tol,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "verdict"}
 
 
 def classify_diagonal(

@@ -5,27 +5,25 @@ congruent to 3 mod 4 occurs to an even power, and every nonnegative integer
 is a sum of four squares.  Decompositions are assembled constructively:
 factorize n, represent each prime on its own, and fold the parts together
 through the exact composition laws, so the squared-sum identity holds with
-no rounding anywhere.  A prime p = 1 mod 4 is split into two squares by the
-Hermite-Serret descent: a square root of -1 mod p, then Euclid on p and that
-root (Brillhart, Math. Comp. 26, 1972).  A prime's four squares come from a
-bounded nested search.
+no rounding anywhere.  Each prime is represented by Euler's descent on
+the same laws, and each result is checked exactly before it is returned.
 
 Factorization is trial division: by a table of the primes below 2048,
 sieved once at import, then by the 6k-1, 6k+1 wheel past the table,
 stopping once the divisor's square exceeds the unfactored rest.  Products
 of small primes factor quickly at any size, but a large prime factor p
 costs O(sqrt p) steps, which keeps this at desk scale (n up to ~1e12).
-The per-prime representations sit behind two helpers, so a faster method
-could be swapped in without touching the folding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import isqrt
+from itertools import count
+from math import isqrt, prod
 
-from .identities import IntPair, IntQuad, compose_two, compose_four
+from .identities import IntPair, IntQuad, compose_two, compose_four, norm
+from .identities import compose_two_raw, compose_four_raw
 
 __all__ = [
     "Factorization",
@@ -99,6 +97,8 @@ def _factors_of(n: int, factorization: Factorization | None):
         return factorize(n).factors
     if factorization.n != n:
         raise ValueError(f"factorization is of {factorization.n}, not of {n}")
+    if prod(p**e for p, e in factorization.factors) != n:
+        raise ValueError(f"factorization {factorization.factors} does not multiply to {n}")
     return factorization.factors
 
 
@@ -107,7 +107,8 @@ def is_sum_of_two_squares(n: int, *, factorization: Factorization | None = None)
 
     Equivalently: in the split n = m*m * s with s squarefree, no prime of s
     is 3 mod 4.  A factorization of n, when given, is used instead of
-    factoring n again.
+    factoring n again; it must multiply to n, and its factors are trusted
+    to be prime.
     """
     return all(e % 2 == 0 for p, e in _factors_of(n, factorization) if p % 4 == 3)
 
@@ -125,51 +126,49 @@ class SquareRep:
 _PRIME_CACHE_SIZE = 512
 
 
+def _descend(v: tuple[int, ...], p: int, compose) -> tuple[int, ...]:
+    """Euler's descent from sum(v*v) = m*p, 1 <= m < p, to a sum equal to p.
+
+    w = v mod m, in [-m/2, m/2), makes compose(v, w) divisible by m, with
+    norm p * sum(w*w)/m.  On a prime p that lowers m; a step that does not
+    stops, and the result is checked.  Returns absolute values, ascending.
+    """
+    m = norm(v) // p
+    while m > 1:
+        w = [(c + m // 2) % m - m // 2 for c in v]
+        if (r := norm(w) // m) >= m:
+            break
+        v, m = [c // m for c in compose(*v, *w)], r
+    if norm(v) != p:
+        raise ArithmeticError(f"descent found no representation of prime {p}")
+    return tuple(sorted(map(abs, v)))
+
+
 @lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def _prime_two_square(p: int) -> tuple[int, int]:
     """(a, b) with a <= b and a*a + b*b == p, for p = 2 or a prime 1 mod 4.
 
     Only primes from factorize reach this: on a composite such as 9 the
     search for a quadratic non-residue c never ends.  s = c^((p-1)/4) is a
-    square root of -1 mod p, and Euclid on (p, s) passes through the pair:
-    the first remainder below sqrt(p) and the one after it.
+    square root of -1 mod p, so the descent starts from s*s + 1.
     """
-    if p == 2:
-        return (1, 1)
-    c = 2
-    while pow(c, (p - 1) // 2, p) != p - 1:
-        c += 1
-    r, s = p, pow(c, (p - 1) // 4, p)
-    while s * s > p:
-        r, s = s, r % s
-    a, b = r % s, s
-    if a * a + b * b != p:
-        raise ArithmeticError(f"no two-square representation found for prime {p}")
-    return (a, b)
+    c = next(c for c in count(2) if pow(c, (p - 1) // 2, p) == p - 1)
+    s = pow(c, (p - 1) // 4, p)
+    return _descend((min(s, p - s), 1), p, compose_two_raw)
 
 
 @lru_cache(maxsize=_PRIME_CACHE_SIZE)
-def _prime_four_square(n: int) -> tuple[int, int, int, int]:
-    # Descending nested search for a >= b >= c >= d >= 0; always succeeds.
-    # Each loop stops once its value is too small to carry its share of
-    # what is left (a*a >= n/4, b*b >= r1/3, c*c >= r2/2); the last bound
-    # also makes d <= c.
-    for a in range(isqrt(n), -1, -1):
-        if 4 * a * a < n:
-            break
-        r1 = n - a * a
-        for b in range(min(a, isqrt(r1)), -1, -1):
-            if 3 * b * b < r1:
-                break
-            r2 = r1 - b * b
-            for c in range(min(b, isqrt(r2)), -1, -1):
-                if 2 * c * c < r2:
-                    break
-                r3 = r2 - c * c
-                d = isqrt(r3)
-                if d * d == r3:
-                    return (a, b, c, d)
-    raise ArithmeticError(f"no four-square representation found for {n}")
+def _prime_four_square(p: int) -> tuple[int, int, int, int]:
+    """(a, b, c, d) with a >= b >= c >= d >= 0 and squared sum p, for a prime p.
+
+    p = 2 or 1 mod 4 is its two squares.  For p = 3 mod 4 the descent starts
+    from x*x + y*y + 1, x the least with -1 - x*x = y*y a square mod p.
+    """
+    if p % 4 != 3:
+        return (*_prime_two_square(p)[::-1], 0, 0)
+    x = next(x for x in count() if pow((-1 - x * x) % p, (p - 1) // 2, p) == 1)
+    y = pow((-1 - x * x) % p, (p + 1) // 4, p)
+    return _descend((x, min(y, p - y), 1, 0), p, compose_four_raw)[::-1]
 
 
 def two_square_decompose(
@@ -180,8 +179,10 @@ def two_square_decompose(
     Primes 3 mod 4 (even exponents only) contribute p^(e/2) as a common
     multiplier; 2 and primes 1 mod 4 contribute their two-square
     representations, one copy per exponent, folded through the two-square
-    composition law.  A factorization of n, when given, is used instead of
-    factoring n again.
+    composition law, and the result is checked.  A factorization of n, when
+    given, is used instead of factoring n again.  It must multiply to n, and
+    its factors are trusted to be prime: Factorization(9, ((9, 1),)) would
+    reach a per-prime search that never ends.
     """
     multiplier = 1
     parts: list[IntPair] = []
@@ -194,15 +195,17 @@ def two_square_decompose(
             parts.extend([IntPair(*_prime_two_square(p))] * e)
     x, y = reduce(compose_two, parts) if parts else IntPair(1, 0)
     a, b = sorted((abs(x) * multiplier, abs(y) * multiplier), reverse=True)
+    if a * a + b * b != n:
+        raise ArithmeticError(f"{a}^2 + {b}^2 is not {n}")
     return SquareRep(n, (a, b))
 
 
 def four_square_decompose(n: int) -> SquareRep:
     """Exact four-square representation of any n >= 0.
 
-    Each prime factor is brute-forced once and the copies are folded through
-    the four-square composition law; components come back as absolute values
-    sorted descending.
+    Each prime factor is represented once by the descent and the copies are
+    folded through the four-square composition law; components come back
+    as absolute values sorted descending, checked to square-sum to n.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -212,4 +215,7 @@ def four_square_decompose(n: int) -> SquareRep:
     for p, e in factorize(n).factors:
         parts.extend([IntQuad(*_prime_four_square(p))] * e)
     folded = reduce(compose_four, parts) if parts else IntQuad(1, 0, 0, 0)
-    return SquareRep(n, tuple(sorted(map(abs, folded), reverse=True)))
+    components = tuple(sorted(map(abs, folded), reverse=True))
+    if norm(components) != n:
+        raise ArithmeticError(f"the squares of {components} do not sum to {n}")
+    return SquareRep(n, components)

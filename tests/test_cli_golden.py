@@ -93,6 +93,8 @@ CASES = [
     ["decompose", "--squares", "4", "7"],
     ["decompose", "--squares", "4", "0"],
     ["decompose", "--squares", "4", "2026"],
+    # 999999999959 = 7 mod 8: four nonzero squares from the descent
+    ["decompose", "--squares", "4", "999999999959"],
     ["rep-check", "45"],
     ["rep-check", "21"],
     ["rep-check", "1"],

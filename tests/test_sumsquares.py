@@ -12,7 +12,9 @@ from oracles import (
     wheel_factors,
 )
 from sosq import sumsquares
+from sosq.identities import compose_four_raw
 from sosq.sumsquares import (
+    Factorization,
     factorize,
     four_square_decompose,
     is_sum_of_two_squares,
@@ -33,16 +35,9 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def next_prime(n):
-    """Least prime >= n, found with the trial-division oracle."""
-    while wheel_factors(n) != ((n, 1),):
-        n += 1
-    return n
-
-
-def prime_1_mod_4_at_most(n):
-    """Greatest prime p = 1 mod 4 with p <= n, for n >= 5."""
-    while n % 4 != 1 or not is_prime(n):
+def prime_at_most(n, residue):
+    """Greatest prime p = residue mod 4 with p <= n; n >= 5 for residue 1, 3 for 3."""
+    while n % 4 != residue or not is_prime(n):
         n -= 1
     return n
 
@@ -103,6 +98,22 @@ class TestRepresentabilityCriterion:
         assert is_sum_of_two_squares(n) == is_two_square(n)
 
 
+class TestCallerFactorization:
+    # a factorization whose prime powers do not multiply to n is refused,
+    # naming its factors; before, each of these gave a wrong answer
+    def test_wrong_prime_for_square(self):
+        with pytest.raises(ValueError, match=r"\(\(3, 2\),\) does not multiply to 25"):
+            two_square_decompose(25, factorization=Factorization(25, ((3, 2),)))
+
+    def test_missing_factor(self):
+        with pytest.raises(ValueError, match=r"\(\(5, 1\),\) does not multiply to 45"):
+            two_square_decompose(45, factorization=Factorization(45, ((5, 1),)))
+
+    def test_criterion_refuses_it(self):
+        with pytest.raises(ValueError, match=r"\(\(5, 1\),\) does not multiply to 21"):
+            is_sum_of_two_squares(21, factorization=Factorization(21, ((5, 1),)))
+
+
 class TestTwoSquareDecompose:
     def test_two(self):
         assert two_square_decompose(2).components == (1, 1)
@@ -160,7 +171,7 @@ class TestTwoSquareDecompose:
                 assert sumsquares._prime_two_square(p) == two_square_witnesses(p)[0], p
 
     # 2029 is the last prime 1 mod 4 in the factor table
-    @given(st.integers(min_value=5, max_value=10**12).map(prime_1_mod_4_at_most))
+    @given(st.integers(min_value=5, max_value=10**12).map(lambda n: prime_at_most(n, 1)))
     @example(2)
     @example(2029)
     def test_descent_matches_oracle(self, p):
@@ -172,6 +183,11 @@ class TestTwoSquareDecompose:
         monkeypatch.setattr(sumsquares, "pow", lambda c, e, p: p - 1, raising=False)
         with pytest.raises(ArithmeticError, match="prime 13"):
             sumsquares._prime_two_square.__wrapped__(13)
+
+    def test_wrong_prime_part_fails_the_final_check(self, monkeypatch):
+        monkeypatch.setattr(sumsquares, "_prime_two_square", lambda p: (1, 2))
+        with pytest.raises(ArithmeticError, match="is not 13"):
+            two_square_decompose(13)
 
 
 class TestFourSquareDecompose:
@@ -198,15 +214,58 @@ class TestFourSquareDecompose:
             comps = four_square_decompose(n).components
             assert sum(c * c for c in comps) == n
 
-    def test_prime_search_matches_unpruned_oracle(self):
-        for n in range(3000):
-            assert sumsquares._prime_four_square(n) == four_square_witness(n), n
+    def test_prime_parts_below_10000(self):
+        for p in range(2, 10**4):
+            if is_prime(p):
+                comps = sumsquares._prime_four_square(p)
+                assert min(comps) >= 0 and list(comps) == sorted(comps, reverse=True), p
+                assert sum(c * c for c in comps) == p, p
 
-    # primes only, as the library passes them: on a composite such as 2**29
-    # both nested searches scan almost every (a, b, c) and run for minutes
-    @given(st.integers(min_value=3000, max_value=10**9).map(next_prime))
-    def test_prime_search_matches_unpruned_oracle_random(self, n):
-        assert sumsquares._prime_four_square(n) == four_square_witness(n)
+    def test_prime_parts_pad_the_two_square_pair(self):
+        for p in range(2, 10**4):
+            if is_prime(p) and p % 4 != 3:
+                a, b = two_square_witnesses(p)[0]
+                assert sumsquares._prime_four_square(p) == (b, a, 0, 0), p
+
+    # 999999999959 = 7 mod 8, so it needs four nonzero squares
+    @given(st.integers(min_value=3, max_value=10**12).map(lambda n: prime_at_most(n, 3)))
+    @example(3)
+    @example(7)
+    @example(999999999959)
+    @example(2**61 - 1)
+    def test_descent_for_primes_3_mod_4(self, p):
+        comps = sumsquares._prime_four_square.__wrapped__(p)
+        assert min(comps) >= 0 and list(comps) == sorted(comps, reverse=True)
+        assert sum(c * c for c in comps) == p
+
+    def test_descent_checks_its_quadruple(self, monkeypatch):
+        # under this pow every x passes and the "root" y = 1 is wrong, so
+        # x*x + y*y + 1 = 2 is no multiple of p: no step runs, the check fails
+        monkeypatch.setattr(sumsquares, "pow", lambda c, e, p: 1, raising=False)
+        with pytest.raises(ArithmeticError, match="prime 7"):
+            sumsquares._prime_four_square.__wrapped__(7)
+
+    def test_step_that_does_not_lower_m_stops(self):
+        # 1 + 1 + 1 + 9 = 2 * 6, all residues mod 2 are 1: m stays 2 on the
+        # composite 6, so the descent stops instead of looping
+        with pytest.raises(ArithmeticError, match="prime 6"):
+            sumsquares._descend((1, 1, 1, 3), 6, compose_four_raw)
+
+    @given(
+        st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=4, max_size=4),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    def test_descent_ends_on_any_input(self, v, p):
+        try:
+            comps = sumsquares._descend(tuple(v), p, compose_four_raw)
+        except ArithmeticError:
+            return
+        assert sum(c * c for c in comps) == p
+
+    def test_wrong_prime_part_fails_the_final_check(self, monkeypatch):
+        monkeypatch.setattr(sumsquares, "_prime_four_square", lambda p: (2, 1, 0, 0))
+        with pytest.raises(ArithmeticError, match="do not sum to 7"):
+            four_square_decompose(7)
 
     def test_oracle_agrees_some_representation_exists(self):
         for n in (7, 15, 28, 31, 112):
@@ -229,7 +288,9 @@ def test_prime_cache_is_bounded(name):
     assert bound == sumsquares._PRIME_CACHE_SIZE
     # every prime factor of a smooth n (all primes below 2000) fits at once
     assert bound >= sum(map(is_prime, range(2000)))
-    primes = list(islice((p for p in count(2) if p % 4 != 3 and is_prime(p)), bound + 100))
+    # the four-square parts take every prime, the two-square parts none 3 mod 4
+    admits = (lambda p: True) if name == "_prime_four_square" else (lambda p: p % 4 != 3)
+    primes = list(islice((p for p in count(2) if admits(p) and is_prime(p)), bound + 100))
     cached.cache_clear()
     got = [cached(p) for p in primes]
     assert cached.cache_info().currsize == bound
