@@ -37,7 +37,6 @@ from .solutions import (
 )
 from .stability import (
     BoundSpec,
-    DEFAULT_GROWTH_THRESHOLD,
     DEFAULT_MULT_TOL,
     classify_diagonal,
     run_stability,
@@ -174,7 +173,7 @@ def _check_run_config(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
         raise UsageError(f"--tol must be > 0, got {tol!r}")
-    for option in ("mult_tol", "growth_threshold", "zero_eps"):
+    for option in ("mult_tol", "zero_eps"):
         value = getattr(args, option, None)
         if value is not None and value < 0:
             flag = "--" + option.replace("_", "-")
@@ -245,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[common],
                        help="classify a model's first-axis restriction")
     p.add_argument("--model", required=True)
-    p.add_argument("--growth-threshold", type=_finite_float,
-                   default=DEFAULT_GROWTH_THRESHOLD)
     p.add_argument("--mult-tol", type=_finite_float, default=DEFAULT_MULT_TOL)
 
     p = sub.add_parser("decompose", parents=[common],
@@ -371,12 +368,9 @@ def _cmd_stability(args):
 def _cmd_classify(args):
     model = parse_model_spec(args.model, Arity.TWO)
     f = model.as_function()
-    report = classify_diagonal(lambda t: f(t, 0.0), args.growth_threshold, args.mult_tol)
-    config = {
-        "model": args.model,
-        "growth_threshold": args.growth_threshold,
-        "mult_tol": args.mult_tol,
-    }
+    # at delta = 0: the diagonal verdict of stability --arity 2 --bounds 0
+    report = classify_diagonal(lambda t: f(t, 0.0), mult_tol=args.mult_tol)
+    config = {"model": args.model, "mult_tol": args.mult_tol}
     detail = {"classification": report.verdict.value, **report.to_dict()}
     verdict = report.verdict.value
     human = (

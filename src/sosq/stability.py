@@ -12,12 +12,12 @@ multiplicative; classify_diagonal renders that verdict empirically, with
 INCONCLUSIVE as the honest third answer (a finite sample sweep cannot
 prove the dichotomy, only exhibit evidence).
 
-run_stability draws the BOUNDED line from the bounds.  As (s, 0, ...) o
-(t, 0, ...) = (st, 0, ...), the hypothesis gives g(t) = f(t, 0, ...) the
-bound |g(s) g(t) - g(st)| <= delta, the least zero-coordinate slot at 0, so
-by Baker's superstability theorem (Baker, Lawrence & Zorzitto, Proc. AMS
-74, 1979; Baker, Proc. AMS 80, 1980) g is multiplicative or
-|g| <= (1 + sqrt(1 + 4 delta))/2.
+The BOUNDED line is Baker's (Baker, Lawrence & Zorzitto, Proc. AMS 74,
+1979; Baker, Proc. AMS 80, 1980): a g with |g(s) g(t) - g(st)| <= delta is
+multiplicative or |g| <= (1 + sqrt(1 + 4 delta))/2.  classify_diagonal
+draws it from its delta.  run_stability passes the least zero-coordinate
+slot at 0, which bounds g(t) = f(t, 0, ...) so, as (s, 0, ...) o
+(t, 0, ...) = (st, 0, ...).
 
 f may return float, complex, or Fraction values; the checks never coerce,
 so exact inputs stay exact.  Real-valued f is simply the complex case with
@@ -50,11 +50,9 @@ __all__ = [
     "check_conclusion_four",
     "classify_diagonal",
     "run_stability",
-    "DEFAULT_GROWTH_THRESHOLD",
     "DEFAULT_MULT_TOL",
 ]
 
-DEFAULT_GROWTH_THRESHOLD = 1e6
 DEFAULT_MULT_TOL = 1e-6
 
 
@@ -282,6 +280,7 @@ class DiagonalReport:
     """Empirical bounded-vs-multiplicative classification with its evidence."""
 
     verdict: DiagonalVerdict
+    delta: float
     max_mult_residual: float
     worst_pair: tuple[float, float] | None
     sup_abs: float
@@ -296,7 +295,7 @@ class DiagonalReport:
 
 def classify_diagonal(
     m: Callable[[float], float],
-    growth_threshold: float = DEFAULT_GROWTH_THRESHOLD,
+    delta: float = 0.0,
     mult_tol: float = DEFAULT_MULT_TOL,
 ) -> DiagonalReport:
     """Classify a one-variable map as BOUNDED, MULTIPLICATIVE, or neither.
@@ -305,10 +304,15 @@ def classify_diagonal(
     |m(s) m(t) - m(st)| / (1 + |m(st)|) to stay within mult_tol over all
     pairs of probe_ladder() points (+-2^-4 .. +-2^6); it wins outright (the
     constant 1 is multiplicative, not merely bounded).  Otherwise BOUNDED
-    requires sup |m| on the ladder to stay within growth_threshold, and
-    anything else is INCONCLUSIVE.  A NaN value, and a NaN residual (from
-    an infinite value), counts as infinite.
+    requires sup |m| on the ladder to stay within Baker's line
+    (1 + sqrt(1 + 4 delta))/2, reported as growth_threshold (1 at the
+    default delta = 0), and anything else is INCONCLUSIVE.  A NaN value,
+    and a NaN residual (from an infinite value), counts as infinite.  A
+    negative or non-finite delta raises ValueError.
     """
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
+    line = (1.0 + math.sqrt(1.0 + 4.0 * delta)) / 2.0
     ladder = probe_ladder()
     values = {t: m(t) for t in ladder}
 
@@ -342,17 +346,18 @@ def classify_diagonal(
 
     if max_residual <= mult_tol:
         verdict = DiagonalVerdict.MULTIPLICATIVE
-    elif sup_abs <= growth_threshold:
+    elif sup_abs <= line:
         verdict = DiagonalVerdict.BOUNDED
     else:
         verdict = DiagonalVerdict.INCONCLUSIVE
     return DiagonalReport(
         verdict=verdict,
+        delta=delta,
         max_mult_residual=max_residual,
         worst_pair=worst_pair,
         sup_abs=sup_abs,
         sup_at=sup_at,
-        growth_threshold=growth_threshold,
+        growth_threshold=line,
         mult_tol=mult_tol,
     )
 
@@ -393,11 +398,11 @@ def run_stability(
     """Hypothesis + conclusion sweeps plus the diagonal classification.
 
     The arity is bounds.arity: f takes that many coordinates, and the
-    diagonal verdict is on its first-axis restriction t -> f(t, 0, ...).
-    Its BOUNDED line is (1 + sqrt(1 + 4 delta))/2, with delta the least of
-    the slots fed by a zero coordinate (slots 2 onward) at 0.  They are
-    evaluated after the sweep, so a bound invalid at a sample still raises
-    first; one invalid only at 0 raises InvalidBoundError at probe 0.0.
+    diagonal verdict is classify_diagonal's on t -> f(t, 0, ...) at delta
+    the least of the slots fed by a zero coordinate (slots 2 onward) at 0.
+    They are evaluated after the sweep, so a bound invalid at a sample
+    still raises first; one invalid only at 0 raises InvalidBoundError at
+    probe 0.0.
 
     Both sweeps run as one pass over one UniformSampler.  Its draws for a
     sample index are a prefix of one counter stream, so the conclusion's
@@ -414,9 +419,7 @@ def run_stability(
     )
     delta = float(min(_bound_at(fn, 0.0) for fn in bounds.bounds[2:]))
     pad = (0.0,) * (arity - 1)
-    diag = classify_diagonal(
-        lambda t: f(t, *pad), (1.0 + math.sqrt(1.0 + 4.0 * delta)) / 2.0, mult_tol
-    )
+    diag = classify_diagonal(lambda t: f(t, *pad), delta, mult_tol)
     evidence = {
         "hypothesis_worst_point": list(hyp.worst_point) if hyp.worst_point else None,
         "hypothesis_defect": hyp.defect_at_worst,
@@ -424,7 +427,6 @@ def run_stability(
         "conclusion_worst_point": list(con.worst_point) if con.worst_point else None,
         "conclusion_defect": con.defect_at_worst,
         "conclusion_bound": con.bound_at_worst,
-        "delta": delta,
         **diag.to_dict(),
     }
     return StabilityReport(

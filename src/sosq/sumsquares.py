@@ -148,11 +148,16 @@ def _descend(v: tuple[int, ...], p: int, compose) -> tuple[int, ...]:
 def _prime_two_square(p: int) -> tuple[int, int]:
     """(a, b) with a <= b and a*a + b*b == p, for p = 2 or a prime 1 mod 4.
 
-    Only primes from factorize reach this: on a composite such as 9 the
-    search for a quadratic non-residue c never ends.  s = c^((p-1)/4) is a
-    square root of -1 mod p, so the descent starts from s*s + 1.
+    For a quadratic non-residue c, s = c^((p-1)/4) is a square root of -1
+    mod p, so the descent starts from s*s + 1.  A c^((p-1)/2) other than
+    +-1 proves p composite (ValueError); c = the least prime factor of p
+    gives one at the latest, so the search ends on any p.
     """
-    c = next(c for c in count(2) if pow(c, (p - 1) // 2, p) == p - 1)
+    for c in count(2):
+        if (r := pow(c, (p - 1) // 2, p)) == p - 1:
+            break
+        if r != 1:
+            raise ValueError(f"{p} is not prime")
     s = pow(c, (p - 1) // 4, p)
     return _descend((min(s, p - s), 1), p, compose_two_raw)
 
@@ -180,9 +185,9 @@ def two_square_decompose(
     multiplier; 2 and primes 1 mod 4 contribute their two-square
     representations, one copy per exponent, folded through the two-square
     composition law, and the result is checked.  A factorization of n, when
-    given, is used instead of factoring n again.  It must multiply to n, and
-    its factors are trusted to be prime: Factorization(9, ((9, 1),)) would
-    reach a per-prime search that never ends.
+    given, is used instead of factoring n again.  It must multiply to n.
+    A composite factor 3 mod 4 of odd exponent (15 in 45 = 15 * 3) gives
+    None; any other raises ValueError or yields a checked representation.
     """
     multiplier = 1
     parts: list[IntPair] = []

@@ -180,24 +180,19 @@ def solve_two(
     half = e2 // 2
     us, vs = math.ldexp(u, -e2), math.ldexp(v, -e2)
     s = math.hypot(us, vs)
-    if abs(u) <= zero_eps:
-        if v >= 0.0:
-            xs, ys = math.sqrt(vs), 0.0
-            case = CaseTwo.U0_VPOS
-        else:
-            xs, ys = 0.0, math.sqrt(-vs)
-            case = CaseTwo.U0_VNEG
-    else:
+    if abs(u) > zero_eps:
         case = CaseTwo.UNZ
-        if us == 0.0:
-            # u underflowed below v's scale; indistinguishable from u = 0
-            xs, ys = (math.sqrt(vs), 0.0) if vs >= 0.0 else (0.0, math.sqrt(-vs))
-        elif v >= 0.0:
-            xs = math.sqrt((vs + s) / 2.0)
-            ys = us / (2.0 * xs)
-        else:
-            ys = math.copysign(math.sqrt((s - vs) / 2.0), us)
-            xs = us / (2.0 * ys)
+    else:
+        case = CaseTwo.U0_VPOS if v >= 0.0 else CaseTwo.U0_VNEG
+    if abs(u) <= zero_eps or us == 0.0:
+        # a u that underflowed below v's scale is indistinguishable from 0
+        xs, ys = (math.sqrt(vs), 0.0) if v >= 0.0 else (0.0, math.sqrt(-vs))
+    elif v >= 0.0:
+        xs = math.sqrt((vs + s) / 2.0)
+        ys = us / (2.0 * xs)
+    else:
+        ys = math.copysign(math.sqrt((s - vs) / 2.0), us)
+        xs = us / (2.0 * ys)
 
     xs, ys = _unsign_zero(xs), _unsign_zero(ys)
     residual = _residual_two(us, vs, xs, ys, e2)

@@ -10,6 +10,15 @@ import pytest
 from sosq import cli, sumsquares
 from sosq.cli import main, parse_model_spec, UsageError
 from sosq.solutions import Arity, FamilyKind, MultiplicativeFamily
+from test_cli_golden import CASES, SIGN_CASES
+
+
+# every model spec the golden records run, and two whose diagonal -|t|^c
+# grows without being multiplicative
+CLASSIFY_MODELS = list(dict.fromkeys(
+    [argv[argv.index("--model") + 1] for argv in CASES + SIGN_CASES if "--model" in argv]
+    + ["power:c=2,sigma=-1", "power:c=0.5,sigma=-1"]
+))
 
 
 def run_json(capsys, *argv):
@@ -221,10 +230,15 @@ class TestStabilityCommand:
                      "--bounds", "sin(x)"]) == 2
         assert "'sin'" in capsys.readouterr().err
 
-    def test_growth_threshold_is_not_an_option(self, capsys):
-        # the BOUNDED line is derived from --bounds
-        assert main(["stability", "--arity", "2", "--model", "one", "--bounds", "1",
-                     "--growth-threshold", "5"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [["stability", "--arity", "2", "--model", "one", "--bounds", "1"],
+         ["classify", "--model", "one"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_growth_threshold_is_not_an_option(self, capsys, argv):
+        # the BOUNDED line is derived from --bounds, and classify's from delta = 0
+        assert main([*argv, "--growth-threshold", "5"]) == 2
         assert "unrecognized arguments: --growth-threshold 5" in capsys.readouterr().err
 
 
@@ -245,6 +259,21 @@ class TestClassifyCommand:
         )
         # residual is exactly 0 on the power-of-two ladder, still passes
         assert report["verdict"] == "MULTIPLICATIVE"
+
+    @pytest.mark.parametrize("model", CLASSIFY_MODELS)
+    def test_equals_stability_at_bounds_zero(self, capsys, model):
+        # one rule: classify is the diagonal verdict of stability at delta = 0
+        code, report, _ = run_json(capsys, "classify", "--model", model)
+        _, stability, _ = run_json(
+            capsys, "stability", "--arity", "2", "--model", model, "--bounds", "0",
+            "--samples", "1",
+        )
+        result = list(report["result"].items())
+        evidence = list(stability["result"]["evidence"].items())
+        assert result[0] == ("classification", stability["result"]["diagonal_classification"])
+        assert result[1:] == evidence[-len(result) + 1:]
+        assert result[1] == ("delta", 0.0)
+        assert code == (0 if report["verdict"] != "INCONCLUSIVE" else 1)
 
 
 class TestDecomposeCommands:
@@ -427,14 +456,13 @@ class TestUsage:
         "argv,option",
         [
             (["classify", "--model", "power:c=2"], "--mult-tol"),
-            (["classify", "--model", "power:c=2"], "--growth-threshold"),
             (["stability", "--arity", "2", "--model", "power:c=1", "--bounds", "1",
               "--samples", "10"], "--mult-tol"),
         ],
         ids=lambda value: value if isinstance(value, str) else value[0],
     )
     def test_negative_classifier_option_is_usage_error(self, capsys, argv, option):
-        # a negative tolerance or threshold can be met by no residual, so the
+        # a negative tolerance can be met by no residual, so the
         # verdict would rest on the other test alone
         assert main([*argv, option, "-1"]) == 2
         assert capsys.readouterr().err == f"error: {option} must be >= 0, got -1.0\n"
@@ -482,9 +510,8 @@ class TestUsage:
         assert err == f"error: SOSQ_SEED: more than {limit} digits\n"
         assert "not an integer" not in err and "0" * 10 not in err
 
-    @pytest.mark.parametrize("option", ["--mult-tol", "--growth-threshold"])
-    def test_zero_classifier_option_is_valid(self, capsys, option):
-        assert main(["classify", "--model", "power:c=2", option, "0"]) == 0
+    def test_zero_classifier_option_is_valid(self, capsys):
+        assert main(["classify", "--model", "power:c=2", "--mult-tol", "0"]) == 0
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize(
@@ -498,13 +525,12 @@ class TestUsage:
             ["stability", "--arity", "2", "--model", "one", "--bounds", "1", "--tol"],
             ["stability", "--arity", "2", "--model", "one", "--bounds", "1",
              "--mult-tol"],
-            ["classify", "--model", "one", "--growth-threshold"],
             ["classify", "--model", "one", "--mult-tol"],
         ],
         ids=" ".join,
     )
     def test_non_finite_option_is_usage_error(self, capsys, argv, value):
-        # a non-finite tolerance or threshold would turn any residual into a PASS
+        # a non-finite tolerance would turn any residual into a PASS
         assert main([*argv, value]) == 2
         assert f"{value!r} is not finite" in capsys.readouterr().err
 

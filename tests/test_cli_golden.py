@@ -84,9 +84,13 @@ CASES = [
     ["classify", "--model", "power:c=2"],
     ["classify", "--model", "zero"],
     ["classify", "--model", "power:c=2", "--mult-tol", "0"],
+    # classify has no --growth-threshold: an argparse usage error
     ["classify", "--model", "power:c=-1", "--growth-threshold", "10"],
     # every nonzero residual is NaN (inf * 0, inf - inf) and counts as inf
     ["classify", "--model", "power:c=1e308"],
+    # -|t|^c is neither multiplicative nor within the delta = 0 line 1
+    ["classify", "--model", "power:c=2,sigma=-1"],
+    ["classify", "--model", "power:c=0.5,sigma=-1"],
     ["decompose", "--squares", "2", "65"],
     ["decompose", "--squares", "2", "21"],
     ["decompose", "--squares", "2", "1"],
@@ -141,6 +145,7 @@ USAGE_CASES = [
     # nor is a negative one, which no residual (or sup) can meet
     ["classify", "--model", "power:c=2", "--mult-tol", "-1"],
     ["classify", "--output", "json", "--model", "power:c=2", "--mult-tol", "-1"],
+    # classify has no --growth-threshold
     ["classify", "--model", "power:c=2", "--growth-threshold", "-5"],
     ["classify", "--output", "json", "--model", "power:c=2", "--growth-threshold", "-5"],
     ["stability", "--arity", "2", "--model", "power:c=1", "--bounds", "1", "--mult-tol", "-1"],

@@ -169,6 +169,11 @@ class TestMonotonicity:
         assert large.max_excess <= small.max_excess
 
 
+def delta_for(line):
+    """The delta whose BOUNDED line (1 + sqrt(1 + 4 delta))/2 is line."""
+    return line * line - line
+
+
 class TestClassifyDiagonal:
     def test_square_is_multiplicative(self):
         report = classify_diagonal(lambda t: t * t)
@@ -189,7 +194,7 @@ class TestClassifyDiagonal:
     def test_perturbed_square_inconclusive(self):
         report = classify_diagonal(
             lambda t: t * t + 0.3 * math.sin(t),
-            growth_threshold=1e3,
+            delta=delta_for(1e3),
             mult_tol=1e-9,
         )
         assert report.verdict is DiagonalVerdict.INCONCLUSIVE
@@ -207,7 +212,8 @@ class TestClassifyDiagonal:
         assert report.verdict is DiagonalVerdict.MULTIPLICATIVE
 
     def test_complex_values_accepted(self):
-        report = classify_diagonal(lambda t: complex(0.0, t * t))
+        # sup |g| = 4096, at t = -64
+        report = classify_diagonal(lambda t: complex(0.0, t * t), delta=delta_for(1e6))
         assert report.verdict is DiagonalVerdict.BOUNDED
 
     @pytest.mark.parametrize(
@@ -221,7 +227,7 @@ class TestClassifyDiagonal:
     def test_nan_value_counts_as_infinite(self, m, threshold):
         # a NaN value fails every comparison, so it must not leave the sup
         # of |m| under the threshold
-        report = classify_diagonal(m, growth_threshold=threshold)
+        report = classify_diagonal(m, delta=delta_for(threshold))
         assert report.verdict is DiagonalVerdict.INCONCLUSIVE
         assert report.sup_abs == math.inf
 
@@ -474,7 +480,7 @@ class TestBoundCaps:
 
 
 class TestSuperstabilityLine:
-    """run_stability's BOUNDED line is (1 + sqrt(1 + 4 delta))/2."""
+    """The BOUNDED line is (1 + sqrt(1 + 4 delta))/2."""
 
     @pytest.mark.parametrize("arity", [Arity.TWO, Arity.FOUR])
     @given(
@@ -495,6 +501,31 @@ class TestSuperstabilityLine:
         assert held == (c < line)
         assert report.diagonal_classification == ("BOUNDED" if held else "INCONCLUSIVE")
         assert report.evidence["growth_threshold"] == line
+
+    @given(
+        c=st.floats(min_value=1.001, max_value=1e6),
+        ratio=st.floats(min_value=0.0, max_value=2.0),
+    )
+    def test_classify_sharp_on_constants(self, c, ratio):
+        # the same line, drawn by classify_diagonal itself from its delta
+        b = ratio * (c * c - c)
+        line = (1.0 + math.sqrt(1.0 + 4.0 * b)) / 2.0
+        assume(abs(c - line) > 1e-9 * line)
+        report = classify_diagonal(lambda t: c, delta=b)
+        assert report.verdict is (
+            DiagonalVerdict.BOUNDED if c < line else DiagonalVerdict.INCONCLUSIVE
+        )
+        assert (report.delta, report.growth_threshold) == (b, line)
+
+    def test_default_delta_is_zero(self):
+        report = classify_diagonal(lambda t: -1.0)
+        assert (report.delta, report.growth_threshold) == (0.0, 1.0)
+        assert report.verdict is DiagonalVerdict.BOUNDED
+
+    @pytest.mark.parametrize("delta", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            classify_diagonal(lambda t: 0.5, delta=delta)
 
     def test_delta_is_least_zero_coordinate_slot(self):
         bounds = BoundSpec.from_expressions(Arity.FOUR, "9;9;7;6;5;4;3;8".split(";"))

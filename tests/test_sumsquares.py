@@ -12,7 +12,7 @@ from oracles import (
     wheel_factors,
 )
 from sosq import sumsquares
-from sosq.identities import compose_four_raw
+from sosq.identities import compose_four_raw, norm
 from sosq.sumsquares import (
     Factorization,
     factorize,
@@ -112,6 +112,39 @@ class TestCallerFactorization:
     def test_criterion_refuses_it(self):
         with pytest.raises(ValueError, match=r"\(\(5, 1\),\) does not multiply to 21"):
             is_sum_of_two_squares(21, factorization=Factorization(21, ((5, 1),)))
+
+    def test_composite_factor_ends(self, monkeypatch):
+        # a composite listed as a prime; before, 9 hung the non-residue
+        # search.  29341 is a Carmichael number whose descent finds
+        # 10^2 + 171^2.  The search stops by c = the least prime factor q of
+        # n, so with the call for the root of -1 it makes at most q calls
+        calls = []
+
+        def bounded_pow(*args):
+            calls.append(args)
+            assert len(calls) <= q, f"more than {q} calls of pow for {n}"
+            return pow(*args)
+
+        monkeypatch.setattr(sumsquares, "pow", bounded_pow, raising=False)
+        for n in [*range(4, 5000), 29341]:
+            if n % 4 == 3 or is_prime(n):
+                continue
+            q = wheel_factors(n)[0][0]
+            calls.clear()
+            try:
+                rep = sumsquares._prime_two_square.__wrapped__(n)
+            except ValueError as exc:
+                assert str(exc) == f"{n} is not prime"
+            except ArithmeticError as exc:
+                assert str(exc) == f"descent found no representation of prime {n}"
+            else:
+                assert rep[0] ** 2 + rep[1] ** 2 == n
+            calls.clear()
+            try:
+                rep = two_square_decompose(n, factorization=Factorization(n, ((n, 1),)))
+            except (ValueError, ArithmeticError):
+                continue
+            assert norm(rep.components) == n
 
 
 class TestTwoSquareDecompose:
