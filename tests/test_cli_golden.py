@@ -78,6 +78,13 @@ CASES = [
      "1;pow(x,0.5);1;1;1;1;1;1", "--samples", "1", "--seed", "2"],
     ["stability", "--arity", "2", "--model", "power:c=2", "--bounds", "1;pow(x,0.5);1;1",
      "--samples", "100"],
+    # the deciding sample lies past the first sampler block (256 samples):
+    # the first non-finite value at sample 414, the first bound invalid
+    # (|x| > 9.99) at sample 306
+    ["verify", "--arity", "2", "--model", "power:c=140", "--samples", "600",
+     "--seed", "6"],
+    ["stability", "--arity", "2", "--model", "power:c=2", "--bounds",
+     "pow(9.99-abs(x),0.5)", "--samples", "400", "--seed", "10"],
     # past the expression limits: too many tokens, nested too deep
     ["stability", "--arity", "2", "--model", "one", "--bounds", "+".join(["x"] * 5000)],
     ["stability", "--arity", "2", "--model", "one", "--bounds", "(" * 250 + "x" + ")" * 250],
