@@ -22,6 +22,14 @@ compiles the model once into one closure f(*coords) for its family kind,
 exponent and sign: for a point of matching arity with a finite coordinate
 sum it computes sign * m(hypot(*coords)) inline, and it hands every other
 point to evaluate, so values and errors match evaluate bit for bit.
+
+A sweep takes the samples 256 at a time, one sampler block, and evaluates
+each block column by column with map: f.columns (the closure's column
+form, which defers to f wherever a norm is 0 or non-finite or a power
+overflows) or else f point by point, then the residuals and the block's
+max and its first index.  A block with an exception or a non-finite value
+is folded again by the per-sample loop, so every report, FAIL sample, tie
+and error is the per-sample sweep's; f must be deterministic.
 """
 
 from __future__ import annotations
@@ -31,9 +39,13 @@ from math import hypot, inf, isfinite
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import product
+from itertools import islice, product, repeat
+from operator import add, mul, sub, truediv
 
 from .identities import compose_two_raw, compose_four_raw
+
+# samples per block pass: one block of sosq.sampling.UniformSampler.tuples
+_BLOCK = 256
 
 __all__ = [
     "Arity",
@@ -117,7 +129,8 @@ class SolutionModel:
 
     def as_function(self) -> Callable[..., float]:
         """f(*coords), equal to evaluate(self, coords) bit for bit; compiled
-        once, as the module docstring describes."""
+        once, as the module docstring describes.  f.columns(*cols) is
+        list(map(f, *cols)) for the sweeps' block pass."""
         m, sign = self.m, self.sign
         arity = int(self.arity)
         # zero is constant; a power takes its value at 0 from m, and
@@ -138,6 +151,21 @@ class SolutionModel:
                     return sign * inf
             return evaluate(self, coords)
 
+        def columns(*cols):
+            # every hypot finite and nonzero: each point takes f's inline
+            # path, or evaluate's equal one when its sum overflows
+            if len(cols) == arity:
+                ts = list(map(hypot, *cols))
+                if all(ts) and isfinite(sum(ts)):
+                    if constant:
+                        return [at_zero] * len(ts)
+                    try:
+                        return list(map(mul, repeat(sign), map(pow, ts, repeat(c))))
+                    except OverflowError:
+                        pass
+            return list(map(f, *cols))
+
+        f.columns = columns
         return f
 
 
@@ -189,28 +217,80 @@ class VerificationReport:
         }
 
 
+class _Irregular(Exception):
+    """A block that the per-sample pass folds instead of the block pass."""
+
+
+def _blocks(samples):
+    """The samples as lists of _BLOCK, the last one shorter.  An error of
+    the sampler's comes after a block of the samples drawn before it, as a
+    per-sample sweep folds those first."""
+    while True:
+        block = []
+        try:
+            block.extend(islice(samples, _BLOCK))
+        except Exception:
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
+def _columns_of(f):
+    """f's column form: f.columns if it has one, else f mapped point by point."""
+    return getattr(f, "columns", None) or (lambda *cols: list(map(f, *cols)))
+
+
 def _run_equation_sweep(f, sampler, tol: float, arity: int, compose) -> VerificationReport:
     width = 2 * arity
+    columns = _columns_of(f)
     max_abs = -1.0
     max_rel = 0.0
     worst: tuple[float, ...] = ()
-    for sample in sampler.tuples(width):
-        p1, p2 = sample[:arity], sample[arity:]
-        lhs = f(*p1) * f(*p2)
-        rhs = f(*compose(*sample))
-        if not (math.isfinite(lhs) and math.isfinite(rhs)):
-            return VerificationReport(
-                arity, sampler.count, sampler.seed, tol,
-                math.inf, math.inf, sample, "FAIL",
-                failure_reason=f"non-finite value at sample {sample!r}",
-            )
-        r = abs(lhs - rhs)
-        rel = r / (1.0 + max(abs(lhs), abs(rhs)))
-        if r > max_abs:
-            max_abs = r
-            worst = sample
-        if rel > max_rel:
-            max_rel = rel
+    for block in _blocks(sampler.tuples(width)):
+        try:
+            cols = list(zip(*block))
+            lhs = list(map(mul, columns(*cols[:arity]), columns(*cols[arity:])))
+            rhs = columns(*zip(*map(compose, *cols)))
+            if not (all(map(isfinite, lhs)) and all(map(isfinite, rhs))):
+                raise _Irregular
+            r = list(map(abs, map(sub, lhs, rhs)))
+            top_abs = max(r)
+            top_rel = max(map(truediv, r, map(
+                add, repeat(1.0), map(max, map(abs, lhs), map(abs, rhs))
+            )))
+        except Exception:
+            # whatever f or compose raised, the per-sample pass raises it
+            # again at its sample, after what comes before it
+            pass
+        else:
+            # the first index of the max: ties go to the earliest sample, as
+            # in the per-sample scan
+            if top_abs > max_abs:
+                max_abs = top_abs
+                worst = block[r.index(top_abs)]
+            if top_rel > max_rel:
+                max_rel = top_rel
+            continue
+        for sample in block:
+            p1, p2 = sample[:arity], sample[arity:]
+            lhs = f(*p1) * f(*p2)
+            rhs = f(*compose(*sample))
+            if not (math.isfinite(lhs) and math.isfinite(rhs)):
+                return VerificationReport(
+                    arity, sampler.count, sampler.seed, tol,
+                    math.inf, math.inf, sample, "FAIL",
+                    failure_reason=f"non-finite value at sample {sample!r}",
+                )
+            r = abs(lhs - rhs)
+            rel = r / (1.0 + max(abs(lhs), abs(rhs)))
+            if r > max_abs:
+                max_abs = r
+                worst = sample
+            if rel > max_rel:
+                max_rel = rel
     verdict = "PASS" if max_rel <= tol else "FAIL"
     return VerificationReport(
         arity, sampler.count, sampler.seed, tol, max(max_abs, 0.0), max_rel,

@@ -22,6 +22,13 @@ slot at 0, which bounds g(t) = f(t, 0, ...) so, as (s, 0, ...) o
 f may return float, complex, or Fraction values; the checks never coerce,
 so exact inputs stay exact.  Real-valued f is simply the complex case with
 zero imaginary part.
+
+The sweeps go 256 samples at a time, column by column, as those of
+sosq.solutions do: each bound slot over its column, the caps as the min
+across the slots, the defects, and the block's worst excess at its first
+index.  A block with an exception, a cap outside [0, inf) or a NaN defect
+is folded again sample by sample, so errors, held conclusion errors and
+ties are the per-sample sweep's.
 """
 
 from __future__ import annotations
@@ -30,12 +37,12 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
-from operator import itemgetter
+from operator import itemgetter, mul, sub
 
 from .exprs import parse_bound_expression
 from .identities import compose_two_raw, compose_four_raw
 from .sampling import UniformSampler
-from .solutions import Arity, probe_ladder
+from .solutions import Arity, _Irregular, _blocks, _columns_of, probe_ladder
 
 __all__ = [
     "InvalidBoundError",
@@ -130,20 +137,7 @@ class ExcessReport:
 
 
 def _caps(fns, probes) -> list:
-    """fns[k](probes[k]) for every slot k, checked like _bound_at.
-
-    The slots are evaluated and checked together.  If anything is off, they
-    are re-run one by one through _bound_at, which raises what a slot-by-slot
-    evaluation raises first, whatever the fast pass tripped on.
-    """
-    try:
-        caps = [fn(t) for fn, t in zip(fns, probes)]
-        # a NaN or inf anywhere makes the sum non-finite; an overflowing sum
-        # of valid caps only costs the re-run
-        if 0 <= min(caps) and sum(caps) < math.inf:
-            return caps
-    except Exception:
-        pass
+    """fns[k](probes[k]) for every slot k, each checked by _bound_at."""
     return [_bound_at(fn, t) for fn, t in zip(fns, probes)]
 
 
@@ -171,6 +165,18 @@ class _Worst:
             self.defect = defect
             self.cap = cap
 
+    def add_block(self, block, width, defects, caps) -> None:
+        """add for every sample of a block, whose point is sample[:width];
+        no defect may be NaN.  Ties go to the earliest sample, as in add."""
+        excess = list(map(sub, defects, caps))
+        top = max(excess)
+        if self.excess is None or top > self.excess:
+            i = excess.index(top)
+            self.excess = top
+            self.point = block[i][:width]
+            self.defect = defects[i]
+            self.cap = caps[i]
+
     def report(self, sampler, tol) -> ExcessReport:
         excess = max(0.0, float(self.excess)) if self.excess is not None else 0.0
         return ExcessReport(
@@ -183,6 +189,26 @@ class _Worst:
             tol=tol,
             passed=excess <= tol,
         )
+
+
+def _block_caps(fns, cols) -> list:
+    """fns[k] over the column cols[k] for every slot k; _Irregular if any
+    value is outside [0, inf), so that the per-sample pass raises."""
+    capcols = [list(map(fn, col)) for fn, col in zip(fns, cols)]
+    for col in capcols:
+        # a NaN or inf makes the sum non-finite
+        if not (0 <= min(col) and sum(col) < math.inf):
+            raise _Irregular
+    return capcols
+
+
+def _block_side(columns, lhs, composed, capcols) -> tuple[list, list]:
+    """Defects and caps of one side over a block; _Irregular on a NaN defect."""
+    defects = list(map(abs, map(sub, lhs, columns(*composed))))
+    total = sum(defects)
+    if total != total:
+        raise _Irregular
+    return defects, list(map(min, *capcols))
 
 
 def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, conclusion):
@@ -200,32 +226,65 @@ def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, c
     odd_slots = slots[1::2]
     n = len(slots)
     # coordinate i of p1 feeds slot 2i, of p2 slot 2i+1
-    hyp_probes = itemgetter(*[k // 2 + k % 2 * arity for k in range(n)])
+    hyp_index = [k // 2 + k % 2 * arity for k in range(n)]
+    hyp_probes = itemgetter(*hyp_index)
     # p1 paired with itself: coordinate i feeds slots 2i and 2i+1
-    con_probes = itemgetter(*[k // 2 for k in range(n)])
+    con_index = [k // 2 for k in range(n)]
+    con_probes = itemgetter(*con_index)
+    columns = _columns_of(f)
     hyp = _Worst() if hypothesis else None
     con = _Worst() if conclusion else None
     held = None
-    for sample in sampler.tuples(2 * arity if hyp else arity):
-        p1 = sample[:arity]
-        if hyp is not None:
-            caps = _caps(slots, hyp_probes(sample))
-            f1 = f(*p1)
-            hyp.add(sample, f1 * f(*sample[arity:]), f(*compose(*sample)), caps)
-        if con is None or held is not None:
-            continue
+    for block in _blocks(sampler.tuples(2 * arity if hyp else arity)):
+        run_con = con is not None and held is None
         try:
-            if hyp is None:
-                con_caps = _caps(slots, con_probes(p1))
+            cols = list(zip(*block))
+            p1 = cols[:arity]
+            f1 = columns(*p1)
+            if hyp is not None:
+                caps = _block_caps(slots, [cols[i] for i in hyp_index])
+                hyp_side = _block_side(
+                    columns, map(mul, f1, columns(*cols[arity:])),
+                    zip(*map(compose, *cols)), caps,
+                )
+            if run_con:
+                if hyp is None:
+                    con_caps = _block_caps(slots, [cols[i] for i in con_index])
+                else:
+                    con_caps = caps.copy()
+                    con_caps[1::2] = _block_caps(odd_slots, p1)
+                con_side = _block_side(
+                    columns, map(mul, f1, f1), zip(*map(compose, *p1, *p1)), con_caps
+                )
+        except Exception:
+            # the per-sample pass raises or holds it again at its sample
+            pass
+        else:
+            if hyp is not None:
+                hyp.add_block(block, 2 * arity, *hyp_side)
+            if run_con:
+                con.add_block(block, arity, *con_side)
+            continue
+        for sample in block:
+            p1 = sample[:arity]
+            if hyp is not None:
+                caps = _caps(slots, hyp_probes(sample))
                 f1 = f(*p1)
-            else:
-                con_caps = caps.copy()
-                con_caps[1::2] = _caps(odd_slots, p1)
-            con.add(p1, f1 * f1, f(*compose(*p1, *p1)), con_caps)
-        except Exception as exc:
-            if hyp is None:
-                raise
-            held = exc
+                hyp.add(sample, f1 * f(*sample[arity:]), f(*compose(*sample)), caps)
+            if con is None or held is not None:
+                continue
+            try:
+                if hyp is None:
+                    con_caps = _caps(slots, con_probes(p1))
+                    f1 = f(*p1)
+                else:
+                    con_caps = caps.copy()
+                    con_caps[1::2] = _caps(odd_slots, p1)
+                con.add(p1, f1 * f1, f(*compose(*p1, *p1)), con_caps)
+            except Exception as exc:
+                if hyp is None:
+                    raise
+                held = exc
     if held is not None:
         raise held
     return (

@@ -90,6 +90,30 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
+# the first 13 primes: as Miller-Rabin bases they decide every n below
+# 3.3e24 (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_BASES = _SMALL_PRIMES[:13]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES; a base sharing a factor with n,
+    or an even n, fails the test."""
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _factors_of(n: int, factorization: Factorization | None):
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -97,6 +121,11 @@ def _factors_of(n: int, factorization: Factorization | None):
         return factorize(n).factors
     if factorization.n != n:
         raise ValueError(f"factorization is of {factorization.n}, not of {n}")
+    for p, e in factorization.factors:
+        if e < 1:
+            raise ValueError(f"factor {p} has exponent {e}; must be >= 1")
+        if not _is_prime(p):
+            raise ValueError(f"factor {p} is not prime")
     if prod(p**e for p, e in factorization.factors) != n:
         raise ValueError(f"factorization {factorization.factors} does not multiply to {n}")
     return factorization.factors
@@ -107,8 +136,9 @@ def is_sum_of_two_squares(n: int, *, factorization: Factorization | None = None)
 
     Equivalently: in the split n = m*m * s with s squarefree, no prime of s
     is 3 mod 4.  A factorization of n, when given, is used instead of
-    factoring n again; it must multiply to n, and its factors are trusted
-    to be prime.
+    factoring n again; it must multiply to n, with exponents >= 1 and
+    factors that Miller-Rabin finds prime (a proof below 3.3e24), or it is
+    a ValueError naming the bad factor.
     """
     return all(e % 2 == 0 for p, e in _factors_of(n, factorization) if p % 4 == 3)
 
@@ -185,9 +215,8 @@ def two_square_decompose(
     multiplier; 2 and primes 1 mod 4 contribute their two-square
     representations, one copy per exponent, folded through the two-square
     composition law, and the result is checked.  A factorization of n, when
-    given, is used instead of factoring n again.  It must multiply to n.
-    A composite factor 3 mod 4 of odd exponent (15 in 45 = 15 * 3) gives
-    None; any other raises ValueError or yields a checked representation.
+    given, is used instead of factoring n again, once checked as in
+    is_sum_of_two_squares.
     """
     multiplier = 1
     parts: list[IntPair] = []

@@ -3,18 +3,23 @@
 The oracles deliberately avoid the library's code paths: factorization by
 the plain trial-division wheel, primality by the 6k-1, 6k+1 wheel,
 representability by exhaustive search, system checks by direct
-substitution, multiplicativity by direct evaluation, and the sampler's
-draws by one SplitMix64 object per sample index.  The fixtures are the
+substitution, multiplicativity by direct evaluation, the sampler's
+draws by one SplitMix64 object per sample index, and the equation and
+stability sweeps by the per-sample loops that the block pass replaced
+(run_equation_sweep, run_excess_sweep).  The fixtures are the
 samplers over explicit points and the representative multiplicative
 families the tests sweep over.
 """
 
-from collections.abc import Iterator
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import isqrt
+from operator import itemgetter
 
 from sosq.sampling import UniformSampler
-from sosq.solutions import MultiplicativeFamily
+from sosq.solutions import MultiplicativeFamily, VerificationReport
+from sosq.stability import BoundSpec, ExcessReport, InvalidBoundError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -181,4 +186,154 @@ def system_four_defects(a, b, c, d, x, y, z, w) -> tuple[float, float, float, fl
         2 * x * z - y * y - w * w - b,
         (x + z) * (w - y) - c,
         x * x - z * z - d,
+    )
+
+
+# The per-sample sweeps, as they were before the block pass: the reference
+# that the shipped _run_equation_sweep and _run_excess_sweep must equal,
+# report for report and error for error.
+
+def run_equation_sweep(f, sampler, tol: float, arity: int, compose) -> VerificationReport:
+    width = 2 * arity
+    max_abs = -1.0
+    max_rel = 0.0
+    worst: tuple[float, ...] = ()
+    for sample in sampler.tuples(width):
+        p1, p2 = sample[:arity], sample[arity:]
+        lhs = f(*p1) * f(*p2)
+        rhs = f(*compose(*sample))
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            return VerificationReport(
+                arity, sampler.count, sampler.seed, tol,
+                math.inf, math.inf, sample, "FAIL",
+                failure_reason=f"non-finite value at sample {sample!r}",
+            )
+        r = abs(lhs - rhs)
+        rel = r / (1.0 + max(abs(lhs), abs(rhs)))
+        if r > max_abs:
+            max_abs = r
+            worst = sample
+        if rel > max_rel:
+            max_rel = rel
+    verdict = "PASS" if max_rel <= tol else "FAIL"
+    return VerificationReport(
+        arity, sampler.count, sampler.seed, tol, max(max_abs, 0.0), max_rel,
+        worst, verdict,
+    )
+
+
+def _bound_at(fn: Callable[[float], float], t: float):
+    # NaN fails the range test too; complex values raise TypeError there
+    try:
+        value = fn(t)
+        if 0 <= value < math.inf:
+            return value
+        problem = f"bound value {value!r} is not in [0, inf)"
+    except (ArithmeticError, TypeError) as exc:
+        problem = f"bound raised {type(exc).__name__}: {exc}"
+    raise InvalidBoundError(f"{problem} at probe {t!r}")
+
+
+def _caps(fns, probes) -> list:
+    """fns[k](probes[k]) for every slot k, checked like _bound_at.
+
+    The slots are evaluated and checked together.  If anything is off, they
+    are re-run one by one through _bound_at, which raises what a slot-by-slot
+    evaluation raises first, whatever the fast pass tripped on.
+    """
+    try:
+        caps = [fn(t) for fn, t in zip(fns, probes)]
+        # a NaN or inf anywhere makes the sum non-finite; an overflowing sum
+        # of valid caps only costs the re-run
+        if 0 <= min(caps) and sum(caps) < math.inf:
+            return caps
+    except Exception:
+        pass
+    return [_bound_at(fn, t) for fn, t in zip(fns, probes)]
+
+
+class _Worst:
+    """Running worst excess of the defect over the pointwise cap."""
+
+    __slots__ = ("excess", "point", "defect", "cap")
+
+    def __init__(self) -> None:
+        self.excess = None
+        self.point = None
+        self.defect = 0.0
+        self.cap = 0.0
+
+    def add(self, point, lhs, rhs, caps) -> None:
+        defect = abs(lhs - rhs)
+        if defect != defect:
+            # NaN from an overflowed value (inf - inf, 0 * inf): no cap bounds it
+            defect = math.inf
+        cap = min(caps)
+        excess = defect - cap
+        if self.excess is None or excess > self.excess:
+            self.excess = excess
+            self.point = point
+            self.defect = defect
+            self.cap = cap
+
+    def report(self, sampler, tol) -> ExcessReport:
+        excess = max(0.0, float(self.excess)) if self.excess is not None else 0.0
+        return ExcessReport(
+            max_excess=excess,
+            worst_point=self.point,
+            defect_at_worst=float(self.defect),
+            bound_at_worst=float(self.cap),
+            sample_count=sampler.count,
+            seed=sampler.seed,
+            tol=tol,
+            passed=excess <= tol,
+        )
+
+
+def run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, conclusion):
+    """One sweep feeding the hypothesis and/or the conclusion accumulator.
+
+    With the hypothesis the samples are (p1, p2), else p1 alone.  The
+    conclusion pairs p1 with itself, so it shares f(p1) and the even bound
+    slots (all at p1) with the hypothesis.  When both run, a conclusion-side
+    exception is held until the sweep ends: a hypothesis exception anywhere
+    in the sweep wins, as it would in two sweeps run one after the other.
+    Returns the (hypothesis, conclusion) reports, None for a side not run.
+    """
+    arity = int(bounds.arity)
+    slots = bounds.bounds
+    odd_slots = slots[1::2]
+    n = len(slots)
+    # coordinate i of p1 feeds slot 2i, of p2 slot 2i+1
+    hyp_probes = itemgetter(*[k // 2 + k % 2 * arity for k in range(n)])
+    # p1 paired with itself: coordinate i feeds slots 2i and 2i+1
+    con_probes = itemgetter(*[k // 2 for k in range(n)])
+    hyp = _Worst() if hypothesis else None
+    con = _Worst() if conclusion else None
+    held = None
+    for sample in sampler.tuples(2 * arity if hyp else arity):
+        p1 = sample[:arity]
+        if hyp is not None:
+            caps = _caps(slots, hyp_probes(sample))
+            f1 = f(*p1)
+            hyp.add(sample, f1 * f(*sample[arity:]), f(*compose(*sample)), caps)
+        if con is None or held is not None:
+            continue
+        try:
+            if hyp is None:
+                con_caps = _caps(slots, con_probes(p1))
+                f1 = f(*p1)
+            else:
+                con_caps = caps.copy()
+                con_caps[1::2] = _caps(odd_slots, p1)
+            con.add(p1, f1 * f1, f(*compose(*p1, *p1)), con_caps)
+        except Exception as exc:
+            if hyp is None:
+                raise
+            held = exc
+    if held is not None:
+        raise held
+    return (
+        hyp.report(sampler, tol) if hyp else None,
+        con.report(sampler, tol) if con else None,
     )

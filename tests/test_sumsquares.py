@@ -113,6 +113,35 @@ class TestCallerFactorization:
         with pytest.raises(ValueError, match=r"\(\(5, 1\),\) does not multiply to 21"):
             is_sum_of_two_squares(21, factorization=Factorization(21, ((5, 1),)))
 
+    @pytest.mark.parametrize("n, factors, bad", [
+        # a negative factor once gave the component -1; -3 once raised from
+        # inside the descent; 15 once read as "45 is not representable"
+        (1, ((-1, 2),), -1),
+        (9, ((-3, 2),), -3),
+        (45, ((15, 1), (3, 1)), 15),
+        (1, ((1, 1),), 1),
+        (1, ((0, 1),), 0),
+        (9, ((9, 1),), 9),
+        (29341, ((29341, 1),), 29341),
+    ])
+    @pytest.mark.parametrize("fn", [two_square_decompose, is_sum_of_two_squares])
+    def test_factor_that_is_not_prime_refused(self, fn, n, factors, bad):
+        with pytest.raises(ValueError, match=rf"^factor {bad} is not prime$"):
+            fn(n, factorization=Factorization(n, factors))
+
+    @pytest.mark.parametrize("fn", [two_square_decompose, is_sum_of_two_squares])
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_exponent_below_one_refused(self, fn, e):
+        # 3 * 3^-1 multiplies to 1 as a float
+        with pytest.raises(ValueError, match=rf"^factor 3 has exponent {e}; must be >= 1$"):
+            fn(1, factorization=Factorization(1, ((3, 1), (3, e))))
+
+    @given(st.integers(min_value=1, max_value=10**9))
+    def test_true_factorization_changes_nothing(self, n):
+        given_factors = Factorization(n, wheel_factors(n))
+        assert is_sum_of_two_squares(n, factorization=given_factors) == is_two_square(n)
+        assert two_square_decompose(n, factorization=given_factors) == two_square_decompose(n)
+
     def test_composite_factor_ends(self, monkeypatch):
         # a composite listed as a prime; before, 9 hung the non-residue
         # search.  29341 is a Carmichael number whose descent finds
@@ -330,3 +359,29 @@ def test_prime_cache_is_bounded(name):
     # the evicted ones are recomputed, and every answer is the uncached one
     assert [cached(p) for p in primes] == got == list(map(cached.__wrapped__, primes))
     assert cached.cache_info().currsize == bound
+
+
+class TestIsPrime:
+    """Miller-Rabin to the first 13 prime bases, exact below 3.3e24."""
+
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(-10, 30000) if sumsquares._is_prime(n) != is_prime(n)] == []
+
+    @given(st.integers(min_value=30000, max_value=10**12))
+    def test_agrees_with_trial_division_at_random(self, n):
+        assert sumsquares._is_prime(n) == is_prime(n)
+
+    @pytest.mark.parametrize("n", [
+        # Carmichael numbers
+        561, 1105, 29341, 172081,
+        # the least strong pseudoprimes to the bases 2-7, 2-23 and 2-37:
+        # the bases up to 41 are what refuses them
+        3215031751, 3825123056546413051, 318665857834031151167461,
+        (2**31 - 1) ** 2, (10**9 + 7) * (10**12 + 39),
+    ])
+    def test_composites_refused(self, n):
+        assert not sumsquares._is_prime(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 41, 43, 2**61 - 1, 10**12 + 39, 2**89 - 1])
+    def test_primes_accepted(self, n):
+        assert sumsquares._is_prime(n)
