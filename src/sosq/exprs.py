@@ -8,13 +8,14 @@ Grammar:
     atom   := NUMBER | 'x' | '(' expr ')' | NAME '(' expr (',' expr)* ')'
     NAME   := 'abs' | 'min' | 'max' | 'pow'
 
-parse_bound_expression translates the source into the text of one Python
-lambda over x and compiles it once.  The text is built by the parser alone,
-from x, the four builtins abs/min/max/pow, the operators + - * / and names
-c0, c1, ... bound to float(literal), with parentheses exactly where the
-source has them; the source text itself is never compiled.  It is
-evaluated with no builtins but those four, so the callable applies the
-source's float operations in the source's order and can do nothing else.
+parse_bound_expression translates the source into the body of a lambda
+over x, built by the parser alone from x, the four builtins abs/min/max/pow,
+the operators + - * / and names c0, c1, ... bound to float(literal), with
+parentheses exactly where the source has them; the source text itself is
+never compiled.  One eval, with no builtins but those four, compiles the
+lambda and its column form, the same body in a list comprehension over xs,
+set as the lambda's .columns; both apply the source's float operations in
+its order and can do nothing else.
 
 A source of more than MAX_TOKENS tokens, or with parentheses and calls
 nested deeper than MAX_DEPTH, is an ExpressionError naming the token where
@@ -113,8 +114,10 @@ class _Parser:
         kind, text, at = self.peek()
         if kind != "end":
             raise ExpressionError("trailing input", text, at)
-        namespace = {"__builtins__": {}, **_BUILTINS, **self.constants}
-        return eval(f"lambda x: {body}", namespace)
+        names = {"__builtins__": {}, **_BUILTINS, **self.constants}
+        # targets are assigned left to right: fn is bound before fn.columns
+        fn, fn.columns = eval(f"lambda x: {body}, lambda xs: [{body} for x in xs]", names)
+        return fn
 
     def expr(self) -> str:
         parts = [self.term()]
@@ -170,5 +173,5 @@ class _Parser:
 
 
 def parse_bound_expression(src: str) -> Callable[[float], float]:
-    """Compile a bound expression into a float -> float callable."""
+    """Compile a bound expression into a float -> float callable with .columns."""
     return _Parser(src).parse()

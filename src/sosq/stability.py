@@ -194,7 +194,7 @@ class _Worst:
 def _block_caps(fns, cols) -> list:
     """fns[k] over the column cols[k] for every slot k; _Irregular if any
     value is outside [0, inf), so that the per-sample pass raises."""
-    capcols = [list(map(fn, col)) for fn, col in zip(fns, cols)]
+    capcols = [_columns_of(fn)(col) for fn, col in zip(fns, cols)]
     for col in capcols:
         # a NaN or inf makes the sum non-finite
         if not (0 <= min(col) and sum(col) < math.inf):

@@ -17,7 +17,7 @@ costs O(sqrt p) steps, which keeps this at desk scale (n up to ~1e12).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import count
 from math import isqrt, prod
@@ -35,12 +35,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Complete prime factorization of n >= 1, factors ascending."""
+class Factorization(namedtuple("Factorization", "n factors")):
+    """Complete prime factorization of n >= 1, factors (p, e) with p ascending."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def _primes_below(limit: int) -> tuple[int, ...]:
@@ -143,12 +141,10 @@ def is_sum_of_two_squares(n: int, *, factorization: Factorization | None = None)
     return all(e % 2 == 0 for p, e in _factors_of(n, factorization) if p % 4 == 3)
 
 
-@dataclass(frozen=True)
-class SquareRep:
+class SquareRep(namedtuple("SquareRep", "n components")):
     """n as an exact sum of two or four squares, components nonnegative descending."""
 
-    n: int
-    components: tuple[int, ...]
+    __slots__ = ()
 
 
 # per-prime representations kept: more than the 303 primes below 2000, yet

@@ -18,6 +18,8 @@ d^2) and (s, t, q) = (a, c, d)/p: the analogue of the complex square root
 that solve_two is.  The solvers return one canonical solution of each +/-
 pair -- x >= 0 for solve_two, x + z = p >= 0 for solve_four -- together
 with the achieved residual; the other member of the pair is its negation.
+The report is a SolveReport, an immutable named tuple: _asdict() and
+_replace() take the place of dataclasses.asdict and replace.
 
 Every equation is homogeneous of degree 2 in the solution, so the solvers
 normalize the inputs by an even power of two, solve in a well-conditioned
@@ -33,7 +35,7 @@ sqrt(u^2 + v^2) and x^2 + y^2 + z^2 + w^2 = sqrt(a^2 + b^2 + c^2 + d^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 __all__ = [
@@ -85,9 +87,10 @@ class ResidualExceededError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    """Solution plus diagnostics.
+class SolveReport(namedtuple(
+    "SolveReport", "solution case_label residual norm_residual tol alpha", defaults=(None,)
+)):
+    """Solution plus diagnostics, an immutable named tuple.
 
     residual is the maximum equation defect divided by (1 + sum of absolute
     inputs); norm_residual measures the squared-norm consequence on the same
@@ -95,15 +98,11 @@ class SolveReport:
     in plain units in case D (inf past DBL_MAX), None in case A.
     """
 
-    solution: tuple[float, ...]
-    case_label: CaseTwo | CaseFour
-    residual: float
-    norm_residual: float
-    tol: float
-    alpha: float | None = None
+    __slots__ = ()
 
 
 def _require_finite(**values: float) -> None:
+    # the solvers call it only past a failed isfinite chain, for its message
     for name, value in values.items():
         if not math.isfinite(value):
             raise NonFiniteInputError(f"{name} = {value!r} is not finite")
@@ -136,14 +135,14 @@ def _one_in_scaled_units(e2: int) -> float:
         return math.inf
 
 
-def _residual_two(us: float, vs: float, xs: float, ys: float, e2: int) -> float:
-    # inputs and solution in 2^-e2 / 2^(-e2/2) scaled units; the returned
-    # ratio equals the plain-unit relative residual
+def _residual_two(us: float, vs: float, xs: float, ys: float, one: float) -> float:
+    # inputs and solution in 2^-e2 / 2^(-e2/2) scaled units, one = 2^-e2;
+    # the returned ratio equals the plain-unit relative residual
     defect = max(abs(2.0 * xs * ys - us), abs(xs * xs - ys * ys - vs))
-    return defect / (_one_in_scaled_units(e2) + abs(us) + abs(vs))
+    return defect / (one + abs(us) + abs(vs))
 
 
-def _residual_four(as_, bs, cs, ds, xs, ys, zs, ws, e2: int) -> float:
+def _residual_four(as_, bs, cs, ds, xs, ys, zs, ws, one: float) -> float:
     sxz = xs + zs
     defect = max(
         abs(sxz * (ys + ws) - as_),
@@ -151,7 +150,7 @@ def _residual_four(as_, bs, cs, ds, xs, ys, zs, ws, e2: int) -> float:
         abs(sxz * (ws - ys) - cs),
         abs(xs * xs - zs * zs - ds),
     )
-    return defect / (_one_in_scaled_units(e2) + abs(as_) + abs(bs) + abs(cs) + abs(ds))
+    return defect / (one + abs(as_) + abs(bs) + abs(cs) + abs(ds))
 
 
 def solve_two(
@@ -174,7 +173,8 @@ def solve_two(
     for v < 0 -- and the small component comes from 2xy = u by division.
     The two forms are algebraically identical.
     """
-    _require_finite(u=u, v=v)
+    if not (math.isfinite(u) and math.isfinite(v)):
+        _require_finite(u=u, v=v)
     _require_zero_eps(zero_eps)
     e2 = _even_exponent(max(abs(u), abs(v)))
     half = e2 // 2
@@ -195,16 +195,15 @@ def solve_two(
         xs = us / (2.0 * ys)
 
     xs, ys = _unsign_zero(xs), _unsign_zero(ys)
-    residual = _residual_two(us, vs, xs, ys, e2)
+    one = _one_in_scaled_units(e2)
+    residual = _residual_two(us, vs, xs, ys, one)
     if not residual <= tol:
         raise ResidualExceededError(
             f"solve_two residual {residual:.3e} exceeds tol {tol:.3e} "
             f"for (u, v) = ({u!r}, {v!r})",
             residual,
         )
-    norm_residual = abs(xs * xs + ys * ys - s) / (
-        _one_in_scaled_units(e2) + abs(us) + abs(vs)
-    )
+    norm_residual = abs(xs * xs + ys * ys - s) / (one + abs(us) + abs(vs))
     solution = (math.ldexp(xs, half), math.ldexp(ys, half))
     return SolveReport(solution, case, residual, norm_residual, tol)
 
@@ -248,7 +247,10 @@ def solve_four(
     * D (d != 0): alpha is z^2 = x^2 - d, so alpha >= 0 and alpha >= -d;
       it is inf when z^2 passes DBL_MAX, while the solution stays finite.
     """
-    _require_finite(a=a, b=b, c=c, d=d)
+    if not (
+        math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)
+    ):
+        _require_finite(a=a, b=b, c=c, d=d)
     _require_zero_eps(zero_eps)
     e2 = _even_exponent(max(abs(a), abs(b), abs(c), abs(d)))
     half = e2 // 2
@@ -268,23 +270,21 @@ def solve_four(
         m = math.sqrt(r - bs)
         p = math.ldexp(n3, e3 - e2) / m
         s, t, q = (m * a3 / n3, m * c3 / n3, m * d3 / n3) if p else (m, 0.0, 0.0)
-    scaled = tuple(
-        _unsign_zero(v)
-        for v in ((p + q) / 2.0, (s - t) / 2.0, (p - q) / 2.0, (s + t) / 2.0)
-    )
-    residual = _residual_four(as_, bs, cs, ds, *scaled, e2)
+    xs, ys = _unsign_zero((p + q) / 2.0), _unsign_zero((s - t) / 2.0)
+    zs, ws = _unsign_zero((p - q) / 2.0), _unsign_zero((s + t) / 2.0)
+    one = _one_in_scaled_units(e2)
+    residual = _residual_four(as_, bs, cs, ds, xs, ys, zs, ws, one)
     if not residual <= tol:
         raise ResidualExceededError(
             f"solve_four residual {residual:.3e} exceeds tol {tol:.3e} "
             f"for (a, b, c, d) = ({a!r}, {b!r}, {c!r}, {d!r})",
             residual,
         )
-    xs, ys, zs, ws = scaled
     norm_residual = abs(xs * xs + ys * ys + zs * zs + ws * ws - r) / (
-        _one_in_scaled_units(e2) + abs(as_) + abs(bs) + abs(cs) + abs(ds)
+        one + abs(as_) + abs(bs) + abs(cs) + abs(ds)
     )
-    solution = tuple(math.ldexp(t, half) for t in scaled)
-    x, _, z, _ = solution
+    x, z = math.ldexp(xs, half), math.ldexp(zs, half)
+    solution = (x, math.ldexp(ys, half), z, math.ldexp(ws, half))
     if abs(d) > zero_eps:
         # z^2 = x^2 - d >= -d; max() absorbs the rounding of z^2 near x = 0
         case, alpha = CaseFour.D, max(z * z, -d)

@@ -54,6 +54,27 @@ class TestGrammar:
         assert fn(x) == min(0.25, abs(x))
 
 
+class TestColumns:
+    """fn.columns(xs) is [fn(x) for x in xs], bit for bit, or the same error."""
+
+    SOURCES = [
+        "x", "7", "1+abs(x)", "2+x*x", "max(1,abs(x))", "pow(x,2)+1",
+        "min(x*x+1,100)", "min(1/4, abs(x))", "pow(x,0.5)", "1/abs(x)",
+        "pow(9.99-abs(x),0.5)", "-(x - 1e308) * 10", "pow(x, -1)",
+    ]
+
+    @pytest.mark.parametrize("src", SOURCES)
+    @given(st.lists(st.floats(), max_size=20))
+    def test_matches_the_lambda(self, src, xs):
+        fn = parse_bound_expression(src)
+        assert outcome(fn.columns, xs) == outcome(lambda xs: [fn(x) for x in xs], xs)
+
+    def test_values_in_column_order(self):
+        fn = parse_bound_expression("x*x + 1")
+        assert fn.columns((0.0, 1.0, -2.0)) == [1.0, 2.0, 5.0]
+        assert fn.columns([]) == []
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "src,fragment",
@@ -112,7 +133,9 @@ class TestLimits:
         ids=["sum", "product", "negations", "min", "parens", "abs", "pow", "mixed"],
     )
     def test_at_the_limits(self, src, value):
-        assert parse_bound_expression(src)(0.5) == value
+        fn = parse_bound_expression(src)
+        assert fn(0.5) == value
+        assert fn.columns([0.5, 0.5]) == [value, value]
 
     def test_one_token_too_many(self):
         src = "x" + " + x" * (MAX_TOKENS // 2)
@@ -183,3 +206,5 @@ class TestSpecialisedShapes:
             generic = FORMS[form](*(OPERANDS[arg] for arg in args))
             for x in PROBES:
                 assert outcome(fn, x) == outcome(generic, x), (form.format(*args), x)
+            each = outcome(lambda xs: [generic(x) for x in xs], PROBES)
+            assert outcome(fn.columns, PROBES) == each, form.format(*args)
