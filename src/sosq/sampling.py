@@ -5,17 +5,20 @@ partitioned across workers and still reproduce the serial stream bit for
 bit.  The generator is a 64-bit splitmix: cheap to seed, stable across
 platforms and Python versions.
 
-UniformSampler.tuples mixes a block of samples at a time in a few
+UniformSampler.blocks mixes a block of samples at a time in a few
 big-integer operations.  Each 64-bit splitmix state sits in its own
 128-bit lane of one Python int, in the low half with zeros above it.  A
 lane's product with a 64-bit constant fits in its 128 bits, so it cannot
 carry into the lane above, and what a right shift moves down from the
 lane above lands in the zero half, where the mask clears it.  So each
 lane goes through exactly the scalar mix: the draws are those of one
-splitmix64 stream per sample index, draw for draw.  Lanes are packed and
-unpacked little-endian whatever the host's byte order.  The reference,
-one SplitMix64 per sample index (stream_for), lives with the tests in
-tests/oracles.py, as do the FixedSampler and DiagonalSampler fixtures.
+splitmix64 stream per sample index, draw for draw.  Lanes are
+draw-major, draw k of sample i in lane k*n + i, so a block's column k is
+one slice of its words.  Where span * 2**-53 is exact and 0 or normal,
+low + scale * k with that scale rounds the same real as low + span *
+(k * 2**-53), once.  Lanes are packed and unpacked little-endian
+whatever the host's byte order.  The reference (stream_for) and the
+FixedSampler and DiagonalSampler fixtures live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
+from functools import lru_cache
+from itertools import chain, repeat, starmap
+from math import inf
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -58,6 +63,14 @@ def _mix(z: int, mask: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
+@lru_cache(maxsize=4)
+def _constants(n: int, width: int) -> tuple[int, int, int, int]:
+    """ones, ramp, steps and mask for a block of n samples of width draws."""
+    return (_lanes([1] * n), _lanes([i * _GOLDEN & _MASK64 for i in range(n)]),
+            _lanes([(k + 1) * _GOLDEN & _MASK64 for k in range(width) for _ in range(n)]),
+            _lanes([_MASK64] * (n * width)))
+
+
 @dataclass(frozen=True)
 class UniformSampler:
     """Seeded sweep of `count` tuples with coordinates in [low, high].
@@ -72,40 +85,41 @@ class UniformSampler:
     high: float = 10.0
     integer: bool = False
 
-    def tuples(self, width: int) -> Iterator[tuple[float, ...]]:
-        if width == 0:
-            yield from repeat((), self.count)
-            return
-        integer = self.integer
-        if integer:
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError(f"sample count {self.count} is below 0")
+
+    def blocks(self, width: int) -> Iterator[list[list[float]]]:
+        """The samples _BLOCK at a time, each block as its width columns."""
+        if self.integer:
             low = int(self.low)
             span = int(self.high) - low + 1
         else:
             low = self.low
             span = self.high - low
-        built = 0
+            scale = span * 2.0**-53
+            exact = scale * 2.0**53 == span and (not scale or 2.0**-1022 <= abs(scale) < inf)
         for first in range(0, self.count, _BLOCK):
             n = min(_BLOCK, self.count - first)
-            if n != built:
-                # lane constants for n samples: built for the full blocks
-                # and once more for a shorter last block
-                built = n
-                ones = _lanes([1] * n)
-                ramp = _lanes([i * _GOLDEN & _MASK64 for i in range(n)])
-                steps = _lanes([(k + 1) * _GOLDEN & _MASK64 for k in range(width)] * n)
-                mask = _lanes([_MASK64] * (n * width))
+            ones, ramp, steps, mask = _constants(n, width)
             # sample i's stream starts at mix(seed + (i + 1) * _GOLDEN), and
             # its k-th draw mixes that start plus (k + 1) * _GOLDEN
             # (a lane's sum of two words < 2**64 stays below 2**65, and the
             # mask reduces it mod 2**64)
             counter = (self.seed + (first + 1) * _GOLDEN) & _MASK64
             starts = _words(_mix((counter * ones + ramp) & mask, mask), n)
-            spread = array("Q", bytes(8 * n * width))
-            for k in range(width):
-                spread[k::width] = starts
-            draws = _words(_mix((_lanes(spread) + steps) & mask, mask), n * width)
-            if integer:
-                coords = [float(low + z % span) for z in draws]
+            draws = _mix((_lanes(starts * width) + steps) & mask, mask)
+            # the shift leaves each lane's top 53 bits in its low half
+            words = _words(draws if self.integer else draws >> 11, n * width)
+            cols = [words[j:j + n] for j in range(0, n * width, n)]
+            if self.integer:
+                yield [[float(low + z % span) for z in col] for col in cols]
+            elif exact:
+                yield [[low + scale * k for k in col] for col in cols]
             else:
-                coords = [low + span * ((z >> 11) * 2.0**-53) for z in draws]
-            yield from zip(*[iter(coords)] * width)
+                yield [[low + span * (k * 2.0**-53) for k in col] for col in cols]
+
+    def tuples(self, width: int) -> Iterator[tuple[float, ...]]:
+        if width == 0:
+            return repeat((), self.count)
+        return chain.from_iterable(starmap(zip, self.blocks(width)))

@@ -12,10 +12,10 @@ SolutionModel takes sigma as the constant sign +1 or -1; any other
 candidate is a plain callable f.  verify_equation_two/four re-check the
 equation for any f on a seeded sample sweep, and extract_structure(f,
 arity) recovers (m, sigma) tables from a black-box f on the
-default_probes(arity) grid.  A sweep takes any sampler with seed,
-count and tuples(width): sosq.sampling.UniformSampler, or the point-list
-FixedSampler and DiagonalSampler in tests/oracles.py, which also holds the
-builtin_families the tests sweep over.
+default_probes(arity) grid.  A sweep takes any sampler with seed, count
+and tuples(width), and blocks(width) (those samples as columns) if it has
+it: sosq.sampling.UniformSampler, or the point-list FixedSampler and
+DiagonalSampler in tests/oracles.py, which also holds builtin_families.
 
 evaluate(model, point) is the reference evaluation.  model.as_function()
 compiles the model once into one closure f(*coords) for its family kind,
@@ -23,13 +23,14 @@ exponent and sign: for a point of matching arity with a finite coordinate
 sum it computes sign * m(hypot(*coords)) inline, and it hands every other
 point to evaluate, so values and errors match evaluate bit for bit.
 
-A sweep takes the samples 256 at a time, one sampler block, and evaluates
-each block column by column with map: f.columns (the closure's column
-form, which defers to f wherever a norm is 0 or non-finite or a power
-overflows) or else f point by point, then the residuals and the block's
-max and its first index.  A block with an exception or a non-finite value
-is folded again by the per-sample loop, so every report, FAIL sample, tie
-and error is the per-sample sweep's; f must be deterministic.
+A sweep takes the samples 256 at a time as columns, one block of
+sampler.blocks or 256 tuples transposed, and evaluates each block with
+map: f.columns (the closure's column form, which defers to f wherever a
+norm is 0 or non-finite or a power overflows) or else f point by point,
+then the residuals and the block's max and its first index.  A block with
+an exception or a non-finite value is folded again by the per-sample loop
+over its tuples, so every report, FAIL sample, tie and error is the
+per-sample sweep's; f must be deterministic.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import islice, product, repeat
-from operator import add, mul, sub, truediv
+from operator import add, itemgetter, mul, sub, truediv
 
 from .identities import compose_two_raw, compose_four_raw
 
-# samples per block pass: one block of sosq.sampling.UniformSampler.tuples
+# samples per block pass: one block of sosq.sampling.UniformSampler.blocks
 _BLOCK = 256
 
 __all__ = [
@@ -160,7 +161,9 @@ class SolutionModel:
                     if constant:
                         return [at_zero] * len(ts)
                     try:
-                        return list(map(mul, repeat(sign), map(pow, ts, repeat(c))))
+                        # 1 * x is x bit for bit
+                        powers = map(pow, ts, repeat(c))
+                        return list(powers if sign == 1 else map(mul, repeat(sign), powers))
                     except OverflowError:
                         pass
             return list(map(f, *cols))
@@ -221,21 +224,25 @@ class _Irregular(Exception):
     """A block that the per-sample pass folds instead of the block pass."""
 
 
-def _blocks(samples):
-    """The samples as lists of _BLOCK, the last one shorter.  An error of
-    the sampler's comes after a block of the samples drawn before it, as a
-    per-sample sweep folds those first."""
+def _column_blocks(sampler, width: int):
+    """sampler.blocks(width), else tuples(width) as blocks of _BLOCK columns.
+    An error of the sampler's comes after a block of the samples drawn
+    before it, as a per-sample sweep folds those first."""
+    if hasattr(sampler, "blocks"):
+        yield from sampler.blocks(width)
+        return
+    samples = sampler.tuples(width)
     while True:
         block = []
         try:
             block.extend(islice(samples, _BLOCK))
         except Exception:
             if block:
-                yield block
+                yield list(zip(*block))
             raise
         if not block:
             return
-        yield block
+        yield list(zip(*block))
 
 
 def _columns_of(f):
@@ -249,9 +256,8 @@ def _run_equation_sweep(f, sampler, tol: float, arity: int, compose) -> Verifica
     max_abs = -1.0
     max_rel = 0.0
     worst: tuple[float, ...] = ()
-    for block in _blocks(sampler.tuples(width)):
+    for cols in _column_blocks(sampler, width):
         try:
-            cols = list(zip(*block))
             lhs = list(map(mul, columns(*cols[:arity]), columns(*cols[arity:])))
             rhs = columns(*zip(*map(compose, *cols)))
             if not (all(map(isfinite, lhs)) and all(map(isfinite, rhs))):
@@ -270,11 +276,11 @@ def _run_equation_sweep(f, sampler, tol: float, arity: int, compose) -> Verifica
             # in the per-sample scan
             if top_abs > max_abs:
                 max_abs = top_abs
-                worst = block[r.index(top_abs)]
+                worst = tuple(map(itemgetter(r.index(top_abs)), cols))
             if top_rel > max_rel:
                 max_rel = top_rel
             continue
-        for sample in block:
+        for sample in zip(*cols):
             p1, p2 = sample[:arity], sample[arity:]
             lhs = f(*p1) * f(*p2)
             rhs = f(*compose(*sample))

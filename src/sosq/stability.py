@@ -23,7 +23,7 @@ f may return float, complex, or Fraction values; the checks never coerce,
 so exact inputs stay exact.  Real-valued f is simply the complex case with
 zero imaginary part.
 
-The sweeps go 256 samples at a time, column by column, as those of
+The sweeps take 256 samples at a time as columns, as those of
 sosq.solutions do: each bound slot over its column, the caps as the min
 across the slots, the defects, and the block's worst excess at its first
 index.  A block with an exception, a cap outside [0, inf) or a NaN defect
@@ -42,7 +42,7 @@ from operator import itemgetter, mul, sub
 from .exprs import parse_bound_expression
 from .identities import compose_two_raw, compose_four_raw
 from .sampling import UniformSampler
-from .solutions import Arity, _Irregular, _blocks, _columns_of, probe_ladder
+from .solutions import Arity, _Irregular, _column_blocks, _columns_of, probe_ladder
 
 __all__ = [
     "InvalidBoundError",
@@ -165,15 +165,15 @@ class _Worst:
             self.defect = defect
             self.cap = cap
 
-    def add_block(self, block, width, defects, caps) -> None:
-        """add for every sample of a block, whose point is sample[:width];
-        no defect may be NaN.  Ties go to the earliest sample, as in add."""
+    def add_block(self, cols, width, defects, caps) -> None:
+        """add for every sample of a block, its point from the first width
+        columns; no defect may be NaN.  Ties go to the earliest sample, as in add."""
         excess = list(map(sub, defects, caps))
         top = max(excess)
         if self.excess is None or top > self.excess:
             i = excess.index(top)
             self.excess = top
-            self.point = block[i][:width]
+            self.point = tuple(map(itemgetter(i), cols[:width]))
             self.defect = defects[i]
             self.cap = caps[i]
 
@@ -235,10 +235,9 @@ def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, c
     hyp = _Worst() if hypothesis else None
     con = _Worst() if conclusion else None
     held = None
-    for block in _blocks(sampler.tuples(2 * arity if hyp else arity)):
+    for cols in _column_blocks(sampler, 2 * arity if hyp else arity):
         run_con = con is not None and held is None
         try:
-            cols = list(zip(*block))
             p1 = cols[:arity]
             f1 = columns(*p1)
             if hyp is not None:
@@ -261,11 +260,11 @@ def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, c
             pass
         else:
             if hyp is not None:
-                hyp.add_block(block, 2 * arity, *hyp_side)
+                hyp.add_block(cols, 2 * arity, *hyp_side)
             if run_con:
-                con.add_block(block, arity, *con_side)
+                con.add_block(cols, arity, *con_side)
             continue
-        for sample in block:
+        for sample in zip(*cols):
             p1 = sample[:arity]
             if hyp is not None:
                 caps = _caps(slots, hyp_probes(sample))

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from oracles import DiagonalSampler, FixedSampler, stream_for
 from sosq.sampling import _BLOCK as B
-from sosq.sampling import UniformSampler
+from sosq.sampling import UniformSampler, _constants
+
+MAX = 1.7976931348623157e308
 
 
 def reference_draws(sampler, width):
@@ -69,6 +71,13 @@ class TestUniformSampler:
             UniformSampler(2**64 - 1, 2 * B + 3),
             UniformSampler(5, 2 * B + 3, -9, -2, integer=True),
             UniformSampler(-1, B + 1, -1000, 7, integer=True),
+            # span * 2**-53 subnormal, 0 or past the double range; low >= high
+            UniformSampler(4, 60, 0.0, 5e-324),
+            UniformSampler(4, 60, 1e-310, -3e-310),
+            UniformSampler(4, 60, -2.0**-969, 2.0**-969),
+            UniformSampler(4, 60, -MAX, MAX),
+            UniformSampler(4, 60, 3.0, 3.0),
+            UniformSampler(4, 60, 2.0, -2.0),
         ],
         ids=repr,
     )
@@ -83,6 +92,29 @@ class TestUniformSampler:
         assert list(UniformSampler(3, B + 1, -2, 2, integer=True).tuples(0)) == [()] * (B + 1)
         assert list(UniformSampler(3, 0).tuples(0)) == []
 
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError, match="sample count -5 is below 0"):
+            UniformSampler(1, -5)
+        assert list(UniformSampler(1, 0).tuples(4)) == []
+        assert list(UniformSampler(1, 0).blocks(4)) == []
+
+    def test_blocks_are_columns_of_tuples(self):
+        sampler = UniformSampler(9, 2 * B + 3, -2.5, 7.0)
+        blocks = list(sampler.blocks(5))
+        assert [len(b) for b in blocks] == [5, 5, 5]
+        assert [len(col) for b in blocks for col in b] == [B] * 10 + [3] * 5
+        flat = [t for b in blocks for t in zip(*b)]
+        assert repr(flat) == repr(list(sampler.tuples(5)))
+
+    def test_constants_cache_is_bounded(self):
+        # sweeps over 40 (block size, width) shapes leave at most maxsize
+        # of them cached
+        for width in range(1, 9):
+            for count in (1, 3, B - 1, B + 2, 2 * B + 5):
+                list(UniformSampler(width, count).blocks(width))
+        info = _constants.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 8
+
     @given(
         seed=st.integers(-(2**70), -1) | st.integers(0, 2**64 - 1) | st.integers(2**64, 2**70),
         count=st.integers(0, 3 * B),
@@ -90,15 +122,40 @@ class TestUniformSampler:
         data=st.data(),
     )
     def test_draws_match_stream_for_property(self, seed, count, width, data):
-        if data.draw(st.booleans(), label="integer"):
+        kind = data.draw(
+            st.sampled_from(["integer", "any", "equal", "tiny", "overflow"]), label="kind"
+        )
+        if kind == "integer":
             low = data.draw(st.integers(-(10**6), 10**6 - 1), label="low")
             high = data.draw(st.integers(low + 1, 10**6), label="high")
             sampler = UniformSampler(seed, count, low, high, integer=True)
         else:
-            low = data.draw(st.floats(-1e6, 1e6, exclude_max=True), label="low")
-            high = data.draw(st.floats(low, 1e6, exclude_min=True), label="high")
+            anywhere = st.floats(allow_nan=False, allow_infinity=False)
+            finite = {
+                # low > high and low == high included
+                "any": anywhere,
+                "equal": anywhere,
+                # span * 2**-53 normal, or subnormal or 0 and inexact
+                "tiny": st.floats(-1e-290, 1e-290) | st.floats(-1e-308, 1e-308),
+                # a span past the double range: high - low is inf or -inf
+                "overflow": st.floats(1e308, MAX) | st.floats(-MAX, -1e308),
+            }[kind]
+            low = data.draw(finite, label="low")
+            if kind == "equal":
+                high = low
+            elif kind == "overflow":
+                # opposite signs, each at least 1e308 away from 0
+                far = st.floats(-MAX, -1e308) if low > 0 else st.floats(1e308, MAX)
+                high = data.draw(far, label="high")
+            else:
+                high = data.draw(finite, label="high")
             sampler = UniformSampler(seed, count, low, high)
-        assert repr(list(sampler.tuples(width))) == repr(reference_draws(sampler, width))
+        want = repr(reference_draws(sampler, width))
+        assert repr(list(sampler.tuples(width))) == want
+        blocks = list(sampler.blocks(width))
+        assert repr([t for b in blocks for t in zip(*b)]) == want
+        info = _constants.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 class TestFixedSampler:

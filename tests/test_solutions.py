@@ -147,6 +147,23 @@ class TestAsFunction:
         f = model.as_function()
         assert outcome(lambda: f(*point)) == outcome(lambda: evaluate(model, point))
 
+    @pytest.mark.parametrize("kind", ["power", "signed_power"])
+    @pytest.mark.parametrize("c", [0.0, -0.0, 2.0, 140.0, -2.5])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("cols", [
+        ([3.0, -1.5, 1e-3, 7], [4.0, 2.0, -7.0, -1]),
+        ([-0.0, 2.0, 1e3, 0.0], [5.0, -0.0, -1e3, 1.0]),
+        ([3.0, 0.0, -0.0, 1.0], [4.0, -0.0, 0.0, 1.0]),
+        ([1.0, -0.0, 1e3], [-2.0, 0.0, 2.0], [0.5, 0.0, 0.0], [-0.0, -0.0, 4.0]),
+        ([1.0, 0.0], [-2.0, 0.0], [0.0, -0.0], [-0.0, 0.0]),
+    ], ids=repr)
+    def test_columns_equal_points_by_sign(self, kind, c, sign, cols):
+        # the column form is f mapped over the points, bit for bit, on its
+        # fast path and where a zero norm or an overflow sends it to f
+        family = getattr(MultiplicativeFamily, kind)(c)
+        f = SolutionModel(Arity(len(cols)), family, sign).as_function()
+        assert repr(f.columns(*cols)) == repr(list(map(f, *cols)))
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_fast_path_skips_evaluate(self, sign, monkeypatch):
         f = model_two(MultiplicativeFamily.power(2), sign).as_function()
@@ -183,6 +200,17 @@ class TestVerifyEquation:
         report = verify_equation_two(m.as_function(), UniformSampler(7, 10000), 1e-9)
         assert report.verdict == "PASS"
         assert report.sample_count == 10000 and report.seed == 7
+
+    def test_negative_sample_count_raises(self):
+        # -t^2 fails on every sample: a negative count must not pass vacuously
+        f = model_two(MultiplicativeFamily.power(2), -1).as_function()
+        with pytest.raises(ValueError, match="sample count -5 is below 0"):
+            verify_equation_two(f, UniformSampler(1, -5))
+
+    def test_zero_samples_pass_vacuously(self):
+        f = model_two(MultiplicativeFamily.power(2), -1).as_function()
+        report = verify_equation_two(f, UniformSampler(1, 0))
+        assert (report.verdict, report.sample_count, report.worst_point) == ("PASS", 0, ())
 
     def test_constant_one_residual_zero(self):
         report = verify_equation_two(lambda x, y: 1.0, UniformSampler(7, 1000), 1e-9)

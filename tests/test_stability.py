@@ -285,6 +285,18 @@ class TestRunners:
         with pytest.raises(ValueError):
             BoundSpec.from_expressions(Arity.TWO, ["1", "2"])
 
+    def test_negative_sample_count_raises(self):
+        # -t^2 fails on every sample: a negative count must not pass vacuously
+        f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2), -1).as_function()
+        with pytest.raises(ValueError, match="sample count -3 is below 0"):
+            run_stability(f, ZERO2, seed=1, samples=-3)
+
+    def test_zero_samples_sweep_nothing(self):
+        f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2), -1).as_function()
+        report = run_stability(f, ZERO2, seed=1, samples=0)
+        assert report.sample_count == 0 and report.hypothesis_max_violation == 0.0
+        assert report.to_dict()["evidence"]["hypothesis_worst_point"] is None
+
 
 CHECKS = {
     Arity.TWO: (check_hypothesis_two, check_conclusion_two),
