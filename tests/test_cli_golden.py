@@ -85,6 +85,18 @@ CASES = [
      "--seed", "6"],
     ["stability", "--arity", "2", "--model", "power:c=2", "--bounds",
      "pow(9.99-abs(x),0.5)", "--samples", "400", "--seed", "10"],
+    # slot 1 fails first in the conclusion, past the first block: at seed 1
+    # that error is held to the end; at seed 6 a later hypothesis error wins
+    ["stability", "--arity", "2", "--model", "power:c=2", "--bounds",
+     "1;pow(9.99-abs(x),0.5);1;1", "--samples", "2000", "--seed", "1"],
+    ["stability", "--arity", "2", "--model", "power:c=2", "--bounds",
+     "1;pow(9.99-abs(x),0.5);1;1", "--samples", "2000", "--seed", "6"],
+    # NaN defects (inf - inf) reported as infinite excess
+    ["stability", "--arity", "4", "--model", "power:c=140", "--bounds", "1+abs(x)",
+     "--samples", "600", "--seed", "4"],
+    # valid caps whose column sum overflows
+    ["stability", "--arity", "4", "--model", "power:c=2", "--bounds", "1.5e308",
+     "--samples", "600", "--seed", "4"],
     # past the expression limits: too many tokens, nested too deep
     ["stability", "--arity", "2", "--model", "one", "--bounds", "+".join(["x"] * 5000)],
     ["stability", "--arity", "2", "--model", "one", "--bounds", "(" * 250 + "x" + ")" * 250],
