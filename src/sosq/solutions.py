@@ -24,13 +24,14 @@ sum it computes sign * m(hypot(*coords)) inline, and it hands every other
 point to evaluate, so values and errors match evaluate bit for bit.
 
 A sweep takes the samples 256 at a time as columns, one block of
-sampler.blocks or 256 tuples transposed, and evaluates each block with
-map: f.columns (the closure's column form, which defers to f wherever a
-norm is 0 or non-finite or a power overflows) or else f point by point,
-then the residuals and the block's max and its first index.  A block with
-an exception or a non-finite value is folded again by the per-sample loop
-over its tuples, so every report, FAIL sample, tie and error is the
-per-sample sweep's; f must be deterministic.
+sampler.blocks or 256 tuples transposed, and folds each block with one
+kernel: f.columns (the closure's column form, which defers to f wherever
+a norm is 0 or non-finite or a power overflows) or else f point by point,
+then the residuals and the block's max at its first index; the first
+sample with a non-finite value fails the sweep.  The kernel folds a whole
+block or raises and changes nothing, and a block that raises is folded
+again by the same kernel one sample at a time.  So every report, FAIL
+sample, tie and error is a per-sample sweep's; f must be deterministic.
 """
 
 from __future__ import annotations
@@ -220,10 +221,6 @@ class VerificationReport:
         }
 
 
-class _Irregular(Exception):
-    """A block that the per-sample pass folds instead of the block pass."""
-
-
 def _column_blocks(sampler, width: int):
     """sampler.blocks(width), else tuples(width) as blocks of _BLOCK columns.
     An error of the sampler's comes after a block of the samples drawn
@@ -250,53 +247,61 @@ def _columns_of(f):
     return getattr(f, "columns", None) or (lambda *cols: list(map(f, *cols)))
 
 
+def _fold_blocks(fold, sampler, width: int):
+    """fold(cols) over the sampler's blocks; the first result that is not
+    None ends the sweep and is returned.
+
+    fold folds a whole block or raises and changes nothing.  A block that
+    raises is folded again one sample at a time, each as a block of one, so
+    the error comes again at its sample, after every sample before it: the
+    outcome of a per-sample sweep.
+    """
+    for cols in _column_blocks(sampler, width):
+        try:
+            result = fold(cols)
+        except Exception:
+            for sample in zip(*cols):
+                result = fold(list(zip(sample)))
+                if result is not None:
+                    break
+        if result is not None:
+            return result
+
+
 def _run_equation_sweep(f, sampler, tol: float, arity: int, compose) -> VerificationReport:
-    width = 2 * arity
     columns = _columns_of(f)
     max_abs = -1.0
     max_rel = 0.0
     worst: tuple[float, ...] = ()
-    for cols in _column_blocks(sampler, width):
-        try:
-            lhs = list(map(mul, columns(*cols[:arity]), columns(*cols[arity:])))
-            rhs = columns(*zip(*map(compose, *cols)))
-            if not (all(map(isfinite, lhs)) and all(map(isfinite, rhs))):
-                raise _Irregular
-            r = list(map(abs, map(sub, lhs, rhs)))
-            top_abs = max(r)
-            top_rel = max(map(truediv, r, map(
-                add, repeat(1.0), map(max, map(abs, lhs), map(abs, rhs))
-            )))
-        except Exception:
-            # whatever f or compose raised, the per-sample pass raises it
-            # again at its sample, after what comes before it
-            pass
-        else:
-            # the first index of the max: ties go to the earliest sample, as
-            # in the per-sample scan
-            if top_abs > max_abs:
-                max_abs = top_abs
-                worst = tuple(map(itemgetter(r.index(top_abs)), cols))
-            if top_rel > max_rel:
-                max_rel = top_rel
-            continue
-        for sample in zip(*cols):
-            p1, p2 = sample[:arity], sample[arity:]
-            lhs = f(*p1) * f(*p2)
-            rhs = f(*compose(*sample))
-            if not (math.isfinite(lhs) and math.isfinite(rhs)):
-                return VerificationReport(
-                    arity, sampler.count, sampler.seed, tol,
-                    math.inf, math.inf, sample, "FAIL",
-                    failure_reason=f"non-finite value at sample {sample!r}",
-                )
-            r = abs(lhs - rhs)
-            rel = r / (1.0 + max(abs(lhs), abs(rhs)))
-            if r > max_abs:
-                max_abs = r
-                worst = sample
-            if rel > max_rel:
-                max_rel = rel
+
+    def fold(cols):
+        nonlocal max_abs, max_rel, worst
+        lhs = list(map(mul, columns(*cols[:arity]), columns(*cols[arity:])))
+        rhs = columns(*zip(*map(compose, *cols)))
+        if not (all(map(isfinite, lhs)) and all(map(isfinite, rhs))):
+            # the first sample with a non-finite value fails the sweep
+            i = [isfinite(a) and isfinite(b) for a, b in zip(lhs, rhs)].index(False)
+            sample = tuple(map(itemgetter(i), cols))
+            return VerificationReport(
+                arity, sampler.count, sampler.seed, tol,
+                math.inf, math.inf, sample, "FAIL",
+                failure_reason=f"non-finite value at sample {sample!r}",
+            )
+        r = list(map(abs, map(sub, lhs, rhs)))
+        top_abs = max(r)
+        top_rel = max(map(truediv, r, map(
+            add, repeat(1.0), map(max, map(abs, lhs), map(abs, rhs))
+        )))
+        # the first index of the max: ties go to the earliest sample
+        if top_abs > max_abs:
+            max_abs = top_abs
+            worst = tuple(map(itemgetter(r.index(top_abs)), cols))
+        if top_rel > max_rel:
+            max_rel = top_rel
+
+    failed = _fold_blocks(fold, sampler, 2 * arity)
+    if failed is not None:
+        return failed
     verdict = "PASS" if max_rel <= tol else "FAIL"
     return VerificationReport(
         arity, sampler.count, sampler.seed, tol, max(max_abs, 0.0), max_rel,

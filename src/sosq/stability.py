@@ -23,12 +23,14 @@ f may return float, complex, or Fraction values; the checks never coerce,
 so exact inputs stay exact.  Real-valued f is simply the complex case with
 zero imaginary part.
 
-The sweeps take 256 samples at a time as columns, as those of
-sosq.solutions do: each bound slot over its column, the caps as the min
-across the slots, the defects, and the block's worst excess at its first
-index.  A block with an exception, a cap outside [0, inf) or a NaN defect
-is folded again sample by sample, so errors, held conclusion errors and
-ties are the per-sample sweep's.
+The sweeps take 256 samples at a time as columns and fold each block with
+one kernel, as those of sosq.solutions do: each bound slot over its
+column, the caps as the min across the slots, the defects (a NaN one
+counts as inf), and the block's worst excess at its first index.  A block
+that raises, as on a cap outside [0, inf), is folded again by the same
+kernel one sample at a time, and a conclusion-side error is held only
+then, so errors, held conclusion errors and ties are the per-sample
+sweep's.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from operator import itemgetter, mul, sub
 from .exprs import parse_bound_expression
 from .identities import compose_two_raw, compose_four_raw
 from .sampling import UniformSampler
-from .solutions import Arity, _Irregular, _column_blocks, _columns_of, probe_ladder
+from .solutions import Arity, _columns_of, _fold_blocks, probe_ladder
 
 __all__ = [
     "InvalidBoundError",
@@ -136,11 +138,6 @@ class ExcessReport:
     passed: bool
 
 
-def _caps(fns, probes) -> list:
-    """fns[k](probes[k]) for every slot k, each checked by _bound_at."""
-    return [_bound_at(fn, t) for fn, t in zip(fns, probes)]
-
-
 class _Worst:
     """Running worst excess of the defect over the pointwise cap."""
 
@@ -152,28 +149,16 @@ class _Worst:
         self.defect = 0.0
         self.cap = 0.0
 
-    def add(self, point, lhs, rhs, caps) -> None:
-        defect = abs(lhs - rhs)
-        if defect != defect:
-            # NaN from an overflowed value (inf - inf, 0 * inf): no cap bounds it
-            defect = math.inf
-        cap = min(caps)
-        excess = defect - cap
-        if self.excess is None or excess > self.excess:
-            self.excess = excess
-            self.point = point
-            self.defect = defect
-            self.cap = cap
-
-    def add_block(self, cols, width, defects, caps) -> None:
-        """add for every sample of a block, its point from the first width
-        columns; no defect may be NaN.  Ties go to the earliest sample, as in add."""
+    def add_block(self, point_cols, defects, capcols) -> None:
+        """Fold a block's defects under the min of its cap columns, each
+        sample's point read from point_cols.  Ties go to the earliest sample."""
+        caps = list(map(min, *capcols))
         excess = list(map(sub, defects, caps))
         top = max(excess)
         if self.excess is None or top > self.excess:
             i = excess.index(top)
             self.excess = top
-            self.point = tuple(map(itemgetter(i), cols[:width]))
+            self.point = tuple(map(itemgetter(i), point_cols))
             self.defect = defects[i]
             self.cap = caps[i]
 
@@ -192,23 +177,28 @@ class _Worst:
 
 
 def _block_caps(fns, cols) -> list:
-    """fns[k] over the column cols[k] for every slot k; _Irregular if any
-    value is outside [0, inf), so that the per-sample pass raises."""
-    capcols = [_columns_of(fn)(col) for fn, col in zip(fns, cols)]
-    for col in capcols:
+    """fns[k] over the column cols[k] for every slot k.  If anything is off
+    (a raise, a value outside [0, inf), or a column sum that overflows),
+    each column goes through _bound_at again, which raises at the first bad
+    value; on a block of one sample, at the first bad slot."""
+    try:
+        capcols = [_columns_of(fn)(col) for fn, col in zip(fns, cols)]
         # a NaN or inf makes the sum non-finite
-        if not (0 <= min(col) and sum(col) < math.inf):
-            raise _Irregular
-    return capcols
+        if all(0 <= min(col) and sum(col) < math.inf for col in capcols):
+            return capcols
+    except Exception:
+        pass
+    return [[_bound_at(fn, t) for t in col] for fn, col in zip(fns, cols)]
 
 
-def _block_side(columns, lhs, composed, capcols) -> tuple[list, list]:
-    """Defects and caps of one side over a block; _Irregular on a NaN defect."""
-    defects = list(map(abs, map(sub, lhs, columns(*composed))))
+def _defects(lhs, rhs) -> list:
+    """|lhs - rhs| per sample.  A NaN (inf - inf, 0 * inf) becomes inf:
+    no cap bounds it."""
+    defects = list(map(abs, map(sub, lhs, rhs)))
     total = sum(defects)
     if total != total:
-        raise _Irregular
-    return defects, list(map(min, *capcols))
+        defects = [math.inf if d != d else d for d in defects]
+    return defects
 
 
 def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, conclusion):
@@ -227,63 +217,49 @@ def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, c
     n = len(slots)
     # coordinate i of p1 feeds slot 2i, of p2 slot 2i+1
     hyp_index = [k // 2 + k % 2 * arity for k in range(n)]
-    hyp_probes = itemgetter(*hyp_index)
     # p1 paired with itself: coordinate i feeds slots 2i and 2i+1
     con_index = [k // 2 for k in range(n)]
-    con_probes = itemgetter(*con_index)
     columns = _columns_of(f)
     hyp = _Worst() if hypothesis else None
     con = _Worst() if conclusion else None
     held = None
-    for cols in _column_blocks(sampler, 2 * arity if hyp else arity):
-        run_con = con is not None and held is None
-        try:
-            p1 = cols[:arity]
+
+    def fold(cols):
+        nonlocal held
+        # the caps before f(p1), as in a per-sample sweep
+        p1 = cols[:arity]
+        if hyp is not None:
+            caps = _block_caps(slots, [cols[i] for i in hyp_index])
             f1 = columns(*p1)
-            if hyp is not None:
-                caps = _block_caps(slots, [cols[i] for i in hyp_index])
-                hyp_side = _block_side(
-                    columns, map(mul, f1, columns(*cols[arity:])),
-                    zip(*map(compose, *cols)), caps,
-                )
-            if run_con:
+            hyp_defects = _defects(
+                list(map(mul, f1, columns(*cols[arity:]))),
+                columns(*zip(*map(compose, *cols))),
+            )
+        run_con = con is not None and held is None
+        if run_con:
+            try:
                 if hyp is None:
                     con_caps = _block_caps(slots, [cols[i] for i in con_index])
+                    f1 = columns(*p1)
                 else:
                     con_caps = caps.copy()
                     con_caps[1::2] = _block_caps(odd_slots, p1)
-                con_side = _block_side(
-                    columns, map(mul, f1, f1), zip(*map(compose, *p1, *p1)), con_caps
+                con_defects = _defects(
+                    list(map(mul, f1, f1)), columns(*zip(*map(compose, *p1, *p1)))
                 )
-        except Exception:
-            # the per-sample pass raises or holds it again at its sample
-            pass
-        else:
-            if hyp is not None:
-                hyp.add_block(cols, 2 * arity, *hyp_side)
-            if run_con:
-                con.add_block(cols, arity, *con_side)
-            continue
-        for sample in zip(*cols):
-            p1 = sample[:arity]
-            if hyp is not None:
-                caps = _caps(slots, hyp_probes(sample))
-                f1 = f(*p1)
-                hyp.add(sample, f1 * f(*sample[arity:]), f(*compose(*sample)), caps)
-            if con is None or held is not None:
-                continue
-            try:
-                if hyp is None:
-                    con_caps = _caps(slots, con_probes(p1))
-                    f1 = f(*p1)
-                else:
-                    con_caps = caps.copy()
-                    con_caps[1::2] = _caps(odd_slots, p1)
-                con.add(p1, f1 * f1, f(*compose(*p1, *p1)), con_caps)
             except Exception as exc:
-                if hyp is None:
+                # held only when one sample is folded: a larger block is
+                # folded again sample by sample
+                if hyp is None or len(p1[0]) > 1:
                     raise
                 held = exc
+                run_con = False
+        if hyp is not None:
+            hyp.add_block(cols, hyp_defects, caps)
+        if run_con:
+            con.add_block(p1, con_defects, con_caps)
+
+    _fold_blocks(fold, sampler, 2 * arity if hyp else arity)
     if held is not None:
         raise held
     return (
