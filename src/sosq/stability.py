@@ -66,7 +66,8 @@ DEFAULT_MULT_TOL = 1e-6
 
 
 class InvalidBoundError(ValueError):
-    """A bound function raised, or returned a value outside [0, inf), at a probe."""
+    """A bound function raised, or returned a value outside [0, inf), at a
+    probe; or a constant bound is outside [0, inf)."""
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ class BoundSpec:
 
     @classmethod
     def constant(cls, arity: Arity, value: float) -> "BoundSpec":
-        if value < 0:
-            raise InvalidBoundError(f"constant bound {value!r} is negative")
+        if not 0 <= value < math.inf:
+            raise InvalidBoundError(f"constant bound {value!r} is not in [0, inf)")
         fn = lambda x: value
         return cls(arity, (fn,) * (2 * arity))
 

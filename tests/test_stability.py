@@ -67,6 +67,16 @@ class TestHypothesisTwo:
         with pytest.raises(InvalidBoundError):
             check_hypothesis_two(norm2f, bad, int_sampler(5, 10))
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+    def test_constant_outside_range_refused_when_built(self, value):
+        # refused by the constructor, not at the first sampled probe
+        with pytest.raises(InvalidBoundError, match=f"constant bound {value!r} is not in"):
+            BoundSpec.constant(Arity.TWO, value)
+
+    def test_constant_edges_build(self):
+        for value in (0.0, -0.0, 1.5e308):
+            assert BoundSpec.constant(Arity.FOUR, value).bounds[0](1.0) == value
+
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
             check_hypothesis_two(norm2f, ZERO4, int_sampler(5, 10))
