@@ -10,12 +10,12 @@ with the four-square composition.  The shape is necessary; it is
 sufficient for sigma identically +1 with any multiplicative m.  A
 SolutionModel takes sigma as the constant sign +1 or -1; any other
 candidate is a plain callable f.  verify_equation_two/four re-check the
-equation for any f on a seeded sample sweep, and extract_structure(f,
-arity) recovers (m, sigma) tables from a black-box f on the
-default_probes(arity) grid.  A sweep takes any sampler with seed, count
-and tuples(width), and blocks(width) (those samples as columns) if it has
-it: sosq.sampling.UniformSampler, or the point-list FixedSampler and
-DiagonalSampler in tests/oracles.py, which also holds builtin_families.
+equation for any f on a seeded sample sweep.  A sweep takes any sampler
+with seed, count and tuples(width), and blocks(width) (those samples as
+columns) if it has it: sosq.sampling.UniformSampler, or the point-list
+FixedSampler and DiagonalSampler in tests/oracles.py, which also holds
+builtin_families and extract_structure, the (m, sigma) tables read off a
+black-box f.
 
 evaluate(model, point) is the reference evaluation.  model.as_function()
 compiles the model once into one closure f(*coords) for its family kind,
@@ -41,7 +41,7 @@ from math import hypot, inf, isfinite
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import islice, product, repeat
+from itertools import islice, repeat
 from operator import add, itemgetter, mul, sub, truediv
 
 from .identities import compose_two_raw, compose_four_raw
@@ -55,13 +55,10 @@ __all__ = [
     "MultiplicativeFamily",
     "SolutionModel",
     "VerificationReport",
-    "StructureReport",
     "evaluate",
     "verify_equation_two",
     "verify_equation_four",
-    "extract_structure",
     "probe_ladder",
-    "default_probes",
 ]
 
 
@@ -327,70 +324,3 @@ def probe_ladder() -> tuple[float, ...]:
     """Signed powers of two spanning 2^-4 .. 2^6, ascending."""
     ks = range(-4, 7)
     return tuple(sorted([-(2.0 ** k) for k in ks] + [2.0 ** k for k in ks]))
-
-
-def default_probes(arity: int) -> tuple[tuple[float, ...], ...]:
-    """Probe points over the axis probe_ladder() + (0.0,).
-
-    Every point with at most two nonzero coordinates, in itertools.product
-    order, then the diagonal (t, ..., t); duplicates are dropped.
-    """
-    axis = probe_ladder() + (0.0,)
-    points = dict.fromkeys(
-        p for p in product(axis, repeat=arity) if arity - p.count(0.0) <= 2
-    )
-    points.update(dict.fromkeys((t,) * arity for t in axis))
-    return tuple(points)
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """(m, sigma) tables read off a black-box f, with diagnostics.
-
-    m_table holds (t, f on the first axis at t); sigma_table holds
-    (point, f(point) / m(||point||)) wherever |m| clears tol, with the
-    convention sigma = +1 where m vanishes (those points are listed in
-    zero_m_points).  violations collects probes where |sigma| strays from 1
-    by more than tol -- evidence that f does not have the product shape.
-    consistent means no violations; it does not by itself certify that f
-    solves the functional equation.
-    """
-
-    arity: int
-    tol: float
-    m_table: tuple[tuple[float, float], ...]
-    sigma_table: tuple[tuple[tuple[float, ...], float], ...]
-    violations: tuple[tuple[tuple[float, ...], float], ...]
-    zero_m_points: tuple[tuple[float, ...], ...]
-    consistent: bool
-
-
-def extract_structure(f, arity: int, probes=None, tol: float = 1e-9) -> StructureReport:
-    """Recover m(t) = f(t, 0, ...) and sigma = f / (m o norm) on a probe grid.
-
-    f takes arity coordinates; probes defaults to default_probes(arity).
-    """
-    pad = (0.0,) * (arity - 1)
-    m_table = tuple((t, f(t, *pad)) for t in probe_ladder() + (0.0,))
-    sigma_table = []
-    violations = []
-    zero_m = []
-    for point in probes or default_probes(arity):
-        m_at_norm = f(math.hypot(*point), *pad)
-        if abs(m_at_norm) <= tol:
-            zero_m.append(point)
-            sigma = 1.0
-        else:
-            sigma = f(*point) / m_at_norm
-            if abs(abs(sigma) - 1.0) > tol:
-                violations.append((point, sigma))
-        sigma_table.append((point, sigma))
-    return StructureReport(
-        arity=arity,
-        tol=tol,
-        m_table=m_table,
-        sigma_table=tuple(sigma_table),
-        violations=tuple(violations),
-        zero_m_points=tuple(zero_m),
-        consistent=not violations,
-    )

@@ -6,19 +6,22 @@ representability by exhaustive search, system checks by direct
 substitution, multiplicativity by direct evaluation, the sampler's
 draws by one SplitMix64 object per sample index, and the equation and
 stability sweeps by the per-sample loops that the block pass replaced
-(run_equation_sweep, run_excess_sweep).  The fixtures are the
-samplers over explicit points and the representative multiplicative
-families the tests sweep over.
+(run_equation_sweep, run_excess_sweep), and the f = sigma * m(||.||)
+shape by reading (m, sigma) tables off a black-box f on a probe grid
+(extract_structure, default_probes).  The fixtures are the samplers over
+explicit points and the representative multiplicative families the tests
+sweep over.
 """
 
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import product
 from math import isqrt
 from operator import itemgetter
 
 from sosq.sampling import UniformSampler
-from sosq.solutions import MultiplicativeFamily, VerificationReport
+from sosq.solutions import MultiplicativeFamily, VerificationReport, probe_ladder
 from sosq.stability import BoundSpec, ExcessReport, InvalidBoundError
 
 _MASK64 = (1 << 64) - 1
@@ -108,6 +111,73 @@ def builtin_families() -> tuple[MultiplicativeFamily, ...]:
         # the constant 1 again, by a signed-zero exponent
         MultiplicativeFamily.power(-0.0),
         MultiplicativeFamily.zero(),
+    )
+
+
+def default_probes(arity: int) -> tuple[tuple[float, ...], ...]:
+    """Probe points over the axis probe_ladder() + (0.0,).
+
+    Every point with at most two nonzero coordinates, in itertools.product
+    order, then the diagonal (t, ..., t); duplicates are dropped.
+    """
+    axis = probe_ladder() + (0.0,)
+    points = dict.fromkeys(
+        p for p in product(axis, repeat=arity) if arity - p.count(0.0) <= 2
+    )
+    points.update(dict.fromkeys((t,) * arity for t in axis))
+    return tuple(points)
+
+
+@dataclass(frozen=True)
+class StructureReport:
+    """(m, sigma) tables read off a black-box f, with diagnostics.
+
+    m_table holds (t, f on the first axis at t); sigma_table holds
+    (point, f(point) / m(||point||)) wherever |m| clears tol, with the
+    convention sigma = +1 where m vanishes (those points are listed in
+    zero_m_points).  violations collects probes where |sigma| strays from 1
+    by more than tol -- evidence that f does not have the product shape.
+    consistent means no violations; it does not by itself certify that f
+    solves the functional equation.
+    """
+
+    arity: int
+    tol: float
+    m_table: tuple[tuple[float, float], ...]
+    sigma_table: tuple[tuple[tuple[float, ...], float], ...]
+    violations: tuple[tuple[tuple[float, ...], float], ...]
+    zero_m_points: tuple[tuple[float, ...], ...]
+    consistent: bool
+
+
+def extract_structure(f, arity: int, probes=None, tol: float = 1e-9) -> StructureReport:
+    """Recover m(t) = f(t, 0, ...) and sigma = f / (m o norm) on a probe grid.
+
+    f takes arity coordinates; probes defaults to default_probes(arity).
+    """
+    pad = (0.0,) * (arity - 1)
+    m_table = tuple((t, f(t, *pad)) for t in probe_ladder() + (0.0,))
+    sigma_table = []
+    violations = []
+    zero_m = []
+    for point in probes or default_probes(arity):
+        m_at_norm = f(math.hypot(*point), *pad)
+        if abs(m_at_norm) <= tol:
+            zero_m.append(point)
+            sigma = 1.0
+        else:
+            sigma = f(*point) / m_at_norm
+            if abs(abs(sigma) - 1.0) > tol:
+                violations.append((point, sigma))
+        sigma_table.append((point, sigma))
+    return StructureReport(
+        arity=arity,
+        tol=tol,
+        m_table=m_table,
+        sigma_table=tuple(sigma_table),
+        violations=tuple(violations),
+        zero_m_points=tuple(zero_m),
+        consistent=not violations,
     )
 
 

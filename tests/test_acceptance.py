@@ -7,7 +7,7 @@ tolerance is pinned here; nothing is deferred to later calibration.
 import json
 import time
 
-from oracles import DiagonalSampler, is_two_square, stream_for
+from oracles import DiagonalSampler, extract_structure, is_two_square, stream_for
 from sosq.cli import main
 from sosq.identities import IntPair, IntQuad, compose_two, compose_four, norm
 from sosq.sampling import UniformSampler
@@ -15,7 +15,6 @@ from sosq.solutions import (
     Arity,
     MultiplicativeFamily,
     SolutionModel,
-    extract_structure,
     probe_ladder,
     verify_equation_two,
     verify_equation_four,

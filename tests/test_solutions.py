@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import FixedSampler, builtin_families
+from oracles import FixedSampler, builtin_families, default_probes, extract_structure
 from sosq import jsonfmt, solutions
 from sosq.sampling import UniformSampler
 from sosq.solutions import (
     Arity,
     MultiplicativeFamily,
     SolutionModel,
-    default_probes,
     evaluate,
-    extract_structure,
     probe_ladder,
     verify_equation_two,
     verify_equation_four,
