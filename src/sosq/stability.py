@@ -150,11 +150,9 @@ class _Worst:
         self.defect = 0.0
         self.cap = 0.0
 
-    def add_block(self, point_cols, defects, capcols) -> None:
-        """Fold a block's defects under the min of its cap columns, each
-        sample's point read from point_cols.  Ties go to the earliest sample."""
-        caps = list(map(min, *capcols))
-        excess = list(map(sub, defects, caps))
+    def add_block(self, point_cols, defects, caps, excess) -> None:
+        """Fold a block's _excesses, each sample's point read from
+        point_cols.  Ties go to the earliest sample."""
         top = max(excess)
         if self.excess is None or top > self.excess:
             i = excess.index(top)
@@ -192,14 +190,16 @@ def _block_caps(fns, cols) -> list:
     return [[_bound_at(fn, t) for t in col] for fn, col in zip(fns, cols)]
 
 
-def _defects(lhs, rhs) -> list:
-    """|lhs - rhs| per sample.  A NaN (inf - inf, 0 * inf) becomes inf:
-    no cap bounds it."""
+def _excesses(lhs, rhs, capcols) -> tuple[list, list, list]:
+    """The defects |lhs - rhs|, the caps (the min across the cap columns)
+    and the excesses of one side over a block.  A NaN defect (inf - inf,
+    0 * inf) becomes inf: no cap bounds it."""
     defects = list(map(abs, map(sub, lhs, rhs)))
     total = sum(defects)
     if total != total:
         defects = [math.inf if d != d else d for d in defects]
-    return defects
+    caps = list(map(min, *capcols))
+    return defects, caps, list(map(sub, defects, caps))
 
 
 def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, conclusion):
@@ -232,9 +232,9 @@ def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, c
         if hyp is not None:
             caps = _block_caps(slots, [cols[i] for i in hyp_index])
             f1 = columns(*p1)
-            hyp_defects = _defects(
+            hyp_side = _excesses(
                 list(map(mul, f1, columns(*cols[arity:]))),
-                columns(*zip(*map(compose, *cols))),
+                columns(*zip(*map(compose, *cols))), caps,
             )
         run_con = con is not None and held is None
         if run_con:
@@ -245,8 +245,8 @@ def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, c
                 else:
                     con_caps = caps.copy()
                     con_caps[1::2] = _block_caps(odd_slots, p1)
-                con_defects = _defects(
-                    list(map(mul, f1, f1)), columns(*zip(*map(compose, *p1, *p1)))
+                con_side = _excesses(
+                    list(map(mul, f1, f1)), columns(*zip(*map(compose, *p1, *p1))), con_caps
                 )
             except Exception as exc:
                 # held only when one sample is folded: a larger block is
@@ -256,9 +256,9 @@ def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, c
                 held = exc
                 run_con = False
         if hyp is not None:
-            hyp.add_block(cols, hyp_defects, caps)
+            hyp.add_block(cols, *hyp_side)
         if run_con:
-            con.add_block(p1, con_defects, con_caps)
+            con.add_block(p1, *con_side)
 
     _fold_blocks(fold, sampler, 2 * arity if hyp else arity)
     if held is not None:

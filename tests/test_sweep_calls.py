@@ -10,6 +10,8 @@ extra calls; the equivalence tests against the per-sample reference loops
 cannot see it, since the refold gives the same report.
 """
 
+import math
+
 import pytest
 
 from sosq import stability
@@ -23,7 +25,7 @@ from sosq.solutions import (
 )
 
 SAMPLES = 2000
-BLOCKS = -(-SAMPLES // 256)
+BLOCKS = math.ceil(SAMPLES / 256)
 
 
 class Counted:
