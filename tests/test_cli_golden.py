@@ -24,6 +24,8 @@ from sosq.cli import main
 
 DATA = Path(__file__).parent / "data" / "cli_golden.txt"
 
+SMOOTH_N = "796229763520486260311072665796622111837258600"
+
 CASES = [
     ["compose2", "1", "2", "2", "1"],
     ["compose2", "-3", "0", "0", "5"],
@@ -118,6 +120,11 @@ CASES = [
     ["decompose", "--squares", "4", "2026"],
     # 999999999959 = 7 mod 8: four nonzero squares from the descent
     ["decompose", "--squares", "4", "999999999959"],
+    # a smooth n across both ends of the prime table: 2^3 3^2 5^2 13 17 29 37
+    # 41 53 61 101 1009 1013 1997 2003^2 2017 2029 2039^2 (2039, the last
+    # table prime, squared; 3 and 2003 = 3 mod 4 at even powers)
+    ["decompose", "--squares", "2", SMOOTH_N],
+    ["decompose", "--squares", "4", SMOOTH_N],
     ["rep-check", "45"],
     ["rep-check", "21"],
     ["rep-check", "1"],
@@ -125,6 +132,7 @@ CASES = [
     ["rep-check", str(3 * 2**64)],
     # 1323 = 3^3 * 7^2: the certificate is 3^3, the even power of 7 is not one
     ["rep-check", "1323"],
+    ["rep-check", SMOOTH_N],
 ]
 
 # the benchmark's sweep mix (SWEEP_MIX in perfbench/workloads.py) at its full
