@@ -109,14 +109,16 @@ class BoundSpec:
 
 
 def _bound_at(fn: Callable[[float], float], t: float):
-    # NaN fails the range test too; complex values raise TypeError there
+    # NaN fails the range test too; a complex value (pow of a negative
+    # base) is out of range without being compared
     try:
         value = fn(t)
-        if 0 <= value < math.inf:
-            return value
-        problem = f"bound value {value!r} is not in [0, inf)"
     except (ArithmeticError, TypeError) as exc:
         problem = f"bound raised {type(exc).__name__}: {exc}"
+    else:
+        if not isinstance(value, complex) and 0 <= value < math.inf:
+            return value
+        problem = f"bound value {value!r} is not in [0, inf)"
     raise InvalidBoundError(f"{problem} at probe {t!r}")
 
 
@@ -177,13 +179,17 @@ class _Worst:
 
 def _block_caps(fns, cols) -> list:
     """fns[k] over the column cols[k] for every slot k.  If anything is off
-    (a raise, a value outside [0, inf), or a column sum that overflows),
-    each column goes through _bound_at again, which raises at the first bad
-    value; on a block of one sample, at the first bad slot."""
+    (a raise, or a value outside [0, inf)), each column goes through
+    _bound_at again, which raises at the first bad value; on a block of one
+    sample, at the first bad slot."""
     try:
         capcols = [_columns_of(fn)(col) for fn, col in zip(fns, cols)]
-        # a NaN or inf makes the sum non-finite
-        if all(0 <= min(col) and sum(col) < math.inf for col in capcols):
+        # a NaN or inf makes the sum non-finite, but so can finite caps
+        # near DBL_MAX; only then is each value tested
+        if all(
+            0 <= min(col) and (sum(col) < math.inf or all(map(math.isfinite, col)))
+            for col in capcols
+        ):
             return capcols
     except Exception:
         pass

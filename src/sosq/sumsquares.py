@@ -8,11 +8,13 @@ through the exact composition laws, so the squared-sum identity holds with
 no rounding anywhere.  Each prime is represented by Euler's descent on
 the same laws, and each result is checked exactly before it is returned.
 
-Factorization is trial division: by a table of the primes below 2048,
-sieved once at import, then by the 6k-1, 6k+1 wheel past the table,
-stopping once the divisor's square exceeds the unfactored rest.  Products
-of small primes factor quickly at any size, but a large prime factor p
-costs O(sqrt p) steps, which keeps this at desk scale (n up to ~1e12).
+Factorization screens n against the 309 primes below 2048, sieved once at
+import: one gcd with their product finds the table primes that divide n,
+and runs of 32 primes whose gcd with it is 1 are skipped.  Past the table,
+trial division by the 6k-1, 6k+1 wheel stops once the divisor's square
+exceeds the unfactored rest.  Products of small primes factor quickly at
+any size, but a large prime factor p costs O(sqrt p) wheel steps, which
+keeps this at desk scale (n up to ~1e12).
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import count
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
-from .identities import IntPair, IntQuad, compose_two, compose_four, norm
+from .identities import compose_two, compose_four, norm
 from .identities import compose_two_raw, compose_four_raw
 
 __all__ = [
@@ -53,36 +55,55 @@ def _primes_below(limit: int) -> tuple[int, ...]:
 
 _TABLE_LIMIT = 2048
 _SMALL_PRIMES = _primes_below(_TABLE_LIMIT)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_TABLE_PRODUCT = prod(_SMALL_PRIMES)
+# the table in runs of 32 primes, each with its product
+_RUNS = tuple(
+    (prod(run), run)
+    for run in (_SMALL_PRIMES[i : i + 32] for i in range(0, len(_SMALL_PRIMES), 32))
+)
 # first 6k-1 candidate above the table; the wheel tests it and its 6k+1
 _WHEEL_START = _TABLE_LIMIT + (5 - _TABLE_LIMIT) % 6
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division up to sqrt(n)."""
+    """Factor n >= 1: a gcd screen over the prime table, then the wheel.
+
+    g = gcd(n, product of the table) is the product of the table primes
+    dividing n.  A run whose gcd with g is 1 holds none of them; one whose
+    gcd is a single table prime is that prime, with no scan of the run.
+    What is left has no factor below 2048, so below 2051**2 it is 1 or a
+    prime and the wheel does not start.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     factors = []
     rest = n
-    for p in _SMALL_PRIMES:
-        if p * p > rest:
+    g = gcd(n, _TABLE_PRODUCT)
+    for run_product, run in _RUNS:
+        if g == 1:
             break
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            factors.append((p, e))
-    else:
-        f = _WHEEL_START
-        while f * f <= rest:
-            for p in (f, f + 2):
-                if rest % p == 0:
-                    e = 0
-                    while rest % p == 0:
-                        rest //= p
-                        e += 1
-                    factors.append((p, e))
-            f += 6
+        h = gcd(g, run_product)
+        if h == 1:
+            continue
+        g //= h
+        for p in (h,) if h in _SMALL_PRIME_SET else run:
+            if h % p == 0:
+                e = 0
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                factors.append((p, e))
+    f = _WHEEL_START
+    while f * f <= rest:
+        for p in (f, f + 2):
+            if rest % p == 0:
+                e = 0
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                factors.append((p, e))
+        f += 6
     if rest > 1:
         factors.append((rest, 1))
     return Factorization(n, tuple(factors))
@@ -215,15 +236,15 @@ def two_square_decompose(
     is_sum_of_two_squares.
     """
     multiplier = 1
-    parts: list[IntPair] = []
+    parts = []
     for p, e in _factors_of(n, factorization):
         if p % 4 == 3:
             if e % 2:
                 return None
             multiplier *= p ** (e // 2)
         else:
-            parts.extend([IntPair(*_prime_two_square(p))] * e)
-    x, y = reduce(compose_two, parts) if parts else IntPair(1, 0)
+            parts += [_prime_two_square(p)] * e
+    x, y = reduce(compose_two, parts) if parts else (1, 0)
     a, b = sorted((abs(x) * multiplier, abs(y) * multiplier), reverse=True)
     if a * a + b * b != n:
         raise ArithmeticError(f"{a}^2 + {b}^2 is not {n}")
@@ -241,10 +262,10 @@ def four_square_decompose(n: int) -> SquareRep:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return SquareRep(0, (0, 0, 0, 0))
-    parts: list[IntQuad] = []
+    parts = []
     for p, e in factorize(n).factors:
-        parts.extend([IntQuad(*_prime_four_square(p))] * e)
-    folded = reduce(compose_four, parts) if parts else IntQuad(1, 0, 0, 0)
+        parts += [_prime_four_square(p)] * e
+    folded = reduce(compose_four, parts) if parts else (1, 0, 0, 0)
     components = tuple(sorted(map(abs, folded), reverse=True))
     if norm(components) != n:
         raise ArithmeticError(f"the squares of {components} do not sum to {n}")

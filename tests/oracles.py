@@ -293,15 +293,16 @@ def run_equation_sweep(f, sampler, tol: float, arity: int, compose) -> Verificat
 
 
 def _bound_at(fn: Callable[[float], float], t: float):
-    # NaN fails the range test too; complex values raise TypeError there
+    # NaN fails the range test too; a complex value is out of range
     try:
         value = fn(t)
-        if 0 <= value < math.inf:
-            return value
-        problem = f"bound value {value!r} is not in [0, inf)"
     except (ArithmeticError, TypeError) as exc:
-        problem = f"bound raised {type(exc).__name__}: {exc}"
-    raise InvalidBoundError(f"{problem} at probe {t!r}")
+        raise InvalidBoundError(
+            f"bound raised {type(exc).__name__}: {exc} at probe {t!r}"
+        ) from None
+    if isinstance(value, complex) or not 0 <= value < math.inf:
+        raise InvalidBoundError(f"bound value {value!r} is not in [0, inf) at probe {t!r}")
+    return value
 
 
 def _caps(fns, probes) -> list:

@@ -408,8 +408,8 @@ class TestOnePassErrorOrder:
         f = SolutionModel(arity, MultiplicativeFamily.power(2)).as_function()
         want = (
             InvalidBoundError,
-            "bound raised TypeError: '<=' not supported between instances of "
-            "'int' and 'complex' at probe -2.155670751529364",
+            "bound value (8.99025625024699e-17+1.4682202666934427j) is not in "
+            "[0, inf) at probe -2.155670751529364",
         )
         assert sequential(f, bounds, 2, 1) == want
         assert one_pass(f, bounds, 2, 1) == want
@@ -488,6 +488,17 @@ class TestBoundCaps:
             with pytest.raises(InvalidBoundError) as exc:
                 check_hypothesis_two(norm2f, self.spec(1.0, -1.0, later, 1.0), self.POINT)
             assert str(exc.value) == "bound value -1.0 is not in [0, inf) at probe 3.0"
+
+    def test_complex_value_is_out_of_range(self):
+        # pow of a negative base is complex: a value, not a raise
+        with pytest.raises(InvalidBoundError) as exc:
+            check_hypothesis_two(norm2f, self.spec(1.0, 2j, 1.0, 1.0), self.POINT)
+        assert str(exc.value) == "bound value 2j is not in [0, inf) at probe 3.0"
+
+    def test_raising_slot_is_named_as_raising(self):
+        with pytest.raises(InvalidBoundError) as exc:
+            check_hypothesis_two(norm2f, self.spec(1.0, TypeError, 1.0, 1.0), self.POINT)
+        assert str(exc.value) == "bound raised TypeError: slot raised at probe 3.0"
 
     def test_uncaught_error_in_a_later_slot_propagates(self):
         with pytest.raises(ValueError, match="slot raised"):

@@ -1,4 +1,5 @@
 from itertools import count, islice
+from math import prod
 
 import pytest
 from hypothesis import example, given
@@ -33,6 +34,10 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(sumsquares, name, counted)
     return calls
+
+
+# the primes below 2048, which factorize screens for with one gcd
+TABLE = [p for p in range(2048) if is_prime(p)]
 
 
 def prime_at_most(n, residue):
@@ -81,6 +86,28 @@ class TestFactorize:
     @given(st.integers(min_value=10**11, max_value=10**12))
     def test_matches_wheel_large(self, n):
         assert factorize(n).factors == wheel_factors(n)
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(TABLE), st.integers(min_value=1, max_value=60),
+            min_size=1, max_size=40,
+        ),
+        st.sampled_from([1, 2053, 2053**2, 2053 * 2063, 1000003]),
+    )
+    def test_matches_wheel_smooth(self, powers, cofactor):
+        # the gcd screen over the table, then the wheel on the cofactor
+        n = prod(p**e for p, e in powers.items()) * cofactor
+        assert factorize(n).factors == wheel_factors(n)
+
+    @pytest.mark.parametrize(
+        "n", [prod(TABLE), prod(TABLE) ** 2], ids=["table", "table squared"]
+    )
+    def test_matches_wheel_on_the_whole_table(self, n):
+        assert factorize(n).factors == wheel_factors(n)
+
+    def test_matches_wheel_on_table_prime_squares(self):
+        for p in TABLE:
+            assert factorize(p * p).factors == ((p, 2),) == wheel_factors(p * p)
 
 
 class TestRepresentabilityCriterion:
