@@ -218,6 +218,10 @@ LINE_CASES = [
      "--samples", "100"],
     ["stability", "--arity", "4", "--model", "power:c=2", "--bounds",
      "1;1;1/abs(x);1;1;1;1;1", "--samples", "100"],
+    # -t^2 stays within the delta = 1e9 line (~31,623) on the +-2^-4..2^6
+    # ladder but crosses it at |t| ~ 178
+    ["stability", "--arity", "2", "--model", "power:c=2,sigma=-1", "--bounds", "1e9",
+     "--samples", "2000"],
 ]
 
 
