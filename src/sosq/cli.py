@@ -26,7 +26,7 @@ import sys
 
 from . import jsonfmt
 from .exprs import ExpressionError
-from .identities import IntPair, IntQuad, compose_two, compose_four, norm
+from .identities import compose_two, compose_four, norm
 from .sampling import UniformSampler
 from .solutions import (
     Arity,
@@ -260,25 +260,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compose(args):
     two = args.command == "compose2"
-    coords, point, compose = (
-        ("xy", IntPair, compose_two) if two else ("xyzw", IntQuad, compose_four)
-    )
+    coords, compose = ("xy", compose_two) if two else ("xyzw", compose_four)
     first = [getattr(args, f"{c}1") for c in coords]
     second = [getattr(args, f"{c}2") for c in coords]
-    p1, p2 = point(*first), point(*second)
-    result = compose(p1, p2)
-    comps = [getattr(result, c) for c in coords]
-    law_holds = norm(result) == norm(p1) * norm(p2)
+    result = compose(first, second)
+    law_holds = norm(result) == norm(first) * norm(second)
     config = dict(zip(("p1", "p2") if two else ("q1", "q2"), (first, second)))
     detail = {
-        "result": comps,
-        "norm_product": norm(p1) * norm(p2),
+        "result": result,
+        "norm_product": norm(first) * norm(second),
         "norm_of_result": norm(result),
         "norm_law_holds": law_holds,
     }
     show = lambda values: f"({', '.join(map(str, values))})"
     head = f"{show(first)} o {show(second)} = " if two else "result: "
-    human = f"{head}{show(comps)}\nnorm check: {norm(p1)} * {norm(p2)} = {norm(result)}"
+    human = (
+        f"{head}{show(result)}\n"
+        f"norm check: {norm(first)} * {norm(second)} = {norm(result)}"
+    )
     return config, detail, "PASS" if law_holds else "FAIL", human
 
 
@@ -334,7 +333,7 @@ def _cmd_verify(args):
         f"(tol {args.tol:.1e}) over {args.samples} samples, seed {seed}\n"
         f"worst point: {report.worst_point}"
     )
-    return config, report.to_dict(), report.verdict, human
+    return config, report._asdict(), report.verdict, human
 
 
 def _cmd_stability(args):
@@ -362,7 +361,7 @@ def _cmd_stability(args):
         f"(tol {args.tol:.1e})\n"
         f"diagonal classification: {report.diagonal_classification}"
     )
-    return config, report.to_dict(), verdict, human
+    return config, report._asdict(), verdict, human
 
 
 def _cmd_classify(args):

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat, starmap
 from math import inf
@@ -71,23 +71,24 @@ def _constants(n: int, width: int) -> tuple[int, int, int, int]:
             _lanes([_MASK64] * (n * width)))
 
 
-@dataclass(frozen=True)
-class UniformSampler:
+class UniformSampler(namedtuple("UniformSampler", "seed count low high integer")):
     """Seeded sweep of `count` tuples with coordinates in [low, high].
 
     With integer=True the coordinates are integer-valued floats, which keeps
-    small polynomial arithmetic exact in IEEE doubles.
+    small polynomial arithmetic exact in IEEE doubles.  The field count
+    shadows tuple.count.
     """
 
-    seed: int
-    count: int
-    low: float = -10.0
-    high: float = 10.0
-    integer: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"sample count {self.count} is below 0")
+    def __new__(cls, seed: int, count: int, low: float = -10.0, high: float = 10.0,
+                integer: bool = False):
+        if count < 0:
+            raise ValueError(f"sample count {count} is below 0")
+        return tuple.__new__(cls, (seed, count, low, high, integer))
+
+    # namedtuple's _make (and _replace, built on it) skips __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def blocks(self, width: int) -> Iterator[list[list[float]]]:
         """The samples _BLOCK at a time, each block as its width columns."""

@@ -11,11 +11,11 @@ sufficient for sigma identically +1 with any multiplicative m.  A
 SolutionModel takes sigma as the constant sign +1 or -1; any other
 candidate is a plain callable f.  verify_equation_two/four re-check the
 equation for any f on a seeded sample sweep.  A sweep takes any sampler
-with seed, count and tuples(width), and blocks(width) (those samples as
-columns) if it has it: sosq.sampling.UniformSampler, or the point-list
-FixedSampler and DiagonalSampler in tests/oracles.py, which also holds
-builtin_families and extract_structure, the (m, sigma) tables read off a
-black-box f.
+with seed, count and blocks(width), its samples in blocks of columns
+(one that fails at a sample yields the samples before it first):
+sosq.sampling.UniformSampler, or the point-list FixedSampler and
+DiagonalSampler in tests/oracles.py, which also holds builtin_families and
+extract_structure, the (m, sigma) tables read off a black-box f.
 
 evaluate(model, point) is the reference evaluation.  model.as_function()
 compiles the model once into one closure f(*coords) for its family kind,
@@ -23,31 +23,27 @@ exponent and sign: for a point of matching arity with a finite coordinate
 sum it computes sign * m(hypot(*coords)) inline, and it hands every other
 point to evaluate, so values and errors match evaluate bit for bit.
 
-A sweep takes the samples 256 at a time as columns, one block of
-sampler.blocks or 256 tuples transposed, and folds each block with one
-kernel: f.columns (the closure's column form, which defers to f wherever
-a norm is 0 or non-finite or a power overflows) or else f point by point,
-then the residuals and the block's max at its first index; the first
-sample with a non-finite value fails the sweep.  The kernel folds a whole
-block or raises and changes nothing, and a block that raises is folded
-again by the same kernel one sample at a time.  So every report, FAIL
-sample, tie and error is a per-sample sweep's; f must be deterministic.
+A sweep folds each block of sampler.blocks with one kernel: f.columns
+(the closure's column form, which defers to f wherever a norm is 0 or
+non-finite or a power overflows) or else f point by point, then the
+residuals and the block's max at its first index; the first sample with
+a non-finite value fails the sweep.  The kernel folds a whole block or
+raises and changes nothing, and a block that raises is folded again by
+the same kernel one sample at a time.  So every report, FAIL sample, tie
+and error is a per-sample sweep's; f must be deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from math import hypot, inf, isfinite
+from collections import namedtuple
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import islice, repeat
+from itertools import repeat
 from operator import add, itemgetter, mul, sub, truediv
 
 from .identities import compose_two_raw, compose_four_raw
-
-# samples per block pass: one block of sosq.sampling.UniformSampler.blocks
-_BLOCK = 256
 
 __all__ = [
     "Arity",
@@ -73,8 +69,9 @@ class FamilyKind(Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class MultiplicativeFamily:
+class MultiplicativeFamily(namedtuple(
+    "MultiplicativeFamily", "kind exponent", defaults=(0.0,)
+)):
     """A map m on the reals with m(s*t) = m(s)*m(t).
 
     Every kind satisfies the law identically (POWER with exponent 0 is the
@@ -82,8 +79,7 @@ class MultiplicativeFamily:
     0 and evaluate to 0 there by convention.
     """
 
-    kind: FamilyKind
-    exponent: float = 0.0
+    __slots__ = ()
 
     @classmethod
     def power(cls, c: float) -> "MultiplicativeFamily":
@@ -114,17 +110,18 @@ class MultiplicativeFamily:
         return mag if t > 0.0 else -mag
 
 
-@dataclass(frozen=True)
-class SolutionModel:
+class SolutionModel(namedtuple("SolutionModel", "arity m sign")):
     """Candidate solution f(point) = sign * m(||point||), sign +1 or -1."""
 
-    arity: Arity
-    m: MultiplicativeFamily
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign is {self.sign!r}; must be +1 or -1")
+    def __new__(cls, arity: Arity, m: MultiplicativeFamily, sign: int = 1):
+        if sign not in (1, -1):
+            raise ValueError(f"sign is {sign!r}; must be +1 or -1")
+        return tuple.__new__(cls, (arity, m, sign))
+
+    # namedtuple's _make (and _replace, built on it) skips __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def as_function(self) -> Callable[..., float]:
         """f(*coords), equal to evaluate(self, coords) bit for bit; compiled
@@ -185,8 +182,12 @@ def evaluate(model: SolutionModel, point: Iterable[float]) -> float:
     return model.sign * model.m(math.hypot(*point))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple(
+    "VerificationReport",
+    "arity sample_count seed tol max_abs_residual max_rel_residual worst_point verdict"
+    " failure_reason",
+    defaults=(None,),
+)):
     """Result of a seeded equation sweep.
 
     worst_point is the sample attaining max_abs_residual; the verdict
@@ -194,49 +195,7 @@ class VerificationReport:
     sweep outright, with the offending sample recorded.
     """
 
-    arity: int
-    sample_count: int
-    seed: int
-    tol: float
-    max_abs_residual: float
-    max_rel_residual: float
-    worst_point: tuple[float, ...]
-    verdict: str
-    failure_reason: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "arity": self.arity,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "tol": self.tol,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
-            "worst_point": list(self.worst_point),
-            "verdict": self.verdict,
-            "failure_reason": self.failure_reason,
-        }
-
-
-def _column_blocks(sampler, width: int):
-    """sampler.blocks(width), else tuples(width) as blocks of _BLOCK columns.
-    An error of the sampler's comes after a block of the samples drawn
-    before it, as a per-sample sweep folds those first."""
-    if hasattr(sampler, "blocks"):
-        yield from sampler.blocks(width)
-        return
-    samples = sampler.tuples(width)
-    while True:
-        block = []
-        try:
-            block.extend(islice(samples, _BLOCK))
-        except Exception:
-            if block:
-                yield list(zip(*block))
-            raise
-        if not block:
-            return
-        yield list(zip(*block))
+    __slots__ = ()
 
 
 def _columns_of(f):
@@ -245,7 +204,7 @@ def _columns_of(f):
 
 
 def _fold_blocks(fold, sampler, width: int):
-    """fold(cols) over the sampler's blocks; the first result that is not
+    """fold(cols) over sampler.blocks(width); the first result that is not
     None ends the sweep and is returned.
 
     fold folds a whole block or raises and changes nothing.  A block that
@@ -253,7 +212,7 @@ def _fold_blocks(fold, sampler, width: int):
     the error comes again at its sample, after every sample before it: the
     outcome of a per-sample sweep.
     """
-    for cols in _column_blocks(sampler, width):
+    for cols in sampler.blocks(width):
         try:
             result = fold(cols)
         except Exception:

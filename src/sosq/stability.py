@@ -36,8 +36,8 @@ sweep's.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass
 from enum import Enum
 from operator import itemgetter, mul, sub
 
@@ -70,23 +70,23 @@ class InvalidBoundError(ValueError):
     probe; or a constant bound is outside [0, inf)."""
 
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(namedtuple("BoundSpec", "arity bounds")):
     """Per-coordinate nonnegative bound functions of one real variable.
 
     There are 2 * arity slots, one per sample coordinate: (M1, M2, N1, N2)
     for two variables, (K1, K2, L1, L2, M1, M2, N1, N2) for four.
     """
 
-    arity: Arity
-    bounds: tuple[Callable[[float], float], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        want = 2 * self.arity
-        if len(self.bounds) != want:
-            raise ValueError(
-                f"arity {int(self.arity)} needs {want} bounds, got {len(self.bounds)}"
-            )
+    def __new__(cls, arity: Arity, bounds: tuple[Callable[[float], float], ...]):
+        want = 2 * arity
+        if len(bounds) != want:
+            raise ValueError(f"arity {int(arity)} needs {want} bounds, got {len(bounds)}")
+        return tuple.__new__(cls, (arity, bounds))
+
+    # namedtuple's _make (and _replace, built on it) skips __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def constant(cls, arity: Arity, value: float) -> "BoundSpec":
@@ -122,8 +122,10 @@ def _bound_at(fn: Callable[[float], float], t: float):
     raise InvalidBoundError(f"{problem} at probe {t!r}")
 
 
-@dataclass(frozen=True)
-class ExcessReport:
+class ExcessReport(namedtuple(
+    "ExcessReport",
+    "max_excess worst_point defect_at_worst bound_at_worst sample_count seed tol passed",
+)):
     """Worst positive excess of the defect over the pointwise bound cap.
 
     max_excess is 0 when the inequality holds on every sample.  worst_point
@@ -131,14 +133,7 @@ class ExcessReport:
     with the defect and cap there.
     """
 
-    max_excess: float
-    worst_point: tuple[float, ...] | None
-    defect_at_worst: float
-    bound_at_worst: float
-    sample_count: int
-    seed: int
-    tol: float
-    passed: bool
+    __slots__ = ()
 
 
 class _Worst:
@@ -316,22 +311,17 @@ class DiagonalVerdict(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class DiagonalReport:
+class DiagonalReport(namedtuple(
+    "DiagonalReport",
+    "verdict delta max_mult_residual worst_pair sup_abs sup_at growth_threshold mult_tol",
+)):
     """Empirical bounded-vs-multiplicative classification with its evidence."""
 
-    verdict: DiagonalVerdict
-    delta: float
-    max_mult_residual: float
-    worst_pair: tuple[float, float] | None
-    sup_abs: float
-    sup_at: float
-    growth_threshold: float
-    mult_tol: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """The evidence, without the verdict."""
-        return {k: v for k, v in asdict(self).items() if k != "verdict"}
+        return dict(zip(self._fields[1:], self[1:]))
 
 
 def classify_diagonal(
@@ -345,11 +335,12 @@ def classify_diagonal(
     |m(s) m(t) - m(st)| / (1 + |m(st)|) to stay within mult_tol over all
     pairs of probe_ladder() points (+-2^-4 .. +-2^6); it wins outright (the
     constant 1 is multiplicative, not merely bounded).  Otherwise BOUNDED
-    requires sup |m| on the ladder to stay within Baker's line
-    (1 + sqrt(1 + 4 delta))/2, reported as growth_threshold (1 at the
-    default delta = 0), and anything else is INCONCLUSIVE.  A NaN value,
-    and a NaN residual (from an infinite value), counts as infinite.  A
-    negative or non-finite delta raises ValueError.
+    requires |m| to stay within Baker's line (1 + sqrt(1 + 4 delta))/2,
+    reported as growth_threshold (1 at the default delta = 0), both on the
+    ladder, where sup_abs and sup_at are taken, and at +-2^k for
+    k = -64 .. 64, probed only then.  Anything else is INCONCLUSIVE.  A NaN
+    value, and a NaN residual (from an infinite value), counts as infinite.
+    A negative or non-finite delta raises ValueError.
     """
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
@@ -387,7 +378,9 @@ def classify_diagonal(
 
     if max_residual <= mult_tol:
         verdict = DiagonalVerdict.MULTIPLICATIVE
-    elif sup_abs <= line:
+    elif sup_abs <= line and all(
+        abs(m(t)) <= line for k in range(-64, 65) for t in (-(2.0 ** k), 2.0 ** k)
+    ):
         verdict = DiagonalVerdict.BOUNDED
     else:
         verdict = DiagonalVerdict.INCONCLUSIVE
@@ -403,18 +396,14 @@ def classify_diagonal(
     )
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(namedtuple(
+    "StabilityReport",
+    "arity seed sample_count tol hypothesis_max_violation conclusion_max_violation"
+    " diagonal_classification evidence",
+)):
     """Hypothesis excess, conclusion excess, and the diagonal verdict."""
 
-    arity: int
-    seed: int
-    sample_count: int
-    tol: float
-    hypothesis_max_violation: float
-    conclusion_max_violation: float
-    diagonal_classification: str
-    evidence: dict
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -422,9 +411,6 @@ class StabilityReport:
             self.hypothesis_max_violation <= self.tol
             and self.conclusion_max_violation <= self.tol
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def run_stability(

@@ -18,8 +18,8 @@ d^2) and (s, t, q) = (a, c, d)/p: the analogue of the complex square root
 that solve_two is.  The solvers return one canonical solution of each +/-
 pair -- x >= 0 for solve_two, x + z = p >= 0 for solve_four -- together
 with the achieved residual; the other member of the pair is its negation.
-The report is a SolveReport, an immutable named tuple: _asdict() and
-_replace() take the place of dataclasses.asdict and replace.
+The report is a SolveReport, an immutable named tuple, read as a dict
+through _asdict() and copied with changes through _replace().
 
 Every equation is homogeneous of degree 2 in the solution, so the solvers
 normalize the inputs by an even power of two, solve in a well-conditioned

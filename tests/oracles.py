@@ -16,11 +16,11 @@ sweep over.
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from math import isqrt
 from operator import itemgetter
 
-from sosq.sampling import UniformSampler
+from sosq.sampling import _BLOCK, UniformSampler
 from sosq.solutions import MultiplicativeFamily, VerificationReport, probe_ladder
 from sosq.stability import BoundSpec, ExcessReport, InvalidBoundError
 
@@ -60,6 +60,23 @@ def stream_for(seed: int, index: int) -> SplitMix64:
     return SplitMix64(_mix64((seed + (index + 1) * _GOLDEN) & _MASK64))
 
 
+def column_blocks(samples):
+    """Sample tuples as blocks of columns, as UniformSampler.blocks gives
+    them.  An error of the samples' comes after a block of the samples
+    drawn before it, as a per-sample sweep folds those first."""
+    while True:
+        block = []
+        try:
+            block.extend(islice(samples, _BLOCK))
+        except Exception:
+            if block:
+                yield list(zip(*block))
+            raise
+        if not block:
+            return
+        yield list(zip(*block))
+
+
 @dataclass(frozen=True)
 class FixedSampler:
     """Sweep over an explicit point list; useful for targeted checks."""
@@ -76,6 +93,9 @@ class FixedSampler:
             if len(p) != width:
                 raise ValueError(f"expected width-{width} tuples, got {p!r}")
             yield tuple(p)
+
+    def blocks(self, width: int):
+        return column_blocks(self.tuples(width))
 
 
 @dataclass(frozen=True)
@@ -97,6 +117,9 @@ class DiagonalSampler:
             raise ValueError("diagonal sweeps need an even tuple width")
         for t in self.inner.tuples(width // 2):
             yield t + t
+
+    def blocks(self, width: int):
+        return column_blocks(self.tuples(width))
 
 
 def builtin_families() -> tuple[MultiplicativeFamily, ...]:

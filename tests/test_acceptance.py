@@ -9,7 +9,7 @@ import time
 
 from oracles import DiagonalSampler, extract_structure, is_two_square, stream_for
 from sosq.cli import main
-from sosq.identities import IntPair, IntQuad, compose_two, compose_four, norm
+from sosq.identities import compose_two, compose_four, norm
 from sosq.sampling import UniformSampler
 from sosq.solutions import (
     Arity,
@@ -43,13 +43,13 @@ def test_criterion_1_exact_norm_multiplicativity():
     count = 100_000
     for i in range(count):
         rng = stream_for(29, i)
-        p1 = IntPair(rng.randint(-1000, 1000), rng.randint(-1000, 1000))
-        p2 = IntPair(rng.randint(-1000, 1000), rng.randint(-1000, 1000))
+        p1 = (rng.randint(-1000, 1000), rng.randint(-1000, 1000))
+        p2 = (rng.randint(-1000, 1000), rng.randint(-1000, 1000))
         assert norm(compose_two(p1, p2)) == norm(p1) * norm(p2)
     for i in range(count):
         rng = stream_for(31, i)
-        q1 = IntQuad(*(rng.randint(-1000, 1000) for _ in range(4)))
-        q2 = IntQuad(*(rng.randint(-1000, 1000) for _ in range(4)))
+        q1 = tuple(rng.randint(-1000, 1000) for _ in range(4))
+        q2 = tuple(rng.randint(-1000, 1000) for _ in range(4))
         assert norm(compose_four(q1, q2)) == norm(q1) * norm(q2)
     elapsed = time.perf_counter() - started
     report(

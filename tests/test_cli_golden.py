@@ -219,7 +219,7 @@ LINE_CASES = [
     ["stability", "--arity", "4", "--model", "power:c=2", "--bounds",
      "1;1;1/abs(x);1;1;1;1;1", "--samples", "100"],
     # -t^2 stays within the delta = 1e9 line (~31,623) on the +-2^-4..2^6
-    # ladder but crosses it at |t| ~ 178
+    # ladder but crosses it at |t| ~ 178, inside BOUNDED's +-2^k reach
     ["stability", "--arity", "2", "--model", "power:c=2,sigma=-1", "--bounds", "1e9",
      "--samples", "2000"],
 ]

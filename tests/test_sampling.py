@@ -169,6 +169,14 @@ class TestFixedSampler:
         with pytest.raises(ValueError):
             list(FixedSampler(((1.0, 2.0),)).tuples(3))
 
+    def test_blocks_end_with_the_samples_before_a_bad_point(self):
+        points = [(float(i), 1.0) for i in range(B + 2)] + [(1.0,)]
+        blocks = FixedSampler(tuple(points)).blocks(2)
+        assert next(blocks) == [tuple(map(float, range(B))), (1.0,) * B]
+        assert next(blocks) == [(float(B), float(B + 1)), (1.0, 1.0)]
+        with pytest.raises(ValueError, match="expected width-2 tuples"):
+            next(blocks)
+
 
 class TestDiagonalSampler:
     def test_repeats_each_tuple(self):
@@ -180,3 +188,10 @@ class TestDiagonalSampler:
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
             list(DiagonalSampler(FixedSampler(((1.0,),))).tuples(3))
+        with pytest.raises(ValueError):
+            list(DiagonalSampler(FixedSampler(((1.0,),))).blocks(3))
+
+    def test_blocks_are_columns_of_tuples(self):
+        lifted = DiagonalSampler(UniformSampler(4, B + 1))
+        flat = [t for b in lifted.blocks(4) for t in zip(*b)]
+        assert flat == list(lifted.tuples(4))

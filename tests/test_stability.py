@@ -222,9 +222,54 @@ class TestClassifyDiagonal:
         assert report.verdict is DiagonalVerdict.MULTIPLICATIVE
 
     def test_complex_values_accepted(self):
-        # sup |g| = 4096, at t = -64
-        report = classify_diagonal(lambda t: complex(0.0, t * t), delta=delta_for(1e6))
+        # |g| = 1/2 everywhere, and g(s) g(t) = -1/4 is not g(st)
+        report = classify_diagonal(lambda t: complex(0.0, 0.5))
         assert report.verdict is DiagonalVerdict.BOUNDED
+        # sup |g| = 4096 on the ladder, at t = -64, within the line 1e6; but
+        # |g(2^10)| = 2^20 is past it
+        report = classify_diagonal(lambda t: complex(0.0, t * t), delta=delta_for(1e6))
+        assert report.verdict is DiagonalVerdict.INCONCLUSIVE
+        assert (report.sup_abs, report.sup_at) == (4096.0, -64.0)
+
+    def test_growth_past_the_ladder_is_not_bounded(self):
+        # -t^2 stays within the delta = 1e9 line (~31,623) on the ladder,
+        # up to 4096 at +-64, and crosses it at |t| ~ 178
+        line = (1.0 + math.sqrt(1.0 + 4e9)) / 2.0
+        report = classify_diagonal(lambda t: -t * t, delta=1e9)
+        assert report.verdict is DiagonalVerdict.INCONCLUSIVE
+        assert report.sup_abs == 4096.0 < line
+        # capped below the line, the same g is bounded
+        report = classify_diagonal(lambda t: -min(t * t, 1e4), delta=1e9)
+        assert report.verdict is DiagonalVerdict.BOUNDED
+
+    @pytest.mark.parametrize(
+        "m,verdict",
+        [
+            (lambda t: -1.0 if abs(t) < 2.0**64 else -2.0, DiagonalVerdict.INCONCLUSIVE),
+            (lambda t: -1.0 if abs(t) <= 2.0**64 else -2.0, DiagonalVerdict.BOUNDED),
+            (lambda t: -1.0 if abs(t) > 2.0**-64 else -2.0, DiagonalVerdict.INCONCLUSIVE),
+            (lambda t: -1.0 if abs(t) >= 2.0**-64 else -2.0, DiagonalVerdict.BOUNDED),
+            (lambda t: -1.0 if t > -(2.0**64) else math.nan, DiagonalVerdict.INCONCLUSIVE),
+        ],
+        ids=["past-2^64", "from-2^64", "below-2^-64", "from-2^-64", "nan-at--2^64"],
+    )
+    def test_bounded_reach_is_2_to_the_plus_minus_64(self, m, verdict):
+        assert classify_diagonal(m).verdict is verdict
+
+    @pytest.mark.parametrize(
+        "m,reach",
+        [
+            (lambda t: t * t, 4096.0),  # MULTIPLICATIVE
+            (lambda t: -t * t, 4096.0),  # INCONCLUSIVE on the ladder
+            (lambda t: 0.5, 2.0**64),  # BOUNDED
+        ],
+        ids=["multiplicative", "inconclusive", "bounded"],
+    )
+    def test_reach_evaluated_only_for_bounded(self, m, reach):
+        seen = []
+        classify_diagonal(lambda t: seen.append(t) or m(t))
+        # the ladder's products s * t reach 64 * 64
+        assert max(map(abs, seen)) == reach
 
     @pytest.mark.parametrize(
         "m,threshold",
@@ -276,7 +321,7 @@ class TestRunners:
         assert report.conclusion_max_violation <= 1e-9
         assert report.diagonal_classification == "MULTIPLICATIVE"
         assert report.passed
-        assert report.to_dict()["evidence"]["max_mult_residual"] == 0.0
+        assert report._asdict()["evidence"]["max_mult_residual"] == 0.0
 
     def test_run_four_constant_half(self):
         f = lambda x, y, z, w: 0.5
@@ -305,7 +350,7 @@ class TestRunners:
         f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2), -1).as_function()
         report = run_stability(f, ZERO2, seed=1, samples=0)
         assert report.sample_count == 0 and report.hypothesis_max_violation == 0.0
-        assert report.to_dict()["evidence"]["hypothesis_worst_point"] is None
+        assert report._asdict()["evidence"]["hypothesis_worst_point"] is None
 
 
 CHECKS = {
