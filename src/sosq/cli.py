@@ -313,12 +313,11 @@ def _cmd_verify(args):
     arity = Arity(args.arity)
     seed = _resolve_seed(args)
     model = parse_model_spec(args.model, arity)
-    f = model.as_function()
     sampler = UniformSampler(seed, args.samples)
     if arity is Arity.TWO:
-        report = verify_equation_two(f, sampler, args.tol)
+        report = verify_equation_two(model, sampler, args.tol)
     else:
-        report = verify_equation_four(f, sampler, args.tol)
+        report = verify_equation_four(model, sampler, args.tol)
     config = {
         "arity": args.arity,
         "model": args.model,
@@ -341,9 +340,8 @@ def _cmd_stability(args):
     seed = _resolve_seed(args)
     model = parse_model_spec(args.model, arity)
     bounds = parse_bounds_spec(args.bounds, arity)
-    f = model.as_function()
     report = run_stability(
-        f, bounds, seed=seed, samples=args.samples, tol=args.tol, mult_tol=args.mult_tol
+        model, bounds, seed=seed, samples=args.samples, tol=args.tol, mult_tol=args.mult_tol
     )
     config = {
         "arity": args.arity,
@@ -366,9 +364,8 @@ def _cmd_stability(args):
 
 def _cmd_classify(args):
     model = parse_model_spec(args.model, Arity.TWO)
-    f = model.as_function()
     # at delta = 0: the diagonal verdict of stability --arity 2 --bounds 0
-    report = classify_diagonal(lambda t: f(t, 0.0), mult_tol=args.mult_tol)
+    report = classify_diagonal(lambda t: model(t, 0.0), mult_tol=args.mult_tol)
     config = {"model": args.model, "mult_tol": args.mult_tol}
     detail = {"classification": report.verdict.value, **report.to_dict()}
     verdict = report.verdict.value

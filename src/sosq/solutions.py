@@ -17,15 +17,14 @@ sosq.sampling.UniformSampler, or the point-list FixedSampler and
 DiagonalSampler in tests/oracles.py, which also holds builtin_families and
 extract_structure, the (m, sigma) tables read off a black-box f.
 
-evaluate(model, point) is the reference evaluation.  model.as_function()
-compiles the model once into one closure f(*coords) for its family kind,
-exponent and sign: for a point of matching arity with a finite coordinate
-sum it computes sign * m(hypot(*coords)) inline, and it hands every other
-point to evaluate, so values and errors match evaluate bit for bit.
+evaluate(model, point) is the reference evaluation, and a model is its
+own function: model(*coords) is evaluate(model, coords), values and errors
+alike.  model.columns(*cols) is its column form, which computes
+sign * t**c over a block of norms t at once and maps the model point by
+point wherever a norm is 0 or non-finite or a power overflows.
 
 A sweep folds each block of sampler.blocks with one kernel: f.columns
-(the closure's column form, which defers to f wherever a norm is 0 or
-non-finite or a power overflows) or else f point by point, then the
+(a model's column form) or else f point by point, then the
 residuals and the block's max at its first index; the first sample with
 a non-finite value fails the sweep.  The kernel folds a whole block or
 raises and changes nothing, and a block that raises is folded again by
@@ -36,9 +35,9 @@ and error is a per-sample sweep's; f must be deterministic.
 from __future__ import annotations
 
 import math
-from math import hypot, inf, isfinite
+from math import hypot, isfinite
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from enum import Enum, IntEnum
 from itertools import repeat
 from operator import add, itemgetter, mul, sub, truediv
@@ -54,7 +53,6 @@ __all__ = [
     "evaluate",
     "verify_equation_two",
     "verify_equation_four",
-    "probe_ladder",
 ]
 
 
@@ -123,48 +121,27 @@ class SolutionModel(namedtuple("SolutionModel", "arity m sign")):
     # namedtuple's _make (and _replace, built on it) skips __new__
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def as_function(self) -> Callable[..., float]:
-        """f(*coords), equal to evaluate(self, coords) bit for bit; compiled
-        once, as the module docstring describes.  f.columns(*cols) is
-        list(map(f, *cols)) for the sweeps' block pass."""
-        m, sign = self.m, self.sign
-        arity = int(self.arity)
-        # zero is constant; a power takes its value at 0 from m, and
-        # elsewhere hypot > 0, so |t|^c is t^c and a signed power is on
+    def __call__(self, *coords) -> float:
+        return evaluate(self, coords)
+
+    def columns(self, *cols) -> list:
+        """list(map(self, *cols)), bit for bit, for the sweeps' block pass."""
+        arity, m, sign = self
+        # every hypot finite and nonzero: each point's evaluate takes
+        # sign * m(t) with t > 0, so |t|^c is t^c and a signed power is on
         # its positive branch
-        constant = m.kind is FamilyKind.ZERO
-        at_zero = sign * m(0.0)
-        c = m.exponent
-
-        def f(*coords):
-            if len(coords) == arity and isfinite(sum(coords)):
-                t = hypot(*coords)
-                if t == 0.0 or constant:
-                    return at_zero
+        if len(cols) == arity:
+            ts = list(map(hypot, *cols))
+            if all(ts) and isfinite(sum(ts)):
+                if m.kind is FamilyKind.ZERO:
+                    return [sign * 0.0] * len(ts)
                 try:
-                    return sign * t ** c
+                    # 1 * x is x bit for bit
+                    powers = map(pow, ts, repeat(m.exponent))
+                    return list(powers if sign == 1 else map(mul, repeat(sign), powers))
                 except OverflowError:
-                    return sign * inf
-            return evaluate(self, coords)
-
-        def columns(*cols):
-            # every hypot finite and nonzero: each point takes f's inline
-            # path, or evaluate's equal one when its sum overflows
-            if len(cols) == arity:
-                ts = list(map(hypot, *cols))
-                if all(ts) and isfinite(sum(ts)):
-                    if constant:
-                        return [at_zero] * len(ts)
-                    try:
-                        # 1 * x is x bit for bit
-                        powers = map(pow, ts, repeat(c))
-                        return list(powers if sign == 1 else map(mul, repeat(sign), powers))
-                    except OverflowError:
-                        pass
-            return list(map(f, *cols))
-
-        f.columns = columns
-        return f
+                    pass
+        return list(map(self, *cols))
 
 
 def evaluate(model: SolutionModel, point: Iterable[float]) -> float:
@@ -174,9 +151,8 @@ def evaluate(model: SolutionModel, point: Iterable[float]) -> float:
         raise ValueError(
             f"point has {len(point)} coordinates; model arity is {int(model.arity)}"
         )
-    # sum first, as in as_function, so a non-numeric coordinate raises the
-    # same TypeError; a finite sum means finite coordinates, and an
-    # overflowing sum of finite ones passes the per-coordinate test
+    # a finite sum means finite coordinates, and an overflowing sum of
+    # finite ones passes the per-coordinate test
     if not math.isfinite(sum(point)) and not all(math.isfinite(t) for t in point):
         raise ValueError(f"point {point!r} has non-finite coordinates")
     return model.sign * model.m(math.hypot(*point))
@@ -277,9 +253,3 @@ def verify_equation_two(f, sampler, tol: float = 1e-9) -> VerificationReport:
 def verify_equation_four(f, sampler, tol: float = 1e-9) -> VerificationReport:
     """Four-variable analog of verify_equation_two over 8-tuples."""
     return _run_equation_sweep(f, sampler, tol, 4, compose_four_raw)
-
-
-def probe_ladder() -> tuple[float, ...]:
-    """Signed powers of two spanning 2^-4 .. 2^6, ascending."""
-    ks = range(-4, 7)
-    return tuple(sorted([-(2.0 ** k) for k in ks] + [2.0 ** k for k in ks]))

@@ -44,7 +44,7 @@ from operator import itemgetter, mul, sub
 from .exprs import parse_bound_expression
 from .identities import compose_two_raw, compose_four_raw
 from .sampling import UniformSampler
-from .solutions import Arity, _columns_of, _fold_blocks, probe_ladder
+from .solutions import Arity, _columns_of, _fold_blocks
 
 __all__ = [
     "InvalidBoundError",
@@ -63,6 +63,11 @@ __all__ = [
 ]
 
 DEFAULT_MULT_TOL = 1e-6
+
+# classify_diagonal's probes: the signed powers of two 2^-4 .. 2^6,
+# ascending, and their pairwise products, which hold the ladder (1 is on it)
+_LADDER = tuple(sorted(s * 2.0 ** k for k in range(-4, 7) for s in (-1.0, 1.0)))
+_PRODUCTS = tuple(sorted({s * t for s in _LADDER for t in _LADDER}))
 
 
 class InvalidBoundError(ValueError):
@@ -333,37 +338,32 @@ def classify_diagonal(
 
     MULTIPLICATIVE requires the relative product residual
     |m(s) m(t) - m(st)| / (1 + |m(st)|) to stay within mult_tol over all
-    pairs of probe_ladder() points (+-2^-4 .. +-2^6); it wins outright (the
+    pairs of ladder points (+-2^-4 .. +-2^6); it wins outright (the
     constant 1 is multiplicative, not merely bounded).  Otherwise BOUNDED
     requires |m| to stay within Baker's line (1 + sqrt(1 + 4 delta))/2,
     reported as growth_threshold (1 at the default delta = 0), both on the
     ladder, where sup_abs and sup_at are taken, and at +-2^k for
     k = -64 .. 64, probed only then.  Anything else is INCONCLUSIVE.  A NaN
     value, and a NaN residual (from an infinite value), counts as infinite.
-    A negative or non-finite delta raises ValueError.
+    m is called once at each distinct probe.  A negative or non-finite
+    delta raises ValueError.
     """
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
     line = (1.0 + math.sqrt(1.0 + 4.0 * delta)) / 2.0
-    ladder = probe_ladder()
-    values = {t: m(t) for t in ladder}
-
-    sup_abs = -1.0
-    sup_at = 0.0
-    for t, val in values.items():
-        mag = abs(val)
-        if mag != mag:  # a NaN value bounds nothing: count it as inf
-            mag = math.inf
-        if mag > sup_abs:
-            sup_abs = mag
-            sup_at = t
+    values = {t: m(t) for t in _PRODUCTS}
+    # a NaN value bounds nothing: count it as inf; ties go to the first
+    mags = [abs(values[t]) for t in _LADDER]
+    mags = [math.inf if mag != mag else mag for mag in mags]
+    sup_abs = max(mags)
+    sup_at = _LADDER[mags.index(sup_abs)]
 
     max_residual = 0.0
     worst_pair = None
     nan_pair = None
-    for s in ladder:
-        for t in ladder:
-            prod_value = m(s * t)
+    for s in _LADDER:
+        for t in _LADDER:
+            prod_value = values[s * t]
             residual = abs(values[s] * values[t] - prod_value) / (1.0 + abs(prod_value))
             if residual > max_residual:
                 max_residual = residual

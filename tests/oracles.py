@@ -21,7 +21,7 @@ from math import isqrt
 from operator import itemgetter
 
 from sosq.sampling import _BLOCK, UniformSampler
-from sosq.solutions import MultiplicativeFamily, VerificationReport, probe_ladder
+from sosq.solutions import MultiplicativeFamily, VerificationReport
 from sosq.stability import BoundSpec, ExcessReport, InvalidBoundError
 
 _MASK64 = (1 << 64) - 1
@@ -137,13 +137,19 @@ def builtin_families() -> tuple[MultiplicativeFamily, ...]:
     )
 
 
+# the signed powers of two 2^-4 .. 2^6, ascending: the probes of the axis
+LADDER = tuple(sorted(
+    [-(2.0 ** k) for k in range(-4, 7)] + [2.0 ** k for k in range(-4, 7)]
+))
+
+
 def default_probes(arity: int) -> tuple[tuple[float, ...], ...]:
-    """Probe points over the axis probe_ladder() + (0.0,).
+    """Probe points over the axis LADDER + (0.0,).
 
     Every point with at most two nonzero coordinates, in itertools.product
     order, then the diagonal (t, ..., t); duplicates are dropped.
     """
-    axis = probe_ladder() + (0.0,)
+    axis = LADDER + (0.0,)
     points = dict.fromkeys(
         p for p in product(axis, repeat=arity) if arity - p.count(0.0) <= 2
     )
@@ -179,7 +185,7 @@ def extract_structure(f, arity: int, probes=None, tol: float = 1e-9) -> Structur
     f takes arity coordinates; probes defaults to default_probes(arity).
     """
     pad = (0.0,) * (arity - 1)
-    m_table = tuple((t, f(t, *pad)) for t in probe_ladder() + (0.0,))
+    m_table = tuple((t, f(t, *pad)) for t in LADDER + (0.0,))
     sigma_table = []
     violations = []
     zero_m = []

@@ -7,7 +7,7 @@ tolerance is pinned here; nothing is deferred to later calibration.
 import json
 import time
 
-from oracles import DiagonalSampler, extract_structure, is_two_square, stream_for
+from oracles import LADDER, DiagonalSampler, extract_structure, is_two_square, stream_for
 from sosq.cli import main
 from sosq.identities import compose_two, compose_four, norm
 from sosq.sampling import UniformSampler
@@ -15,7 +15,6 @@ from sosq.solutions import (
     Arity,
     MultiplicativeFamily,
     SolutionModel,
-    probe_ladder,
     verify_equation_two,
     verify_equation_four,
 )
@@ -110,8 +109,8 @@ def test_criterion_4_model_verification():
     ok = True
     details = []
     for c in (0, 1, 2, 3):
-        f2 = SolutionModel(Arity.TWO, MultiplicativeFamily.power(c)).as_function()
-        f4 = SolutionModel(Arity.FOUR, MultiplicativeFamily.power(c)).as_function()
+        f2 = SolutionModel(Arity.TWO, MultiplicativeFamily.power(c))
+        f4 = SolutionModel(Arity.FOUR, MultiplicativeFamily.power(c))
         r2 = verify_equation_two(f2, UniformSampler(47 + c, 10_000), 1e-9)
         r4 = verify_equation_four(f4, UniformSampler(53 + c, 10_000), 1e-9)
         ok = ok and r2.verdict == "PASS" and r4.verdict == "PASS"
@@ -127,11 +126,11 @@ def test_criterion_4_model_verification():
 
 
 def test_criterion_5_structure_extraction():
-    f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2)).as_function()
+    f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2))
     structure = extract_structure(f, 2, tol=1e-9)
     table = dict(structure.m_table)
     m_ok = all(
-        abs(table[t] - t * t) <= 1e-9 * (1.0 + t * t) for t in probe_ladder()
+        abs(table[t] - t * t) <= 1e-9 * (1.0 + t * t) for t in LADDER
     )
     defined = [
         s for p, s in structure.sigma_table if p not in set(structure.zero_m_points)

@@ -53,7 +53,7 @@ def functions(draw, arity):
     # a model of the other arity now and then: evaluate refuses its points
     model_arity = arity if draw(st.integers(0, 9)) else 6 - arity
     model = SolutionModel(Arity(model_arity), draw(FAMILIES), draw(st.sampled_from([1, -1])))
-    return model.as_function()
+    return model
 
 
 @st.composite
@@ -108,7 +108,7 @@ def test_excess_sweep_equals_reference(data):
 
 
 def model(arity, family, sign=1):
-    return SolutionModel(Arity(arity), family, sign).as_function()
+    return SolutionModel(Arity(arity), family, sign)
 
 
 POWER2 = MultiplicativeFamily.power(2.0)

@@ -19,6 +19,7 @@ from sosq.solutions import (
     MultiplicativeFamily,
     SolutionModel,
     VerificationReport,
+    evaluate,
     verify_equation_two,
 )
 from sosq.stability import (
@@ -44,7 +45,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 SQUARE = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2.0))
 ONE = BoundSpec.constant(Arity.TWO, 1.0)
-STABILITY = run_stability(SQUARE.as_function(), ONE, seed=3, samples=20)
+STABILITY = run_stability(SQUARE, ONE, seed=3, samples=20)
 
 RECORDS = [
     solve_two(3.0, 4.0),
@@ -55,9 +56,9 @@ RECORDS = [
     UniformSampler(3, 20),
     SQUARE.m,
     SQUARE,
-    verify_equation_two(SQUARE.as_function(), UniformSampler(3, 20)),
+    verify_equation_two(SQUARE, UniformSampler(3, 20)),
     ONE,
-    check_hypothesis_two(SQUARE.as_function(), ONE, FixedSampler(((1.0, 2.0, 3.0, 4.0),))),
+    check_hypothesis_two(SQUARE, ONE, FixedSampler(((1.0, 2.0, 3.0, 4.0),))),
     classify_diagonal(lambda t: -1.0),
     STABILITY,
 ]
@@ -143,6 +144,20 @@ def test_sampler_subclass():
     assert type(sampler._replace(count=5)) is Sub
     with pytest.raises(ValueError, match="sample count -1 is below 0"):
         Sub(3, -1)
+
+
+def test_solution_model_is_its_own_function():
+    # calling a model adds no field: it hashes and copies as a plain record
+    points = [(3.0, 4.0), (0.0, -0.0), (-1.5, 1e-3), (1e200, 1e200)]
+    for model in (SQUARE, SQUARE._replace(sign=-1), SQUARE._replace(arity=Arity.FOUR)):
+        assert callable(model) and callable(model.columns)
+        assert hash(model) == hash(tuple(model))
+        for point in points:
+            point = point * (int(model.arity) // 2)
+            assert repr(model(*point)) == repr(evaluate(model, point))
+    negated = SQUARE._replace(sign=-1)
+    assert type(negated) is SolutionModel and negated(3.0, 4.0) == -25.0
+    assert negated._replace(sign=1) == SQUARE
 
 
 def test_new_record_reprs():

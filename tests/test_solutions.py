@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import FixedSampler, builtin_families, default_probes, extract_structure
+from oracles import (
+    LADDER, FixedSampler, builtin_families, default_probes, extract_structure,
+)
 from sosq import jsonfmt, solutions
 from sosq.sampling import UniformSampler
 from sosq.solutions import (
@@ -14,7 +16,6 @@ from sosq.solutions import (
     MultiplicativeFamily,
     SolutionModel,
     evaluate,
-    probe_ladder,
     verify_equation_two,
     verify_equation_four,
 )
@@ -124,12 +125,11 @@ def model_and_point(draw):
     return model, tuple(point)
 
 
-class TestAsFunction:
+class TestModelCall:
     @given(model_and_point())
     def test_equals_evaluate_bit_for_bit(self, case):
         model, point = case
-        f = model.as_function()
-        assert outcome(lambda: f(*point)) == outcome(lambda: evaluate(model, point))
+        assert outcome(lambda: model(*point)) == outcome(lambda: evaluate(model, point))
 
     @pytest.mark.parametrize("family", builtin_families() + (
         MultiplicativeFamily.power(-1.0),
@@ -142,8 +142,7 @@ class TestAsFunction:
                                        (1e200, 1e200, -1e200, 1e200)])
     def test_zeros_and_extremes(self, family, sign, point):
         model = SolutionModel(Arity(len(point)), family, sign)
-        f = model.as_function()
-        assert outcome(lambda: f(*point)) == outcome(lambda: evaluate(model, point))
+        assert outcome(lambda: model(*point)) == outcome(lambda: evaluate(model, point))
 
     @pytest.mark.parametrize("kind", ["power", "signed_power"])
     @pytest.mark.parametrize("c", [0.0, -0.0, 2.0, 140.0, -2.5])
@@ -156,24 +155,36 @@ class TestAsFunction:
         ([1.0, 0.0], [-2.0, 0.0], [0.0, -0.0], [-0.0, 0.0]),
     ], ids=repr)
     def test_columns_equal_points_by_sign(self, kind, c, sign, cols):
-        # the column form is f mapped over the points, bit for bit, on its
-        # fast path and where a zero norm or an overflow sends it to f
+        # the column form is the model mapped over the points, bit for bit,
+        # on its fast path and where a zero norm or an overflow sends it
+        # point by point to the model
         family = getattr(MultiplicativeFamily, kind)(c)
-        f = SolutionModel(Arity(len(cols)), family, sign).as_function()
-        assert repr(f.columns(*cols)) == repr(list(map(f, *cols)))
+        model = SolutionModel(Arity(len(cols)), family, sign)
+        assert repr(model.columns(*cols)) == repr(list(map(model, *cols)))
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_fast_path_skips_evaluate(self, sign, monkeypatch):
-        f = model_two(MultiplicativeFamily.power(2), sign).as_function()
-        expected = f(3.0, 4.0)
+    def test_call_goes_through_evaluate(self, sign, monkeypatch):
+        # looked up when called, so a replaced evaluate sees every call
+        model = model_two(MultiplicativeFamily.power(2), sign)
+        seen = []
+        monkeypatch.setattr(solutions, "evaluate", lambda m, p: seen.append((m, p)) or 7.0)
+        assert model(3.0, 4.0) == 7.0
+        assert seen == [(model, (3.0, 4.0))]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_columns_skip_evaluate_on_a_regular_block(self, sign, monkeypatch):
+        model = model_two(MultiplicativeFamily.power(2), sign)
+        cols = ([3.0, -1.5, 1e-3], [4.0, 2.0, -7.0])
+        expected = list(map(model, *cols))
 
         def fail(model, point):
             raise AssertionError("evaluate called")
 
         monkeypatch.setattr(solutions, "evaluate", fail)
-        assert f(3.0, 4.0) == expected
+        assert model.columns(*cols) == expected
+        # a zero norm sends the block to the model point by point
         with pytest.raises(AssertionError, match="evaluate called"):
-            f(math.nan, 4.0)
+            model.columns([0.0], [0.0])
 
 
 class TestMultiplicativity:
@@ -195,18 +206,18 @@ class TestMultiplicativity:
 class TestVerifyEquation:
     def test_norm_square_passes(self):
         m = model_two(MultiplicativeFamily.power(2))
-        report = verify_equation_two(m.as_function(), UniformSampler(7, 10000), 1e-9)
+        report = verify_equation_two(m, UniformSampler(7, 10000), 1e-9)
         assert report.verdict == "PASS"
         assert report.sample_count == 10000 and report.seed == 7
 
     def test_negative_sample_count_raises(self):
         # -t^2 fails on every sample: a negative count must not pass vacuously
-        f = model_two(MultiplicativeFamily.power(2), -1).as_function()
+        f = model_two(MultiplicativeFamily.power(2), -1)
         with pytest.raises(ValueError, match="sample count -5 is below 0"):
             verify_equation_two(f, UniformSampler(1, -5))
 
     def test_zero_samples_pass_vacuously(self):
-        f = model_two(MultiplicativeFamily.power(2), -1).as_function()
+        f = model_two(MultiplicativeFamily.power(2), -1)
         report = verify_equation_two(f, UniformSampler(1, 0))
         assert (report.verdict, report.sample_count, report.worst_point) == ("PASS", 0, ())
 
@@ -231,7 +242,7 @@ class TestVerifyEquation:
 
     def test_four_variable_norm_passes(self):
         m = model_four(MultiplicativeFamily.power(2))
-        report = verify_equation_four(m.as_function(), UniformSampler(7, 10000), 1e-9)
+        report = verify_equation_four(m, UniformSampler(7, 10000), 1e-9)
         assert report.verdict == "PASS"
 
     def test_four_variable_constant_passes(self):
@@ -262,18 +273,18 @@ class TestVerifyEquation:
     @pytest.mark.parametrize("family", builtin_families(), ids=str)
     def test_synthesis_round_trip_two(self, family):
         m = model_two(family)
-        report = verify_equation_two(m.as_function(), UniformSampler(19, 10000), 1e-9)
+        report = verify_equation_two(m, UniformSampler(19, 10000), 1e-9)
         assert report.verdict == "PASS", (family, report.max_rel_residual)
 
     @pytest.mark.parametrize("family", builtin_families(), ids=str)
     def test_synthesis_round_trip_four(self, family):
         m = model_four(family)
-        report = verify_equation_four(m.as_function(), UniformSampler(19, 10000), 1e-9)
+        report = verify_equation_four(m, UniformSampler(19, 10000), 1e-9)
         assert report.verdict == "PASS", (family, report.max_rel_residual)
 
     def test_diagonal_consequence(self):
         # any verified solution satisfies f(x,y)^2 = f(x^2+y^2, 0)
-        f = model_two(MultiplicativeFamily.power(2)).as_function()
+        f = model_two(MultiplicativeFamily.power(2))
         for x, y in UniformSampler(29, 2000).tuples(2):
             lhs = f(x, y) ** 2
             rhs = f(x * x + y * y, 0.0)
@@ -289,7 +300,7 @@ def round_trip(report):
 class TestReportSerialization:
     def test_json_round_trip(self):
         m = model_two(MultiplicativeFamily.power(3))
-        report = verify_equation_two(m.as_function(), UniformSampler(5, 100), 1e-9)
+        report = verify_equation_two(m, UniformSampler(5, 100), 1e-9)
         assert round_trip(report) == report._asdict()
 
     def test_fail_report_round_trip(self):
@@ -301,7 +312,7 @@ class TestReportSerialization:
 
 class TestStructureExtraction:
     def test_default_probes_two_is_the_axis_grid(self):
-        axis = probe_ladder() + (0.0,)
+        axis = LADDER + (0.0,)
         assert default_probes(2) == tuple(product(axis, axis))
 
     def test_default_probes_four(self):
@@ -311,10 +322,10 @@ class TestStructureExtraction:
             assert sum(t != 0.0 for t in p) <= 2 or len(set(p)) == 1, p
 
     def test_norm_square_recovers_square(self):
-        f = model_two(MultiplicativeFamily.power(2)).as_function()
+        f = model_two(MultiplicativeFamily.power(2))
         report = extract_structure(f, 2)
         table = dict(report.m_table)
-        for t in probe_ladder():
+        for t in LADDER:
             assert abs(table[t] - t * t) <= 1e-9 * (1.0 + t * t)
         assert report.consistent
         assert all(s == 1.0 for _, s in report.sigma_table)
@@ -337,10 +348,10 @@ class TestStructureExtraction:
         assert sweep.verdict == "FAIL"
 
     def test_four_variable_norm(self):
-        f = model_four(MultiplicativeFamily.power(2)).as_function()
+        f = model_four(MultiplicativeFamily.power(2))
         report = extract_structure(f, 4)
         table = dict(report.m_table)
-        for t in probe_ladder():
+        for t in LADDER:
             assert abs(table[t] - t * t) <= 1e-9 * (1.0 + t * t)
         assert report.consistent
 
@@ -372,7 +383,7 @@ class TestStructureExtraction:
     def test_extraction_consistency_all_builtins(self, family):
         # synthesized models with the constant +1 sign map give back their
         # own m on the axis, and sigma = +1 wherever m is nonzero
-        f = model_two(family).as_function()
+        f = model_two(family)
         report = extract_structure(f, 2)
         assert report.consistent
         zero_points = set(report.zero_m_points)

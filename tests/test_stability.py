@@ -217,7 +217,7 @@ class TestClassifyDiagonal:
         ids=str,
     )
     def test_growing_families_multiplicative(self, family):
-        m = SolutionModel(Arity.TWO, family).as_function()
+        m = SolutionModel(Arity.TWO, family)
         report = classify_diagonal(lambda t: m(t, 0.0))
         assert report.verdict is DiagonalVerdict.MULTIPLICATIVE
 
@@ -272,6 +272,25 @@ class TestClassifyDiagonal:
         assert max(map(abs, seen)) == reach
 
     @pytest.mark.parametrize(
+        "m,bounded",
+        [
+            (lambda t: t * t, False),  # MULTIPLICATIVE
+            (lambda t: -t * t, False),  # INCONCLUSIVE on the ladder
+            (lambda t: 0.5, True),  # BOUNDED
+        ],
+        ids=["multiplicative", "inconclusive", "bounded"],
+    )
+    def test_m_called_once_per_distinct_probe(self, m, bounded):
+        seen = []
+        classify_diagonal(lambda t: seen.append(t) or m(t))
+        # the 42 pairwise products +-2^-8 .. +-2^12 of the 22-point ladder,
+        # which hold the ladder, then on the BOUNDED path the 258 of +-2^k
+        products = {s * 2.0**k for s in (-1.0, 1.0) for k in range(-8, 13)}
+        assert len(seen[:42]) == len(set(seen[:42])) == 42
+        assert set(seen[:42]) == products
+        assert len(seen) == (42 + 258 if bounded else 42)
+
+    @pytest.mark.parametrize(
         "m,threshold",
         [
             (lambda t: math.nan, 1e6),
@@ -315,7 +334,7 @@ class TestExactArithmetic:
 
 class TestRunners:
     def test_run_two_assembles_report(self):
-        f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2)).as_function()
+        f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2))
         report = run_stability(f, ZERO2, seed=3, samples=2000)
         assert report.hypothesis_max_violation <= 1e-9
         assert report.conclusion_max_violation <= 1e-9
@@ -342,12 +361,12 @@ class TestRunners:
 
     def test_negative_sample_count_raises(self):
         # -t^2 fails on every sample: a negative count must not pass vacuously
-        f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2), -1).as_function()
+        f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2), -1)
         with pytest.raises(ValueError, match="sample count -3 is below 0"):
             run_stability(f, ZERO2, seed=1, samples=-3)
 
     def test_zero_samples_sweep_nothing(self):
-        f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2), -1).as_function()
+        f = SolutionModel(Arity.TWO, MultiplicativeFamily.power(2), -1)
         report = run_stability(f, ZERO2, seed=1, samples=0)
         assert report.sample_count == 0 and report.hypothesis_max_violation == 0.0
         assert report._asdict()["evidence"]["hypothesis_worst_point"] is None
@@ -450,7 +469,7 @@ class TestOnePassErrorOrder:
         # complex only where the conclusion reads slot 1
         exprs = ["1", "pow(x,0.5)"] + ["1"] * (2 * int(arity) - 2)
         bounds = BoundSpec.from_expressions(arity, exprs)
-        f = SolutionModel(arity, MultiplicativeFamily.power(2)).as_function()
+        f = SolutionModel(arity, MultiplicativeFamily.power(2))
         want = (
             InvalidBoundError,
             "bound value (8.99025625024699e-17+1.4682202666934427j) is not in "

@@ -47,7 +47,7 @@ class Counted:
 
 def model(arity, c, sign=1):
     family = MultiplicativeFamily.power(c)
-    return Counted(SolutionModel(Arity(arity), family, sign).as_function())
+    return Counted(SolutionModel(Arity(arity), family, sign))
 
 
 @pytest.mark.parametrize("verify, arity, sign", [
