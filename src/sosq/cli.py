@@ -27,7 +27,7 @@ import sys
 from . import jsonfmt
 from .exprs import ExpressionError
 from .identities import compose_two, compose_four, norm
-from .sampling import UniformSampler
+from .sampling import HIGH, LOW, UniformSampler
 from .solutions import (
     Arity,
     MultiplicativeFamily,
@@ -324,8 +324,8 @@ def _cmd_verify(args):
         "samples": args.samples,
         "seed": seed,
         "tol": args.tol,
-        "low": sampler.low,
-        "high": sampler.high,
+        "low": LOW,
+        "high": HIGH,
     }
     human = (
         f"{report.verdict}: max relative residual {report.max_rel_residual:.3e} "
@@ -464,10 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_run_config(args)
         config, result, verdict, human = _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,10 +14,11 @@ lane above lands in the zero half, where the mask clears it.  So each
 lane goes through exactly the scalar mix: the draws are those of one
 splitmix64 stream per sample index, draw for draw.  Lanes are
 draw-major, draw k of sample i in lane k*n + i, so a block's column k is
-one slice of its words.  Where span * 2**-53 is exact and 0 or normal,
-low + scale * k with that scale rounds the same real as low + span *
-(k * 2**-53), once.  Lanes are packed and unpacked little-endian
-whatever the host's byte order.  The reference (stream_for) and the
+one slice of its words.  Coordinates lie in the fixed box [LOW, HIGH],
+whose span times 2**-53 is an exact, normal double, so LOW + scale * k
+with that scale rounds the same real as LOW + span * (k * 2**-53), once.
+Lanes are packed and unpacked little-endian whatever the host's byte
+order.  The reference (stream_for), its StreamSampler and the
 FixedSampler and DiagonalSampler fixtures live in tests/oracles.py.
 """
 
@@ -28,8 +29,6 @@ from array import array
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import chain, repeat, starmap
-from math import inf
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -37,6 +36,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # samples per block: 128-512 run equally fast, and at width 8 a block's
 # lanes make one int of ~32 KB
 _BLOCK = 256
+
+# the box every coordinate is drawn from
+LOW, HIGH = -10.0, 10.0
 
 
 def _lanes(words) -> int:
@@ -71,35 +73,25 @@ def _constants(n: int, width: int) -> tuple[int, int, int, int]:
             _lanes([_MASK64] * (n * width)))
 
 
-class UniformSampler(namedtuple("UniformSampler", "seed count low high integer")):
-    """Seeded sweep of `count` tuples with coordinates in [low, high].
+class UniformSampler(namedtuple("UniformSampler", "seed count")):
+    """Seeded sweep of `count` tuples with coordinates in [LOW, HIGH].
 
-    With integer=True the coordinates are integer-valued floats, which keeps
-    small polynomial arithmetic exact in IEEE doubles.  The field count
-    shadows tuple.count.
+    The field count shadows tuple.count.
     """
 
     __slots__ = ()
 
-    def __new__(cls, seed: int, count: int, low: float = -10.0, high: float = 10.0,
-                integer: bool = False):
+    def __new__(cls, seed: int, count: int):
         if count < 0:
             raise ValueError(f"sample count {count} is below 0")
-        return tuple.__new__(cls, (seed, count, low, high, integer))
+        return tuple.__new__(cls, (seed, count))
 
     # namedtuple's _make (and _replace, built on it) skips __new__
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def blocks(self, width: int) -> Iterator[list[list[float]]]:
         """The samples _BLOCK at a time, each block as its width columns."""
-        if self.integer:
-            low = int(self.low)
-            span = int(self.high) - low + 1
-        else:
-            low = self.low
-            span = self.high - low
-            scale = span * 2.0**-53
-            exact = scale * 2.0**53 == span and (not scale or 2.0**-1022 <= abs(scale) < inf)
+        scale = (HIGH - LOW) * 2.0**-53
         for first in range(0, self.count, _BLOCK):
             n = min(_BLOCK, self.count - first)
             ones, ramp, steps, mask = _constants(n, width)
@@ -111,16 +103,5 @@ class UniformSampler(namedtuple("UniformSampler", "seed count low high integer")
             starts = _words(_mix((counter * ones + ramp) & mask, mask), n)
             draws = _mix((_lanes(starts * width) + steps) & mask, mask)
             # the shift leaves each lane's top 53 bits in its low half
-            words = _words(draws if self.integer else draws >> 11, n * width)
-            cols = [words[j:j + n] for j in range(0, n * width, n)]
-            if self.integer:
-                yield [[float(low + z % span) for z in col] for col in cols]
-            elif exact:
-                yield [[low + scale * k for k in col] for col in cols]
-            else:
-                yield [[low + span * (k * 2.0**-53) for k in col] for col in cols]
-
-    def tuples(self, width: int) -> Iterator[tuple[float, ...]]:
-        if width == 0:
-            return repeat((), self.count)
-        return chain.from_iterable(starmap(zip, self.blocks(width)))
+            words = _words(draws >> 11, n * width)
+            yield [[LOW + scale * k for k in words[j:j + n]] for j in range(0, n * width, n)]

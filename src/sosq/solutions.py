@@ -13,7 +13,7 @@ candidate is a plain callable f.  verify_equation_two/four re-check the
 equation for any f on a seeded sample sweep.  A sweep takes any sampler
 with seed, count and blocks(width), its samples in blocks of columns
 (one that fails at a sample yields the samples before it first):
-sosq.sampling.UniformSampler, or the point-list FixedSampler and
+sosq.sampling.UniformSampler, or the StreamSampler, FixedSampler and
 DiagonalSampler in tests/oracles.py, which also holds builtin_families and
 extract_structure, the (m, sigma) tables read off a black-box f.
 

@@ -150,16 +150,13 @@ def _factors_of(n: int, factorization: Factorization | None):
     return factorization.factors
 
 
-def is_sum_of_two_squares(n: int, *, factorization: Factorization | None = None) -> bool:
+def is_sum_of_two_squares(n: int) -> bool:
     """True iff every prime factor of n congruent to 3 mod 4 has even exponent.
 
     Equivalently: in the split n = m*m * s with s squarefree, no prime of s
-    is 3 mod 4.  A factorization of n, when given, is used instead of
-    factoring n again; it must multiply to n, with exponents >= 1 and
-    factors that Miller-Rabin finds prime (a proof below 3.3e24), or it is
-    a ValueError naming the bad factor.
+    is 3 mod 4.
     """
-    return all(e % 2 == 0 for p, e in _factors_of(n, factorization) if p % 4 == 3)
+    return all(e % 2 == 0 for p, e in factorize(n).factors if p % 4 == 3)
 
 
 class SquareRep(namedtuple("SquareRep", "n components")):
@@ -232,8 +229,9 @@ def two_square_decompose(
     multiplier; 2 and primes 1 mod 4 contribute their two-square
     representations, one copy per exponent, folded through the two-square
     composition law, and the result is checked.  A factorization of n, when
-    given, is used instead of factoring n again, once checked as in
-    is_sum_of_two_squares.
+    given, is used instead of factoring n again; it must multiply to n, with
+    exponents >= 1 and factors that Miller-Rabin finds prime (a proof below
+    3.3e24), or it is a ValueError naming the bad factor.
     """
     multiplier = 1
     parts = []

@@ -4,13 +4,17 @@ The oracles deliberately avoid the library's code paths: factorization by
 the plain trial-division wheel, primality by the 6k-1, 6k+1 wheel,
 representability by exhaustive search, system checks by direct
 substitution, multiplicativity by direct evaluation, the sampler's
-draws by one SplitMix64 object per sample index, and the equation and
-stability sweeps by the per-sample loops that the block pass replaced
-(run_equation_sweep, run_excess_sweep), and the f = sigma * m(||.||)
-shape by reading (m, sigma) tables off a black-box f on a probe grid
-(extract_structure, default_probes).  The fixtures are the samplers over
-explicit points and the representative multiplicative families the tests
-sweep over.
+draws by one SplitMix64 object per sample index (stream_for), the
+equation and stability sweeps by the per-sample loops that the block pass
+replaced (run_equation_sweep, run_excess_sweep), and the f = sigma *
+m(||.||) shape by reading (m, sigma) tables off a black-box f on a probe
+grid (extract_structure, default_probes).  The fixtures are the samplers
+the tests sweep with -- StreamSampler over any box, integer-valued or
+not, FixedSampler over explicit points and DiagonalSampler, which pairs
+each sample with itself -- and the representative multiplicative
+families.  The reference sweeps and DiagonalSampler read samples through
+tuples(width), which only these samplers have; the library's
+UniformSampler yields blocks alone.
 """
 
 import math
@@ -20,7 +24,7 @@ from itertools import islice, product
 from math import isqrt
 from operator import itemgetter
 
-from sosq.sampling import _BLOCK, UniformSampler
+from sosq.sampling import _BLOCK, HIGH, LOW
 from sosq.solutions import MultiplicativeFamily, VerificationReport
 from sosq.stability import BoundSpec, ExcessReport, InvalidBoundError
 
@@ -56,7 +60,7 @@ class SplitMix64:
 
 def stream_for(seed: int, index: int) -> SplitMix64:
     """Independent generator for one sample index: the draws that
-    UniformSampler.tuples must reproduce for that index."""
+    UniformSampler.blocks must reproduce for that index."""
     return SplitMix64(_mix64((seed + (index + 1) * _GOLDEN) & _MASK64))
 
 
@@ -75,6 +79,39 @@ def column_blocks(samples):
         if not block:
             return
         yield list(zip(*block))
+
+
+def flatten(sampler, width: int) -> list[tuple[float, ...]]:
+    """A sampler's samples, one tuple each, read off its blocks."""
+    return [t for block in sampler.blocks(width) for t in zip(*block)]
+
+
+@dataclass(frozen=True)
+class StreamSampler:
+    """Seeded sweep of `count` tuples over [low, high], one stream_for per
+    sample: at the defaults, the samples of UniformSampler(seed, count).
+
+    With integer=True the coordinates are integer-valued floats, which keeps
+    small polynomial arithmetic exact in IEEE doubles.
+    """
+
+    seed: int
+    count: int
+    low: float = LOW
+    high: float = HIGH
+    integer: bool = False
+
+    def tuples(self, width: int) -> Iterator[tuple[float, ...]]:
+        for i in range(self.count):
+            rng = stream_for(self.seed, i)
+            if self.integer:
+                low, high = int(self.low), int(self.high)
+                yield tuple(float(rng.randint(low, high)) for _ in range(width))
+            else:
+                yield tuple(rng.uniform(self.low, self.high) for _ in range(width))
+
+    def blocks(self, width: int):
+        return column_blocks(self.tuples(width))
 
 
 @dataclass(frozen=True)
@@ -102,7 +139,7 @@ class FixedSampler:
 class DiagonalSampler:
     """Lift a width-w sampler to width-2w by pairing each tuple with itself."""
 
-    inner: UniformSampler | FixedSampler
+    inner: StreamSampler | FixedSampler
 
     @property
     def seed(self) -> int:

@@ -7,7 +7,14 @@ tolerance is pinned here; nothing is deferred to later calibration.
 import json
 import time
 
-from oracles import LADDER, DiagonalSampler, extract_structure, is_two_square, stream_for
+from oracles import (
+    LADDER,
+    DiagonalSampler,
+    StreamSampler,
+    extract_structure,
+    is_two_square,
+    stream_for,
+)
 from sosq.cli import main
 from sosq.identities import compose_two, compose_four, norm
 from sosq.sampling import UniformSampler
@@ -60,12 +67,12 @@ def test_criterion_1_exact_norm_multiplicativity():
 
 def test_criterion_2_solve_two_round_trip():
     worst = worst_norm = 0.0
-    for u, v in UniformSampler(37, 10_000, -100.0, 100.0).tuples(2):
+    for u, v in StreamSampler(37, 10_000, -100.0, 100.0).tuples(2):
         rep = solve_two(u, v)
         worst = max(worst, rep.residual)
         worst_norm = max(worst_norm, rep.norm_residual)
     # stress region: v < -10|u|, where the naive formula cancels
-    for i, (u,) in enumerate(UniformSampler(41, 2_000, -1.0, 1.0).tuples(1)):
+    for i, (u,) in enumerate(StreamSampler(41, 2_000, -1.0, 1.0).tuples(1)):
         v = -(10.0 * abs(u) + 0.001) * (1.0 + 99.0 * i / 2000.0)
         rep = solve_two(u, v)
         worst = max(worst, rep.residual)
@@ -80,7 +87,7 @@ def test_criterion_2_solve_two_round_trip():
 def test_criterion_3_solve_four_round_trip():
     worst = worst_norm = 0.0
     labels = set()
-    for a, b, c, d in UniformSampler(43, 10_000, -100.0, 100.0).tuples(4):
+    for a, b, c, d in StreamSampler(43, 10_000, -100.0, 100.0).tuples(4):
         rep = solve_four(a, b, c, d)
         labels.add(rep.case_label)
         worst = max(worst, rep.residual)
@@ -147,7 +154,7 @@ def test_criterion_6_stability():
     norm2f = lambda x, y: x * x + y * y
     zero = BoundSpec.constant(Arity.TWO, 0.0)
     quarter = BoundSpec.constant(Arity.TWO, 0.25)
-    exact_sampler = UniformSampler(61, 10_000, -100, 100, integer=True)
+    exact_sampler = StreamSampler(61, 10_000, -100, 100, integer=True)
 
     hyp = check_hypothesis_two(norm2f, zero, exact_sampler)
     con = check_conclusion_two(norm2f, zero, exact_sampler)
@@ -166,10 +173,9 @@ def test_criterion_6_stability():
     norm_cls = classify_diagonal(lambda t: norm2f(t, 0.0))
     mult_ok = norm_cls.verdict.value == "MULTIPLICATIVE"
 
-    base = UniformSampler(67, 5_000)
     noisy = lambda x, y: x * x + y * y + 0.125 * (x - y)
-    diag_con = check_conclusion_two(noisy, quarter, base)
-    diag_hyp = check_hypothesis_two(noisy, quarter, DiagonalSampler(base))
+    diag_con = check_conclusion_two(noisy, quarter, UniformSampler(67, 5_000))
+    diag_hyp = check_hypothesis_two(noisy, quarter, DiagonalSampler(StreamSampler(67, 5_000)))
     diag_ok = (
         diag_con.max_excess == diag_hyp.max_excess
         and diag_con.worst_point + diag_con.worst_point == diag_hyp.worst_point

@@ -4,7 +4,10 @@ _run_equation_sweep and _run_excess_sweep fold 256 samples at a time,
 column by column, and hand a block with anything irregular to the
 per-sample loop.  Whatever the model, f, bounds and sample count, the
 report must equal the reference's in the repr of every float, or the
-same exception type must be raised with the same message.
+same exception type must be raised with the same message.  The shipped
+sweeps draw from UniformSampler where the samples are in its box, and
+from the reference's StreamSampler blocks elsewhere; the reference loops
+always read StreamSampler.
 """
 
 import math
@@ -13,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import FixedSampler, run_equation_sweep, run_excess_sweep
+from oracles import FixedSampler, StreamSampler, run_equation_sweep, run_excess_sweep
 from sosq.identities import compose_four_raw, compose_two_raw
-from sosq.sampling import UniformSampler
+from sosq.sampling import HIGH, LOW, UniformSampler
 from sosq.solutions import Arity, MultiplicativeFamily, SolutionModel, _run_equation_sweep
 from sosq.stability import BoundSpec, _run_excess_sweep
 
@@ -60,9 +63,16 @@ def functions(draw, arity):
 def samplers(draw):
     seed, count = draw(st.integers(0, 2**32)), draw(COUNTS)
     if draw(st.booleans()):
-        return UniformSampler(seed, count)
+        return StreamSampler(seed, count)
     # integer coordinates in [-1, 1]: zero norms, and residuals that tie
-    return UniformSampler(seed, count, -1.0, 1.0, integer=True)
+    return StreamSampler(seed, count, -1.0, 1.0, integer=True)
+
+
+def shipped(sampler):
+    """UniformSampler where it draws the same samples as sampler, else sampler."""
+    if (sampler.low, sampler.high, sampler.integer) == (LOW, HIGH, False):
+        return UniformSampler(sampler.seed, sampler.count)
+    return sampler
 
 
 def outcome(call):
@@ -85,8 +95,9 @@ def test_equation_sweep_equals_reference(data):
     sampler = data.draw(samplers())
     tol = data.draw(st.sampled_from([1e-9, 0.0]))
     compose = compose_two_raw if arity == 2 else compose_four_raw
-    assert outcome(lambda: _run_equation_sweep(f, sampler, tol, arity, compose)) == outcome(
-        lambda: run_equation_sweep(f, sampler, tol, arity, compose)
+    args = (tol, arity, compose)
+    assert outcome(lambda: _run_equation_sweep(f, shipped(sampler), *args)) == outcome(
+        lambda: run_equation_sweep(f, sampler, *args)
     )
 
 
@@ -102,8 +113,9 @@ def test_excess_sweep_equals_reference(data):
     bounds = BoundSpec.from_expressions(Arity(arity), exprs)
     sides = data.draw(st.sampled_from([(True, True), (True, False), (False, True)]))
     compose = compose_two_raw if arity == 2 else compose_four_raw
-    assert outcome(lambda: _run_excess_sweep(f, bounds, sampler, 0.0, compose, *sides)) == (
-        outcome(lambda: run_excess_sweep(f, bounds, sampler, 0.0, compose, *sides))
+    args = (0.0, compose, *sides)
+    assert outcome(lambda: _run_excess_sweep(f, bounds, shipped(sampler), *args)) == outcome(
+        lambda: run_excess_sweep(f, bounds, sampler, *args)
     )
 
 
@@ -117,40 +129,40 @@ POWER140 = MultiplicativeFamily.power(140.0)
 # (arity, f, sampler): blocks past the first, a first non-finite value at
 # sample 414, ties on integer points, f without a column form
 EQUATION_CASES = [
-    (2, model(2, POWER140), UniformSampler(6, 600)),
-    (4, model(4, POWER2), UniformSampler(3, 2000)),
-    (2, model(2, POWER2, -1), UniformSampler(3, 2000)),
-    (4, model(4, MultiplicativeFamily.signed_power(-1.0)), UniformSampler(1, 257)),
-    (2, model(2, POWER2), UniformSampler(5, 2000, -1.0, 1.0, integer=True)),
-    (4, PLAIN[0], UniformSampler(8, 2000, -1.0, 1.0, integer=True)),
-    (2, PLAIN[2], UniformSampler(2, 2000)),
+    (2, model(2, POWER140), StreamSampler(6, 600)),
+    (4, model(4, POWER2), StreamSampler(3, 2000)),
+    (2, model(2, POWER2, -1), StreamSampler(3, 2000)),
+    (4, model(4, MultiplicativeFamily.signed_power(-1.0)), StreamSampler(1, 257)),
+    (2, model(2, POWER2), StreamSampler(5, 2000, -1.0, 1.0, integer=True)),
+    (4, PLAIN[0], StreamSampler(8, 2000, -1.0, 1.0, integer=True)),
+    (2, PLAIN[2], StreamSampler(2, 2000)),
     # f(p1 o p2) infinite beside a finite f(p1) f(p2), and the other way
-    (2, PLAIN[3], UniformSampler(2, 2000)),
-    (4, PLAIN[4], UniformSampler(2, 2000)),
+    (2, PLAIN[3], StreamSampler(2, 2000)),
+    (4, PLAIN[4], StreamSampler(2, 2000)),
     # composed points that underflow to norm 0, where a signed power's
     # value is m(0) = 0, not 0^0 = 1
     (2, model(2, MultiplicativeFamily.signed_power(0.0)),
-     UniformSampler(5, 300, -1e-170, 1e-170)),
+     StreamSampler(5, 300, -1e-170, 1e-170)),
 ]
 
 # (arity, f, bounds, sampler, sides): a first invalid bound at sample 306,
 # conclusion-side errors past the first block, caps whose sum overflows,
 # complex values
 EXCESS_CASES = [
-    (2, model(2, POWER2), ["pow(9.99-abs(x),0.5)"], UniformSampler(10, 400), (True, True)),
+    (2, model(2, POWER2), ["pow(9.99-abs(x),0.5)"], StreamSampler(10, 400), (True, True)),
     # slot 1 fails first in the conclusion, at sample 953 (seed 1: held to
     # the end) or 644 (seed 6: the hypothesis fails at 999 and wins)
-    (2, model(2, POWER2), ["1", "pow(9.99-abs(x),0.5)", "1", "1"], UniformSampler(1, 2000),
+    (2, model(2, POWER2), ["1", "pow(9.99-abs(x),0.5)", "1", "1"], StreamSampler(1, 2000),
      (True, True)),
-    (2, model(2, POWER2), ["1", "pow(9.99-abs(x),0.5)", "1", "1"], UniformSampler(6, 2000),
+    (2, model(2, POWER2), ["1", "pow(9.99-abs(x),0.5)", "1", "1"], StreamSampler(6, 2000),
      (True, True)),
-    (4, model(4, POWER2), ["1.5e308"], UniformSampler(4, 600), (True, True)),
-    (4, model(4, POWER140), ["1+abs(x)"], UniformSampler(4, 600), (True, True)),
+    (4, model(4, POWER2), ["1.5e308"], StreamSampler(4, 600), (True, True)),
+    (4, model(4, POWER140), ["1+abs(x)"], StreamSampler(4, 600), (True, True)),
     # -inf on the overflowing samples only: an infinite, not a NaN, defect
-    (2, model(2, POWER140, -1), ["1+abs(x)"], UniformSampler(0, 2000), (True, True)),
-    (2, PLAIN[1], ["2+x*x"], UniformSampler(7, 2000), (True, True)),
-    (4, model(4, MultiplicativeFamily.zero(), -1), ["0"], UniformSampler(7, 257), (False, True)),
-    (2, model(2, POWER2), ["1+abs(x)"], UniformSampler(9, 2000, -1.0, 1.0, integer=True),
+    (2, model(2, POWER140, -1), ["1+abs(x)"], StreamSampler(0, 2000), (True, True)),
+    (2, PLAIN[1], ["2+x*x"], StreamSampler(7, 2000), (True, True)),
+    (4, model(4, MultiplicativeFamily.zero(), -1), ["0"], StreamSampler(7, 257), (False, True)),
+    (2, model(2, POWER2), ["1+abs(x)"], StreamSampler(9, 2000, -1.0, 1.0, integer=True),
      (True, False)),
 ]
 
@@ -158,9 +170,9 @@ EXCESS_CASES = [
 @pytest.mark.parametrize("arity, f, sampler", EQUATION_CASES)
 def test_equation_case_equals_reference(arity, f, sampler):
     compose = compose_two_raw if arity == 2 else compose_four_raw
-    args = (f, sampler, 1e-9, arity, compose)
-    assert outcome(lambda: _run_equation_sweep(*args)) == outcome(
-        lambda: run_equation_sweep(*args)
+    args = (1e-9, arity, compose)
+    assert outcome(lambda: _run_equation_sweep(f, shipped(sampler), *args)) == outcome(
+        lambda: run_equation_sweep(f, sampler, *args)
     )
 
 
@@ -168,9 +180,9 @@ def test_equation_case_equals_reference(arity, f, sampler):
 def test_excess_case_equals_reference(arity, f, exprs, sampler, sides):
     compose = compose_two_raw if arity == 2 else compose_four_raw
     bounds = BoundSpec.from_expressions(Arity(arity), exprs)
-    args = (f, bounds, sampler, 0.0, compose, *sides)
-    assert outcome(lambda: _run_excess_sweep(*args)) == outcome(
-        lambda: run_excess_sweep(*args)
+    args = (0.0, compose, *sides)
+    assert outcome(lambda: _run_excess_sweep(f, bounds, shipped(sampler), *args)) == outcome(
+        lambda: run_excess_sweep(f, bounds, sampler, *args)
     )
 
 

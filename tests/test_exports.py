@@ -32,6 +32,7 @@ def test_module_all_resolves(name):
     [
         ("sosq.systems", ["sosq", "sosq.systems"]),
         ("sosq.sumsquares", ["sosq", "sosq.identities", "sosq.sumsquares"]),
+        ("sosq.sampling", ["sosq", "sosq.sampling"]),
     ],
 )
 def test_import_loads_only_its_dependencies(name, loaded):

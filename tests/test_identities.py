@@ -1,6 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import StreamSampler
 from sosq.identities import (
     compose_two,
     compose_four,
@@ -8,7 +9,6 @@ from sosq.identities import (
     compose_four_raw,
     norm,
 )
-from sosq.sampling import UniformSampler
 
 ints = st.integers()
 small_ints = st.integers(min_value=-1000, max_value=1000)
@@ -112,7 +112,7 @@ def test_composition_returns_plain_tuples():
 
 def test_seeded_sweep_norm_law():
     # smaller sibling of the acceptance sweep
-    for sample in UniformSampler(3, 20000, -1000, 1000, integer=True).tuples(4):
+    for sample in StreamSampler(3, 20000, -1000, 1000, integer=True).tuples(4):
         x1, y1, x2, y2 = (int(t) for t in sample)
         p1, p2 = (x1, y1), (x2, y2)
         assert norm(compose_two(p1, p2)) == norm(p1) * norm(p2)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import FixedSampler
+from oracles import FixedSampler, flatten
 from sosq.sampling import UniformSampler
 from sosq.solutions import (
     Arity,
@@ -37,7 +37,6 @@ from sosq.sumsquares import (
     SquareRep,
     factorize,
     four_square_decompose,
-    is_sum_of_two_squares,
     two_square_decompose,
 )
 
@@ -123,9 +122,6 @@ def test_replace_validates(record, change, message):
 
 
 def test_defaults():
-    assert UniformSampler(3, 20) == UniformSampler(
-        seed=3, count=20, low=-10.0, high=10.0, integer=False
-    )
     assert MultiplicativeFamily(MultiplicativeFamily.zero().kind).exponent == 0.0
     assert SolutionModel(Arity.TWO, SQUARE.m).sign == 1
     report = VerificationReport(2, 1, 0, 1e-9, 0.0, 0.0, (1.0,) * 4, "PASS")
@@ -135,12 +131,12 @@ def test_defaults():
 def test_sampler_subclass():
     # a subclass, as a tracer wraps the sampler, keeps the fields and checks
     class Sub(UniformSampler):
-        def tuples(self, width):
-            return super().tuples(width)
+        def blocks(self, width):
+            return super().blocks(width)
 
-    sampler = Sub(3, 20, integer=True)
-    assert sampler == UniformSampler(3, 20, integer=True)
-    assert list(sampler.tuples(2)) == list(UniformSampler(3, 20, integer=True).tuples(2))
+    sampler = Sub(3, 20)
+    assert sampler == UniformSampler(3, 20) == UniformSampler(seed=3, count=20)
+    assert flatten(sampler, 2) == flatten(UniformSampler(3, 20), 2)
     assert type(sampler._replace(count=5)) is Sub
     with pytest.raises(ValueError, match="sample count -1 is below 0"):
         Sub(3, -1)
@@ -161,9 +157,7 @@ def test_solution_model_is_its_own_function():
 
 
 def test_new_record_reprs():
-    assert repr(UniformSampler(3, 20)) == (
-        "UniformSampler(seed=3, count=20, low=-10.0, high=10.0, integer=False)"
-    )
+    assert repr(UniformSampler(3, 20)) == "UniformSampler(seed=3, count=20)"
     assert repr(SQUARE) == (
         "SolutionModel(arity=<Arity.TWO: 2>, m=MultiplicativeFamily("
         "kind=<FamilyKind.POWER: 'power'>, exponent=2.0), sign=1)"
@@ -231,7 +225,6 @@ def test_caller_factorization_behaves_as_before():
     assert two_square_decompose(65, factorization=given) == SquareRep(65, (8, 1))
     by_keyword = Factorization(n=65, factors=((5, 1), (13, 1)))
     assert two_square_decompose(65, factorization=by_keyword) == two_square_decompose(65)
-    assert is_sum_of_two_squares(65, factorization=given)
     assert two_square_decompose(21, factorization=Factorization(21, ((3, 1), (7, 1)))) is None
     with pytest.raises(ValueError, match=r"^factorization is of 64, not of 65$"):
         two_square_decompose(65, factorization=Factorization(64, ((2, 6),)))

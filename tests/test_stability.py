@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import DiagonalSampler, FixedSampler, builtin_families
+from oracles import DiagonalSampler, FixedSampler, StreamSampler, builtin_families, flatten
 from sosq.sampling import UniformSampler
 from sosq.solutions import Arity, MultiplicativeFamily, SolutionModel
 from sosq.stability import (
@@ -30,7 +30,7 @@ QUARTER4 = BoundSpec.constant(Arity.FOUR, 0.25)
 
 
 def int_sampler(seed, count, width_range=100):
-    return UniformSampler(seed, count, -width_range, width_range, integer=True)
+    return StreamSampler(seed, count, -width_range, width_range, integer=True)
 
 
 class TestHypothesisTwo:
@@ -114,9 +114,8 @@ class TestConclusionTwo:
     def test_matches_hypothesis_on_diagonal(self):
         # same samples, same bounds: the two computations agree bit for bit
         f = lambda x, y: x * x + y * y + 0.25 * math.sin(x + 2.0 * y)
-        base = UniformSampler(11, 5000)
-        con = check_conclusion_two(f, QUARTER2, base)
-        hyp = check_hypothesis_two(f, QUARTER2, DiagonalSampler(base))
+        con = check_conclusion_two(f, QUARTER2, UniformSampler(11, 5000))
+        hyp = check_hypothesis_two(f, QUARTER2, DiagonalSampler(StreamSampler(11, 5000)))
         assert con.max_excess == hyp.max_excess
         assert con.defect_at_worst == hyp.defect_at_worst
         assert con.bound_at_worst == hyp.bound_at_worst
@@ -144,9 +143,8 @@ class TestFourVariable:
 
     def test_matches_hypothesis_on_diagonal(self):
         f = lambda x, y, z, w: norm4f(x, y, z, w) + 0.125 * math.cos(x * w - y * z)
-        base = UniformSampler(13, 3000)
-        con = check_conclusion_four(f, QUARTER4, base)
-        hyp = check_hypothesis_four(f, QUARTER4, DiagonalSampler(base))
+        con = check_conclusion_four(f, QUARTER4, UniformSampler(13, 3000))
+        hyp = check_hypothesis_four(f, QUARTER4, DiagonalSampler(StreamSampler(13, 3000)))
         assert con.max_excess == hyp.max_excess
 
     def test_eight_bound_slots_follow_coordinates(self):
@@ -388,7 +386,7 @@ def perturbed(*p):
 
 
 def sample_at(arity, seed, samples, index):
-    return list(UniformSampler(seed, samples).tuples(2 * int(arity)))[index]
+    return flatten(UniformSampler(seed, samples), 2 * int(arity))[index]
 
 
 def outcome(call):
@@ -439,8 +437,8 @@ class TestOnePass:
 
     def test_conclusion_sample_is_hypothesis_prefix(self):
         for width in (2, 4):
-            short = list(UniformSampler(9, 50).tuples(width))
-            long = list(UniformSampler(9, 50).tuples(2 * width))
+            short = flatten(UniformSampler(9, 50), width)
+            long = flatten(UniformSampler(9, 50), 2 * width)
             assert short == [t[:width] for t in long]
 
 

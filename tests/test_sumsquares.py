@@ -136,10 +136,6 @@ class TestCallerFactorization:
         with pytest.raises(ValueError, match=r"\(\(5, 1\),\) does not multiply to 45"):
             two_square_decompose(45, factorization=Factorization(45, ((5, 1),)))
 
-    def test_criterion_refuses_it(self):
-        with pytest.raises(ValueError, match=r"\(\(5, 1\),\) does not multiply to 21"):
-            is_sum_of_two_squares(21, factorization=Factorization(21, ((5, 1),)))
-
     @pytest.mark.parametrize("n, factors, bad", [
         # a negative factor once gave the component -1; -3 once raised from
         # inside the descent; 15 once read as "45 is not representable"
@@ -151,22 +147,19 @@ class TestCallerFactorization:
         (9, ((9, 1),), 9),
         (29341, ((29341, 1),), 29341),
     ])
-    @pytest.mark.parametrize("fn", [two_square_decompose, is_sum_of_two_squares])
-    def test_factor_that_is_not_prime_refused(self, fn, n, factors, bad):
+    def test_factor_that_is_not_prime_refused(self, n, factors, bad):
         with pytest.raises(ValueError, match=rf"^factor {bad} is not prime$"):
-            fn(n, factorization=Factorization(n, factors))
+            two_square_decompose(n, factorization=Factorization(n, factors))
 
-    @pytest.mark.parametrize("fn", [two_square_decompose, is_sum_of_two_squares])
     @pytest.mark.parametrize("e", [0, -1])
-    def test_exponent_below_one_refused(self, fn, e):
+    def test_exponent_below_one_refused(self, e):
         # 3 * 3^-1 multiplies to 1 as a float
         with pytest.raises(ValueError, match=rf"^factor 3 has exponent {e}; must be >= 1$"):
-            fn(1, factorization=Factorization(1, ((3, 1), (3, e))))
+            two_square_decompose(1, factorization=Factorization(1, ((3, 1), (3, e))))
 
     @given(st.integers(min_value=1, max_value=10**9))
     def test_true_factorization_changes_nothing(self, n):
         given_factors = Factorization(n, wheel_factors(n))
-        assert is_sum_of_two_squares(n, factorization=given_factors) == is_two_square(n)
         assert two_square_decompose(n, factorization=given_factors) == two_square_decompose(n)
 
     def test_composite_factor_ends(self, monkeypatch):

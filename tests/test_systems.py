@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from oracles import system_four_defects, system_two_defects
-from sosq.sampling import UniformSampler
+from oracles import StreamSampler, system_four_defects, system_two_defects
 from sosq.systems import (
     CaseFour,
     CaseTwo,
@@ -66,7 +65,7 @@ class TestSolveTwo:
         assert report.norm_residual <= 1e-9
 
     def test_seeded_sweep(self):
-        for u, v in UniformSampler(17, 5000, -100, 100).tuples(2):
+        for u, v in StreamSampler(17, 5000, -100, 100).tuples(2):
             report = solve_two(u, v)
             assert report.residual <= 1e-9
             assert report.norm_residual <= 1e-9
@@ -155,7 +154,7 @@ class TestSolveFour:
         assert report.norm_residual <= 1e-6
 
     def test_seeded_sweep(self):
-        for a, b, c, d in UniformSampler(23, 5000, -100, 100).tuples(4):
+        for a, b, c, d in StreamSampler(23, 5000, -100, 100).tuples(4):
             report = solve_four(a, b, c, d)
             assert report.residual <= 1e-6
             assert report.norm_residual <= 1e-6
@@ -176,7 +175,7 @@ class TestSolveFour:
         structured = [(0.0, -2.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0),
                       (0.0, 0.0, 0.0, -1.0), (0.0, -5.0, 0.0, -2.0),
                       (1.0, -4.0, 1.0, -2.0), (4.0, 0.0, 0.0, 0.0)]
-        for rhs in [*UniformSampler(29, 2000, -100, 100).tuples(4), *structured]:
+        for rhs in [*StreamSampler(29, 2000, -100, 100).tuples(4), *structured]:
             x, y, z, w = solve_four(*rhs).solution
             assert x + z > 0.0 or (x == z == 0.0 and y == w >= 0.0), rhs
 
