@@ -100,8 +100,14 @@ class UniformSampler(namedtuple("UniformSampler", "seed count")):
             # (a lane's sum of two words < 2**64 stays below 2**65, and the
             # mask reduces it mod 2**64)
             counter = (self.seed + (first + 1) * _GOLDEN) & _MASK64
-            starts = _words(_mix((counter * ones + ramp) & mask, mask), n)
-            draws = _mix((_lanes(starts * width) + steps) & mask, mask)
+            starts = _mix((counter * ones + ramp) & mask, mask)
+            # the starts fill lanes 0..n-1; each OR doubles the copies above
+            # them, and the mask drops those past lane n * width - 1
+            span, copies = 128 * n, 1
+            while copies < width:
+                starts |= starts << (span * copies)
+                copies *= 2
+            draws = _mix((starts + steps) & mask, mask)
             # the shift leaves each lane's top 53 bits in its low half
             words = _words(draws >> 11, n * width)
             yield [[LOW + scale * k for k in words[j:j + n]] for j in range(0, n * width, n)]

@@ -34,9 +34,9 @@ sqrt(u^2 + v^2) and x^2 + y^2 + z^2 + w^2 = sqrt(a^2 + b^2 + c^2 + d^2).
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from enum import Enum
+from math import copysign, frexp, hypot, inf, isfinite, ldexp, sqrt
 
 __all__ = [
     "CaseTwo",
@@ -104,53 +104,15 @@ class SolveReport(namedtuple(
 def _require_finite(**values: float) -> None:
     # the solvers call it only past a failed isfinite chain, for its message
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise NonFiniteInputError(f"{name} = {value!r} is not finite")
 
 
-def _require_zero_eps(zero_eps: float) -> None:
-    # a negative (or NaN) zero_eps would call no input zero, not even 0.0
-    if not zero_eps >= 0.0:
-        raise ValueError(f"zero_eps = {zero_eps!r} must be >= 0")
+_U0_VPOS, _U0_VNEG, _UNZ = CaseTwo.U0_VPOS, CaseTwo.U0_VNEG, CaseTwo.UNZ
+_A, _B, _C, _D = CaseFour.A, CaseFour.B, CaseFour.C, CaseFour.D
 
-
-def _unsign_zero(t: float) -> float:
-    return 0.0 if t == 0.0 else t
-
-
-def _even_exponent(maxabs: float) -> int:
-    """Even e with maxabs * 2^-e in [0.5, 2); 0 for a zero input."""
-    if maxabs == 0.0:
-        return 0
-    _, ex = math.frexp(maxabs)
-    return 2 * (ex // 2)
-
-
-def _one_in_scaled_units(e2: int) -> float:
-    # 2^-e2; infinite for deeply subnormal scales, which correctly drives
-    # the relative residual to zero there
-    try:
-        return math.ldexp(1.0, -e2)
-    except OverflowError:
-        return math.inf
-
-
-def _residual_two(us: float, vs: float, xs: float, ys: float, one: float) -> float:
-    # inputs and solution in 2^-e2 / 2^(-e2/2) scaled units, one = 2^-e2;
-    # the returned ratio equals the plain-unit relative residual
-    defect = max(abs(2.0 * xs * ys - us), abs(xs * xs - ys * ys - vs))
-    return defect / (one + abs(us) + abs(vs))
-
-
-def _residual_four(as_, bs, cs, ds, xs, ys, zs, ws, one: float) -> float:
-    sxz = xs + zs
-    defect = max(
-        abs(sxz * (ys + ws) - as_),
-        abs(2.0 * xs * zs - ys * ys - ws * ws - bs),
-        abs(sxz * (ws - ys) - cs),
-        abs(xs * xs - zs * zs - ds),
-    )
-    return defect / (one + abs(as_) + abs(bs) + abs(cs) + abs(ds))
+# Each solver is one flat body with no helper calls: a solve costs a few
+# dozen float operations, so a Python call per step would be most of it.
 
 
 def solve_two(
@@ -173,39 +135,59 @@ def solve_two(
     for v < 0 -- and the small component comes from 2xy = u by division.
     The two forms are algebraically identical.
     """
-    if not (math.isfinite(u) and math.isfinite(v)):
+    if not (isfinite(u) and isfinite(v)):
         _require_finite(u=u, v=v)
-    _require_zero_eps(zero_eps)
-    e2 = _even_exponent(max(abs(u), abs(v)))
-    half = e2 // 2
-    us, vs = math.ldexp(u, -e2), math.ldexp(v, -e2)
-    s = math.hypot(us, vs)
-    if abs(u) > zero_eps:
-        case = CaseTwo.UNZ
+    # a negative (or NaN) zero_eps would call no input zero, not even 0.0
+    if not zero_eps >= 0.0:
+        raise ValueError(f"zero_eps = {zero_eps!r} must be >= 0")
+    au = abs(u)
+    # even e2 with max(|u|, |v|) * 2^-e2 in [0.5, 2), so that half of it
+    # scales the solution back; frexp(0.0) gives 0
+    e2 = frexp(max(au, abs(v)))[1] & -2
+    us, vs = ldexp(u, -e2), ldexp(v, -e2)
+    s = hypot(us, vs)
+    if au > zero_eps:
+        case = _UNZ
     else:
-        case = CaseTwo.U0_VPOS if v >= 0.0 else CaseTwo.U0_VNEG
-    if abs(u) <= zero_eps or us == 0.0:
+        case = _U0_VPOS if v >= 0.0 else _U0_VNEG
+    # + 0.0 unsigns a zero component (-0.0 + 0.0 is +0.0) and leaves every
+    # other value as it is
+    if au <= zero_eps or us == 0.0:
         # a u that underflowed below v's scale is indistinguishable from 0
-        xs, ys = (math.sqrt(vs), 0.0) if v >= 0.0 else (0.0, math.sqrt(-vs))
+        if v >= 0.0:
+            xs, ys = sqrt(vs) + 0.0, 0.0
+        else:
+            xs, ys = 0.0, sqrt(-vs) + 0.0
     elif v >= 0.0:
-        xs = math.sqrt((vs + s) / 2.0)
-        ys = us / (2.0 * xs)
+        xs = sqrt((vs + s) / 2.0) + 0.0
+        ys = us / (2.0 * xs) + 0.0
     else:
-        ys = math.copysign(math.sqrt((s - vs) / 2.0), us)
-        xs = us / (2.0 * ys)
+        ys = copysign(sqrt((s - vs) / 2.0), us) + 0.0
+        xs = us / (2.0 * ys) + 0.0
 
-    xs, ys = _unsign_zero(xs), _unsign_zero(ys)
-    one = _one_in_scaled_units(e2)
-    residual = _residual_two(us, vs, xs, ys, one)
+    # 2^-e2; infinite for deeply subnormal scales (ldexp overflows exactly
+    # when e2 <= -1024), which correctly drives the relative residual to
+    # zero there
+    one = ldexp(1.0, -e2) if e2 > -1024 else inf
+    # inputs and solution in 2^-e2 / 2^(-e2/2) scaled units, one = 2^-e2;
+    # the ratio to scale equals the plain-unit relative residual
+    scale = one + abs(us) + abs(vs)
+    residual = max(abs(2.0 * xs * ys - us), abs(xs * xs - ys * ys - vs)) / scale
     if not residual <= tol:
         raise ResidualExceededError(
             f"solve_two residual {residual:.3e} exceeds tol {tol:.3e} "
             f"for (u, v) = ({u!r}, {v!r})",
             residual,
         )
-    norm_residual = abs(xs * xs + ys * ys - s) / (one + abs(us) + abs(vs))
-    solution = (math.ldexp(xs, half), math.ldexp(ys, half))
-    return SolveReport(solution, case, residual, norm_residual, tol)
+    half = e2 // 2
+    return SolveReport._make((
+        (ldexp(xs, half), ldexp(ys, half)),
+        case,
+        residual,
+        abs(xs * xs + ys * ys - s) / scale,
+        tol,
+        None,
+    ))
 
 
 def solve_four(
@@ -247,49 +229,59 @@ def solve_four(
     * D (d != 0): alpha is z^2 = x^2 - d, so alpha >= 0 and alpha >= -d;
       it is inf when z^2 passes DBL_MAX, while the solution stays finite.
     """
-    if not (
-        math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)
-    ):
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
         _require_finite(a=a, b=b, c=c, d=d)
-    _require_zero_eps(zero_eps)
-    e2 = _even_exponent(max(abs(a), abs(b), abs(c), abs(d)))
-    half = e2 // 2
-    as_, bs = math.ldexp(a, -e2), math.ldexp(b, -e2)
-    cs, ds = math.ldexp(c, -e2), math.ldexp(d, -e2)
+    # a negative (or NaN) zero_eps would call no input zero, not even 0.0
+    if not zero_eps >= 0.0:
+        raise ValueError(f"zero_eps = {zero_eps!r} must be >= 0")
+    aa, ac, ad = abs(a), abs(c), abs(d)
+    # even exponents as in solve_two
+    e2 = frexp(max(aa, abs(b), ac, ad))[1] & -2
+    as_, bs = ldexp(a, -e2), ldexp(b, -e2)
+    cs, ds = ldexp(c, -e2), ldexp(d, -e2)
 
-    r = math.hypot(as_, bs, cs, ds)
+    r = hypot(as_, bs, cs, ds)
     if b >= 0.0:
-        p = math.sqrt(bs + r)
+        p = sqrt(bs + r)
         # p = 0 only for the all-zero input
         s, t, q = (as_ / p, cs / p, ds / p) if p else (0.0, 0.0, 0.0)
     else:
         # direction of (a, c, d) at its own scale: at b's it can be subnormal
-        e3 = _even_exponent(max(abs(a), abs(c), abs(d)))
-        a3, c3, d3 = math.ldexp(a, -e3), math.ldexp(c, -e3), math.ldexp(d, -e3)
-        n3 = math.hypot(a3, c3, d3)
-        m = math.sqrt(r - bs)
-        p = math.ldexp(n3, e3 - e2) / m
+        e3 = frexp(max(aa, ac, ad))[1] & -2
+        a3, c3, d3 = ldexp(a, -e3), ldexp(c, -e3), ldexp(d, -e3)
+        n3 = hypot(a3, c3, d3)
+        m = sqrt(r - bs)
+        p = ldexp(n3, e3 - e2) / m
         s, t, q = (m * a3 / n3, m * c3 / n3, m * d3 / n3) if p else (m, 0.0, 0.0)
-    xs, ys = _unsign_zero((p + q) / 2.0), _unsign_zero((s - t) / 2.0)
-    zs, ws = _unsign_zero((p - q) / 2.0), _unsign_zero((s + t) / 2.0)
-    one = _one_in_scaled_units(e2)
-    residual = _residual_four(as_, bs, cs, ds, xs, ys, zs, ws, one)
+    # + 0.0 unsigns zeros, as in solve_two
+    xs, ys = (p + q) / 2.0 + 0.0, (s - t) / 2.0 + 0.0
+    zs, ws = (p - q) / 2.0 + 0.0, (s + t) / 2.0 + 0.0
+
+    # one and the residuals' scale as in solve_two
+    one = ldexp(1.0, -e2) if e2 > -1024 else inf
+    scale = one + abs(as_) + abs(bs) + abs(cs) + abs(ds)
+    sxz = xs + zs
+    residual = max(
+        abs(sxz * (ys + ws) - as_),
+        abs(2.0 * xs * zs - ys * ys - ws * ws - bs),
+        abs(sxz * (ws - ys) - cs),
+        abs(xs * xs - zs * zs - ds),
+    ) / scale
     if not residual <= tol:
         raise ResidualExceededError(
             f"solve_four residual {residual:.3e} exceeds tol {tol:.3e} "
             f"for (a, b, c, d) = ({a!r}, {b!r}, {c!r}, {d!r})",
             residual,
         )
-    norm_residual = abs(xs * xs + ys * ys + zs * zs + ws * ws - r) / (
-        one + abs(as_) + abs(bs) + abs(cs) + abs(ds)
-    )
-    x, z = math.ldexp(xs, half), math.ldexp(zs, half)
-    solution = (x, math.ldexp(ys, half), z, math.ldexp(ws, half))
-    if abs(d) > zero_eps:
+    norm_residual = abs(xs * xs + ys * ys + zs * zs + ws * ws - r) / scale
+    half = e2 // 2
+    x, z = ldexp(xs, half), ldexp(zs, half)
+    solution = (x, ldexp(ys, half), z, ldexp(ws, half))
+    if ad > zero_eps:
         # z^2 = x^2 - d >= -d; max() absorbs the rounding of z^2 near x = 0
-        case, alpha = CaseFour.D, max(z * z, -d)
-    elif abs(a) <= zero_eps and abs(c) <= zero_eps and b <= 0.0:
-        case, alpha = CaseFour.A, None
+        case, alpha = _D, max(z * z, -d)
+    elif aa <= zero_eps and ac <= zero_eps and b <= 0.0:
+        case, alpha = _A, None
     else:
-        case, alpha = (CaseFour.B if b > 0.0 else CaseFour.C), x
-    return SolveReport(solution, case, residual, norm_residual, tol, alpha)
+        case, alpha = (_B if b > 0.0 else _C), x
+    return SolveReport._make((solution, case, residual, norm_residual, tol, alpha))

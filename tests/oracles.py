@@ -6,9 +6,11 @@ representability by exhaustive search, system checks by direct
 substitution, multiplicativity by direct evaluation, the sampler's
 draws by one SplitMix64 object per sample index (stream_for), the
 equation and stability sweeps by the per-sample loops that the block pass
-replaced (run_equation_sweep, run_excess_sweep), and the f = sigma *
-m(||.||) shape by reading (m, sigma) tables off a black-box f on a probe
-grid (extract_structure, default_probes).  The fixtures are the samplers
+replaced (run_equation_sweep, run_excess_sweep), the closed-form solvers
+by their bodies from before the flattening (reference_solve_two,
+reference_solve_four), and the f = sigma * m(||.||) shape by reading
+(m, sigma) tables off a black-box f on a probe grid (extract_structure,
+default_probes).  The fixtures are the samplers
 the tests sweep with -- StreamSampler over any box, integer-valued or
 not, FixedSampler over explicit points and DiagonalSampler, which pairs
 each sample with itself -- and the representative multiplicative
@@ -27,6 +29,15 @@ from operator import itemgetter
 from sosq.sampling import _BLOCK, HIGH, LOW
 from sosq.solutions import MultiplicativeFamily, VerificationReport
 from sosq.stability import BoundSpec, ExcessReport, InvalidBoundError
+from sosq.systems import (
+    DEFAULT_TOL_FOUR,
+    DEFAULT_TOL_TWO,
+    CaseFour,
+    CaseTwo,
+    NonFiniteInputError,
+    ResidualExceededError,
+    SolveReport,
+)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -323,6 +334,204 @@ def system_four_defects(a, b, c, d, x, y, z, w) -> tuple[float, float, float, fl
         (x + z) * (w - y) - c,
         x * x - z * z - d,
     )
+
+
+# The closed-form solvers as they were before their bodies were flattened,
+# helpers and all: the reference that the shipped solve_two and solve_four
+# must equal, field for field and error for error.
+
+def _require_finite(**values: float) -> None:
+    # the solvers call it only past a failed isfinite chain, for its message
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise NonFiniteInputError(f"{name} = {value!r} is not finite")
+
+
+def _require_zero_eps(zero_eps: float) -> None:
+    # a negative (or NaN) zero_eps would call no input zero, not even 0.0
+    if not zero_eps >= 0.0:
+        raise ValueError(f"zero_eps = {zero_eps!r} must be >= 0")
+
+
+def _unsign_zero(t: float) -> float:
+    return 0.0 if t == 0.0 else t
+
+
+def _even_exponent(maxabs: float) -> int:
+    """Even e with maxabs * 2^-e in [0.5, 2); 0 for a zero input."""
+    if maxabs == 0.0:
+        return 0
+    _, ex = math.frexp(maxabs)
+    return 2 * (ex // 2)
+
+
+def _one_in_scaled_units(e2: int) -> float:
+    # 2^-e2; infinite for deeply subnormal scales, which correctly drives
+    # the relative residual to zero there
+    try:
+        return math.ldexp(1.0, -e2)
+    except OverflowError:
+        return math.inf
+
+
+def _residual_two(us: float, vs: float, xs: float, ys: float, one: float) -> float:
+    # inputs and solution in 2^-e2 / 2^(-e2/2) scaled units, one = 2^-e2;
+    # the returned ratio equals the plain-unit relative residual
+    defect = max(abs(2.0 * xs * ys - us), abs(xs * xs - ys * ys - vs))
+    return defect / (one + abs(us) + abs(vs))
+
+
+def _residual_four(as_, bs, cs, ds, xs, ys, zs, ws, one: float) -> float:
+    sxz = xs + zs
+    defect = max(
+        abs(sxz * (ys + ws) - as_),
+        abs(2.0 * xs * zs - ys * ys - ws * ws - bs),
+        abs(sxz * (ws - ys) - cs),
+        abs(xs * xs - zs * zs - ds),
+    )
+    return defect / (one + abs(as_) + abs(bs) + abs(cs) + abs(ds))
+
+
+def reference_solve_two(
+    u: float,
+    v: float,
+    *,
+    tol: float = DEFAULT_TOL_TWO,
+    zero_eps: float = 0.0,
+) -> SolveReport:
+    """Solve 2xy = u, x^2 - y^2 = v for one canonical (x, y).
+
+    The case split on u is structural, so it compares against exact zero by
+    default; zero_eps >= 0 widens the test for callers with computed inputs
+    (a negative or NaN zero_eps raises ValueError).
+
+    For u != 0 the textbook closed form x = sqrt((v + s)/2) with
+    s = sqrt(u^2 + v^2) cancels catastrophically when v < 0 and |v| >> |u|.
+    Instead, whichever of x and y is large is computed by its own square
+    root -- x = sqrt((v + s)/2) for v >= 0, y = sign(u) sqrt((s - v)/2)
+    for v < 0 -- and the small component comes from 2xy = u by division.
+    The two forms are algebraically identical.
+    """
+    if not (math.isfinite(u) and math.isfinite(v)):
+        _require_finite(u=u, v=v)
+    _require_zero_eps(zero_eps)
+    e2 = _even_exponent(max(abs(u), abs(v)))
+    half = e2 // 2
+    us, vs = math.ldexp(u, -e2), math.ldexp(v, -e2)
+    s = math.hypot(us, vs)
+    if abs(u) > zero_eps:
+        case = CaseTwo.UNZ
+    else:
+        case = CaseTwo.U0_VPOS if v >= 0.0 else CaseTwo.U0_VNEG
+    if abs(u) <= zero_eps or us == 0.0:
+        # a u that underflowed below v's scale is indistinguishable from 0
+        xs, ys = (math.sqrt(vs), 0.0) if v >= 0.0 else (0.0, math.sqrt(-vs))
+    elif v >= 0.0:
+        xs = math.sqrt((vs + s) / 2.0)
+        ys = us / (2.0 * xs)
+    else:
+        ys = math.copysign(math.sqrt((s - vs) / 2.0), us)
+        xs = us / (2.0 * ys)
+
+    xs, ys = _unsign_zero(xs), _unsign_zero(ys)
+    one = _one_in_scaled_units(e2)
+    residual = _residual_two(us, vs, xs, ys, one)
+    if not residual <= tol:
+        raise ResidualExceededError(
+            f"solve_two residual {residual:.3e} exceeds tol {tol:.3e} "
+            f"for (u, v) = ({u!r}, {v!r})",
+            residual,
+        )
+    norm_residual = abs(xs * xs + ys * ys - s) / (one + abs(us) + abs(vs))
+    solution = (math.ldexp(xs, half), math.ldexp(ys, half))
+    return SolveReport(solution, case, residual, norm_residual, tol)
+
+
+def reference_solve_four(
+    a: float,
+    b: float,
+    c: float,
+    d: float,
+    *,
+    tol: float = DEFAULT_TOL_FOUR,
+    zero_eps: float = 0.0,
+) -> SolveReport:
+    """Solve the four-variable system for one canonical (x, y, z, w).
+
+    With p = x + z, q = x - z, s = y + w and t = w - y the system reads
+
+        a = p s,   c = p t,   d = p q,   2b = p^2 - q^2 - s^2 - t^2,
+
+    so p^2 = b + r with r = sqrt(a^2 + b^2 + c^2 + d^2), and
+    (s, t, q) = (a, c, d)/p.  As in solve_two, the root is taken in the
+    form free of cancellation: p = sqrt(b + r) for b >= 0, and for b < 0
+    m = |(s, t, q)| = sqrt(r - b), p = |(a, c, d)|/m and (s, t, q) = m
+    times the direction of (a, c, d).  That direction is found at the own
+    power-of-two scale of (a, c, d), which can be subnormal at b's.  Where
+    p = 0 (a, c and d vanish at b's scale) the solution is case A's
+    (0, t, 0, t) with t = m/2.
+
+    Canonical sign: p is the nonnegative root, so of the pair
+    +/-(x, y, z, w) the solver returns the one with x + z > 0, or
+    x = z = 0 and y = w >= 0.  (Where p is below the rounding error of q,
+    x + z rounds to 0; x - z still has the sign of d.)
+
+    The case label records the structure of the input, with zero_eps >= 0
+    widening its zero tests; it does not change the formula:
+
+    * A: a = c = d = 0 and b <= 0; the solution is
+      (0, sqrt(-b/2), 0, sqrt(-b/2)) and alpha is None.
+    * B (d = 0, b > 0) and C (d = 0, b <= 0, (a, c) != (0, 0)): q = 0, so
+      x = z, reported as alpha.
+    * D (d != 0): alpha is z^2 = x^2 - d, so alpha >= 0 and alpha >= -d;
+      it is inf when z^2 passes DBL_MAX, while the solution stays finite.
+    """
+    if not (
+        math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)
+    ):
+        _require_finite(a=a, b=b, c=c, d=d)
+    _require_zero_eps(zero_eps)
+    e2 = _even_exponent(max(abs(a), abs(b), abs(c), abs(d)))
+    half = e2 // 2
+    as_, bs = math.ldexp(a, -e2), math.ldexp(b, -e2)
+    cs, ds = math.ldexp(c, -e2), math.ldexp(d, -e2)
+
+    r = math.hypot(as_, bs, cs, ds)
+    if b >= 0.0:
+        p = math.sqrt(bs + r)
+        # p = 0 only for the all-zero input
+        s, t, q = (as_ / p, cs / p, ds / p) if p else (0.0, 0.0, 0.0)
+    else:
+        # direction of (a, c, d) at its own scale: at b's it can be subnormal
+        e3 = _even_exponent(max(abs(a), abs(c), abs(d)))
+        a3, c3, d3 = math.ldexp(a, -e3), math.ldexp(c, -e3), math.ldexp(d, -e3)
+        n3 = math.hypot(a3, c3, d3)
+        m = math.sqrt(r - bs)
+        p = math.ldexp(n3, e3 - e2) / m
+        s, t, q = (m * a3 / n3, m * c3 / n3, m * d3 / n3) if p else (m, 0.0, 0.0)
+    xs, ys = _unsign_zero((p + q) / 2.0), _unsign_zero((s - t) / 2.0)
+    zs, ws = _unsign_zero((p - q) / 2.0), _unsign_zero((s + t) / 2.0)
+    one = _one_in_scaled_units(e2)
+    residual = _residual_four(as_, bs, cs, ds, xs, ys, zs, ws, one)
+    if not residual <= tol:
+        raise ResidualExceededError(
+            f"solve_four residual {residual:.3e} exceeds tol {tol:.3e} "
+            f"for (a, b, c, d) = ({a!r}, {b!r}, {c!r}, {d!r})",
+            residual,
+        )
+    norm_residual = abs(xs * xs + ys * ys + zs * zs + ws * ws - r) / (
+        one + abs(as_) + abs(bs) + abs(cs) + abs(ds)
+    )
+    x, z = math.ldexp(xs, half), math.ldexp(zs, half)
+    solution = (x, math.ldexp(ys, half), z, math.ldexp(ws, half))
+    if abs(d) > zero_eps:
+        # z^2 = x^2 - d >= -d; max() absorbs the rounding of z^2 near x = 0
+        case, alpha = CaseFour.D, max(z * z, -d)
+    elif abs(a) <= zero_eps and abs(c) <= zero_eps and b <= 0.0:
+        case, alpha = CaseFour.A, None
+    else:
+        case, alpha = (CaseFour.B if b > 0.0 else CaseFour.C), x
+    return SolveReport(solution, case, residual, norm_residual, tol, alpha)
 
 
 # The per-sample sweeps, as they were before the block pass: the reference

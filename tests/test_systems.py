@@ -3,10 +3,16 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import StreamSampler, system_four_defects, system_two_defects
+from oracles import (
+    StreamSampler,
+    reference_solve_four,
+    reference_solve_two,
+    system_four_defects,
+    system_two_defects,
+)
 from sosq.systems import (
     CaseFour,
     CaseTwo,
@@ -329,3 +335,67 @@ class TestPowerOfFourScaling:
     @given(st.tuples(SCALABLE, SCALABLE, SCALABLE, SCALABLE), st.integers(-60, 60))
     def test_solve_four(self, rhs, k):
         assert_scales_exactly(solve_four, rhs, k)
+
+
+# The shipped solvers against their bodies from before the flattening: every
+# field's repr, or the error's type, message and residual, bit for bit.
+DBL_MAX = sys.float_info.max
+any_finite = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, DBL_MAX, -DBL_MAX]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# None stands for the solver's default tol
+tols = st.sampled_from([None, 0.0, 1e-300])
+zero_epss = st.sampled_from([0.0, 5e-324, 1.0, 1e300])
+
+
+def outcome(solve, rhs, tol, zero_eps):
+    kwargs = {"zero_eps": zero_eps} if tol is None else {"tol": tol, "zero_eps": zero_eps}
+    try:
+        report = solve(*rhs, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc), repr(getattr(exc, "residual", None))
+    return type(report), [repr(field) for field in report]
+
+
+class TestMatchesReference:
+    @settings(max_examples=500)
+    @given(any_finite, any_finite, tols, zero_epss)
+    @example(1e-320, -5e-324, None, 0.0)
+    @example(3.0, -1e200, 1e-300, 0.0)
+    # a zero component that comes out as -0.0 before it is unsigned
+    @example(0.0, -0.0, None, 0.0)
+    @example(-5e-324, 1.0, None, 0.0)
+    def test_solve_two(self, u, v, tol, zero_eps):
+        expected = outcome(reference_solve_two, (u, v), tol, zero_eps)
+        assert outcome(solve_two, (u, v), tol, zero_eps) == expected
+
+    @settings(max_examples=500)
+    @given(any_finite, any_finite, any_finite, any_finite, tols, zero_epss)
+    @example(0.0, -5e-324, 0.0, 0.0, None, 0.0)
+    @example(0.0, 0.0, 5e-324, 1.0, None, 0.0)
+    @example(0.0, 0.0, -5e-324, 1.0, None, 0.0)
+    def test_solve_four(self, a, b, c, d, tol, zero_eps):
+        expected = outcome(reference_solve_four, (a, b, c, d), tol, zero_eps)
+        assert outcome(solve_four, (a, b, c, d), tol, zero_eps) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", range(4))
+    def test_non_finite_inputs(self, bad, at):
+        rhs = [1.0, -2.0, 3.0, -4.0]
+        rhs[at] = bad
+        four = outcome(solve_four, rhs, None, 0.0)
+        assert four == outcome(reference_solve_four, rhs, None, 0.0)
+        assert four[0] is NonFiniteInputError
+        if at < 2:
+            two = outcome(solve_two, rhs[:2], None, 0.0)
+            assert two == outcome(reference_solve_two, rhs[:2], None, 0.0)
+            assert two[0] is NonFiniteInputError
+
+    @pytest.mark.parametrize("zero_eps", [math.nan, -0.0, -5e-324, -1.0])
+    def test_zero_eps_at_and_below_zero(self, zero_eps):
+        for solve, reference, rhs in [
+            (solve_two, reference_solve_two, (0.0, 4.0)),
+            (solve_four, reference_solve_four, (0.0, -2.0, 0.0, 0.0)),
+        ]:
+            assert outcome(solve, rhs, None, zero_eps) == outcome(reference, rhs, None, zero_eps)
