@@ -408,7 +408,9 @@ def _cmd_rep_check(args):
     config = {"n": n}
     fac = factorize(n)
     # n is a sum of two squares iff no prime q = 3 mod 4 has odd exponent e;
-    # factorize proves q prime, so q^e dividing n exactly proves n is none
+    # factorize proves q prime, by trial division or, for a last factor
+    # between 2**40 and 3.3e24, by Miller-Rabin to 13 bases, a proof there;
+    # so q^e dividing n exactly proves n is none
     certificate = next(([p, e] for p, e in fac.factors if p % 4 == 3 and e % 2), None)
     criterion = certificate is None
     witness = None

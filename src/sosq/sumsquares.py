@@ -12,9 +12,14 @@ Factorization screens n against the 309 primes below 2048, sieved once at
 import: one gcd with their product finds the table primes that divide n,
 and runs of 32 primes whose gcd with it is 1 are skipped.  Past the table,
 trial division by the 6k-1, 6k+1 wheel stops once the divisor's square
-exceeds the unfactored rest.  Products of small primes factor quickly at
-any size, but a large prime factor p costs O(sqrt p) wheel steps, which
-keeps this at desk scale (n up to ~1e12).
+exceeds the unfactored rest, or once Miller-Rabin proves a rest between
+2**40 and 3.3e24 prime.  The factors are produced lazily, in ascending
+order, so the two-square criterion and decomposition stop at the first
+prime 3 mod 4 with an odd exponent and never factor the rest of n.
+Products of small primes factor quickly at any size, and so do they times
+one prime below 3.3e24.  Otherwise the wheel must reach the second largest
+prime factor, or the square root of a largest one above 3.3e24, one step
+per 6 integers, which keeps such n at desk scale (~1e12).
 """
 
 from __future__ import annotations
@@ -66,51 +71,11 @@ _RUNS = tuple(
 _WHEEL_START = _TABLE_LIMIT + (5 - _TABLE_LIMIT) % 6
 
 
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1: a gcd screen over the prime table, then the wheel.
-
-    g = gcd(n, product of the table) is the product of the table primes
-    dividing n.  A run whose gcd with g is 1 holds none of them; one whose
-    gcd is a single table prime is that prime, with no scan of the run.
-    What is left has no factor below 2048, so below 2051**2 it is 1 or a
-    prime and the wheel does not start.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    factors = []
-    rest = n
-    g = gcd(n, _TABLE_PRODUCT)
-    for run_product, run in _RUNS:
-        if g == 1:
-            break
-        h = gcd(g, run_product)
-        if h == 1:
-            continue
-        g //= h
-        for p in (h,) if h in _SMALL_PRIME_SET else run:
-            if h % p == 0:
-                e = 0
-                while rest % p == 0:
-                    rest //= p
-                    e += 1
-                factors.append((p, e))
-    f = _WHEEL_START
-    while f * f <= rest:
-        for p in (f, f + 2):
-            if rest % p == 0:
-                e = 0
-                while rest % p == 0:
-                    rest //= p
-                    e += 1
-                factors.append((p, e))
-        f += 6
-    if rest > 1:
-        factors.append((rest, 1))
-    return Factorization(n, tuple(factors))
-
-
-# the first 13 primes: as Miller-Rabin bases they decide every n below
-# 3.3e24 (Sorenson & Webster, Math. Comp. 86, 2017)
+# a rest below 2**40 is left to the wheel, whose divisors then stay below
+# 2**20; from 2**40 up to psi_13 = 3.3e24 (Sorenson & Webster, Math. Comp.
+# 86, 2017), Miller-Rabin to the first 13 primes proves a rest prime
+_PRIME_TEST_FROM = 2**40
+_MR_PROOF_LIMIT = 3317044064679887385961981
 _MR_BASES = _SMALL_PRIMES[:13]
 
 
@@ -133,11 +98,73 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _proved_prime(rest: int) -> bool:
+    """True if rest lies where Miller-Rabin is both needed and a proof, and passes."""
+    return _PRIME_TEST_FROM <= rest < _MR_PROOF_LIMIT and _is_prime(rest)
+
+
+def _prime_powers(n: int):
+    """Yield the prime factorization of n >= 1 as (p, e), p ascending, each
+    pair as soon as it is found: the gcd screen over the prime table, then
+    the wheel.
+
+    g = gcd(n, product of the table) is the product of the table primes
+    dividing n.  A run whose gcd with g is 1 holds none of them; one whose
+    gcd is a single table prime is that prime, with no scan of the run.
+    What is left has no factor below 2048, so below 2051**2 it is 1 or a
+    prime and the wheel does not start.  A rest that Miller-Rabin proves
+    prime, tested before the wheel and after each factor it divides out,
+    is the last factor.  A consumer that stops early leaves the rest of n
+    unfactored.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    rest = n
+    g = gcd(n, _TABLE_PRODUCT)
+    for run_product, run in _RUNS:
+        if g == 1:
+            break
+        h = gcd(g, run_product)
+        if h == 1:
+            continue
+        g //= h
+        for p in (h,) if h in _SMALL_PRIME_SET else run:
+            if h % p == 0:
+                e = 0
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                yield p, e
+    if _proved_prime(rest):
+        yield rest, 1
+        return
+    f = _WHEEL_START
+    while f * f <= rest:
+        for p in (f, f + 2):
+            if rest % p == 0:
+                e = 0
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                yield p, e
+                if _proved_prime(rest):
+                    yield rest, 1
+                    return
+        f += 6
+    if rest > 1:
+        yield rest, 1
+
+
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 completely; see _prime_powers for the method."""
+    return Factorization(n, tuple(_prime_powers(n)))
+
+
 def _factors_of(n: int, factorization: Factorization | None):
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if factorization is None:
-        return factorize(n).factors
+        return _prime_powers(n)
     if factorization.n != n:
         raise ValueError(f"factorization is of {factorization.n}, not of {n}")
     for p, e in factorization.factors:
@@ -156,7 +183,7 @@ def is_sum_of_two_squares(n: int) -> bool:
     Equivalently: in the split n = m*m * s with s squarefree, no prime of s
     is 3 mod 4.
     """
-    return all(e % 2 == 0 for p, e in factorize(n).factors if p % 4 == 3)
+    return all(e % 2 == 0 for p, e in _prime_powers(n) if p % 4 == 3)
 
 
 class SquareRep(namedtuple("SquareRep", "n components")):
@@ -261,7 +288,7 @@ def four_square_decompose(n: int) -> SquareRep:
     if n == 0:
         return SquareRep(0, (0, 0, 0, 0))
     parts = []
-    for p, e in factorize(n).factors:
+    for p, e in _prime_powers(n):
         parts += [_prime_four_square(p)] * e
     folded = reduce(compose_four, parts) if parts else (1, 0, 0, 0)
     components = tuple(sorted(map(abs, folded), reverse=True))

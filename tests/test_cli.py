@@ -391,9 +391,19 @@ class TestRepCheck:
 
         monkeypatch.setattr(sumsquares, "factorize", counted)
         monkeypatch.setattr(cli, "factorize", counted)
+        # the decompositions and the criterion factor through _prime_powers
+        generated = []
+        real_powers = sumsquares._prime_powers
+
+        def generated_counted(m):
+            generated.append(m)
+            return real_powers(m)
+
+        monkeypatch.setattr(sumsquares, "_prime_powers", generated_counted)
         code, report, _ = run_json(capsys, "rep-check", n)
         assert code == 0 and report["result"]["agree"] is True
         assert calls == [int(n)]
+        assert generated == [int(n)]
 
     def test_foreign_factorization_rejected(self):
         with pytest.raises(ValueError, match="factorization is of 45, not of 21"):

@@ -25,6 +25,7 @@ from sosq.cli import main
 DATA = Path(__file__).parent / "data" / "cli_golden.txt"
 
 SMOOTH_N = "796229763520486260311072665796622111837258600"
+LARGE_PRIME_N = str(10**18 + 3)
 
 CASES = [
     ["compose2", "1", "2", "2", "1"],
@@ -133,6 +134,11 @@ CASES = [
     # 1323 = 3^3 * 7^2: the certificate is 3^3, the even power of 7 is not one
     ["rep-check", "1323"],
     ["rep-check", SMOOTH_N],
+    # 10^18 + 3, a prime 3 mod 4 past 2^40: Miller-Rabin proves it prime
+    # before the wheel starts, which would need ~10^9 / 3 trial divisions
+    ["rep-check", LARGE_PRIME_N],
+    ["decompose", "--squares", "2", LARGE_PRIME_N],
+    ["decompose", "--squares", "4", LARGE_PRIME_N],
 ]
 
 # the benchmark's sweep mix (SWEEP_MIX in perfbench/workloads.py) at its full

@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from itertools import count, islice
 from math import prod
 
@@ -16,6 +18,7 @@ from sosq import sumsquares
 from sosq.identities import compose_four_raw, norm
 from sosq.sumsquares import (
     Factorization,
+    _prime_powers,
     factorize,
     four_square_decompose,
     is_sum_of_two_squares,
@@ -108,6 +111,126 @@ class TestFactorize:
     def test_matches_wheel_on_table_prime_squares(self):
         for p in TABLE:
             assert factorize(p * p).factors == ((p, 2),) == wheel_factors(p * p)
+
+
+# primes from 2**40, where a rest is tested by Miller-Rabin, up to the last
+# prime below psi_13 = 3317044064679887385961981, where that test ends
+LARGE_PRIMES = [
+    2**40 + 15, 2**61 - 1, 10**18 + 3, 10**24 + 7, 3317044064679887385961813,
+]
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block, instead of hanging, once it runs past seconds; where
+    the platform has no SIGALRM, run it unbounded."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still factoring after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError as exc:
+        # the interrupted frames can carry no line number, which pytest's
+        # traceback report cannot format
+        pytest.fail(str(exc), pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestPrimePowers:
+    @given(st.integers(min_value=1, max_value=10**12))
+    def test_matches_factorize_and_wheel(self, n):
+        assert tuple(_prime_powers(n)) == factorize(n).factors == wheel_factors(n)
+
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=10**6),
+            st.sampled_from([2053, 2053**2 * 1000003, 2**10 * 3**5 * 2039 * 1000003]),
+        ),
+        st.sampled_from(LARGE_PRIMES),
+    )
+    @example(1, 2**40 + 15)
+    @example(7 * 1000003, 10**18 + 3)
+    def test_prime_cofactor_above_2_40(self, small, q):
+        # q is proved prime before the wheel, or once the wheel has divided
+        # out the last factor of small past the table; every factor of small
+        # is below q, so q comes last
+        expected = wheel_factors(small) + ((q, 1),)
+        with deadline(10):
+            assert tuple(_prime_powers(small * q)) == factorize(small * q).factors == expected
+
+    def test_prime_rest_below_the_gate(self):
+        # 2**40 - 87 is the last prime below the gate: the wheel proves it
+        q = 2**40 - 87
+        for small in (1, 3, 2053):
+            assert factorize(small * q).factors == wheel_factors(small * q)
+
+    def test_gate_ends_below_psi_13(self):
+        # psi_13 passes Miller-Rabin to the 13 bases but is composite, so a
+        # rest there is not taken as prime
+        psi_13 = 3317044064679887385961981
+        assert psi_13 == 1287836182261 * 2575672364521
+        assert sumsquares._is_prime(psi_13)
+        assert not sumsquares._proved_prime(psi_13)
+        assert sumsquares._proved_prime(LARGE_PRIMES[-1])
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_criterion_refuses_n_below_one(self, n):
+        # the generator checks n when first asked for a factor
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            is_sum_of_two_squares(n)
+
+
+def pull_at_most(monkeypatch, limit=None):
+    """Record the pairs sumsquares._prime_powers yields from here on; asking
+    for one past the first limit fails at once, before the wheel goes on."""
+    pulled = []
+    inner = sumsquares._prime_powers
+
+    def recorded(n):
+        for pair in inner(n):
+            pulled.append(pair)
+            yield pair
+            if len(pulled) == limit:
+                raise AssertionError(f"asked for a factor of {n} past {pulled}")
+
+    monkeypatch.setattr(sumsquares, "_prime_powers", recorded)
+    return pulled
+
+
+class TestLazyFactors:
+    # 3 (10^9+7)(10^9+9): 3 to an odd power settles "no", while the wheel
+    # would take minutes to reach 10^9+7
+    N = 3 * 1000000016000000063
+
+    def test_criterion_stops_at_the_first_odd_q(self, monkeypatch):
+        pulled = pull_at_most(monkeypatch, 1)
+        assert is_sum_of_two_squares(self.N) is False
+        assert pulled == [(3, 1)]
+
+    def test_decompose_stops_at_the_first_odd_q(self, monkeypatch):
+        pulled = pull_at_most(monkeypatch, 1)
+        assert two_square_decompose(self.N) is None
+        assert pulled == [(3, 1)]
+
+    def test_even_powers_of_q_are_read_past(self, monkeypatch):
+        # 3^2 * 7: the even power of 3 decides nothing, the 7 settles it
+        pulled = pull_at_most(monkeypatch, 2)
+        assert is_sum_of_two_squares(63 * 1000000016000000063) is False
+        assert pulled == [(3, 2), (7, 1)]
+
+    def test_four_squares_read_every_factor(self, monkeypatch):
+        pulled = pull_at_most(monkeypatch)
+        rep = four_square_decompose(3 * 7 * 10**18 + 63)
+        assert norm(rep.components) == 21 * (10**18 + 3)
+        assert pulled == [(3, 1), (7, 1), (10**18 + 3, 1)]
 
 
 class TestRepresentabilityCriterion:
