@@ -15,7 +15,8 @@ trial division by the 6k-1, 6k+1 wheel stops once the divisor's square
 exceeds the unfactored rest, or once Miller-Rabin proves a rest between
 2**40 and 3.3e24 prime.  The factors are produced lazily, in ascending
 order, so the two-square criterion and decomposition stop at the first
-prime 3 mod 4 with an odd exponent and never factor the rest of n.
+prime 3 mod 4 with an odd exponent and never factor the rest of n; an n
+whose odd part is 3 mod 4 has one, and both answer no before any factor.
 Products of small primes factor quickly at any size, and so do they times
 one prime below 3.3e24.  Otherwise the wheel must reach the second largest
 prime factor, or the square root of a largest one above 3.3e24, one step
@@ -160,30 +161,35 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(_prime_powers(n)))
 
 
-def _factors_of(n: int, factorization: Factorization | None):
+def _two_square_factors(n: int, factorization: Factorization | None):
+    """n's prime powers, a caller's checked; None if n's odd part is 3 mod 4."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if factorization is None:
-        return _prime_powers(n)
-    if factorization.n != n:
-        raise ValueError(f"factorization is of {factorization.n}, not of {n}")
-    for p, e in factorization.factors:
-        if e < 1:
-            raise ValueError(f"factor {p} has exponent {e}; must be >= 1")
-        if not _is_prime(p):
-            raise ValueError(f"factor {p} is not prime")
-    if prod(p**e for p, e in factorization.factors) != n:
-        raise ValueError(f"factorization {factorization.factors} does not multiply to {n}")
-    return factorization.factors
+    if factorization is not None:
+        if factorization.n != n:
+            raise ValueError(f"factorization is of {factorization.n}, not of {n}")
+        for p, e in factorization.factors:
+            if e < 1:
+                raise ValueError(f"factor {p} has exponent {e}; must be >= 1")
+            if not _is_prime(p):
+                raise ValueError(f"factor {p} is not prime")
+        if prod(p**e for p, e in factorization.factors) != n:
+            raise ValueError(f"factorization {factorization.factors} does not multiply to {n}")
+    # 2(a*a + b*b) = (a+b)**2 + (a-b)**2, so n and its odd part are sums of
+    # two squares together; squares are 0 or 1 mod 4, so an odd sum is 1 mod 4
+    if (n // (n & -n)) % 4 == 3:
+        return None
+    return _prime_powers(n) if factorization is None else factorization.factors
 
 
 def is_sum_of_two_squares(n: int) -> bool:
     """True iff every prime factor of n congruent to 3 mod 4 has even exponent.
 
     Equivalently: in the split n = m*m * s with s squarefree, no prime of s
-    is 3 mod 4.
+    is 3 mod 4.  An odd part 3 mod 4 answers False before any factoring.
     """
-    return all(e % 2 == 0 for p, e in _prime_powers(n) if p % 4 == 3)
+    factors = _two_square_factors(n, None)
+    return factors is not None and all(e % 2 == 0 for p, e in factors if p % 4 == 3)
 
 
 class SquareRep(namedtuple("SquareRep", "n components")):
@@ -258,11 +264,14 @@ def two_square_decompose(
     composition law, and the result is checked.  A factorization of n, when
     given, is used instead of factoring n again; it must multiply to n, with
     exponents >= 1 and factors that Miller-Rabin finds prime (a proof below
-    3.3e24), or it is a ValueError naming the bad factor.
+    3.3e24), or it is a ValueError naming the bad factor.  An n whose odd
+    part is 3 mod 4 is None before any factoring.
     """
+    if (factors := _two_square_factors(n, factorization)) is None:
+        return None
     multiplier = 1
     parts = []
-    for p, e in _factors_of(n, factorization):
+    for p, e in factors:
         if p % 4 == 3:
             if e % 2:
                 return None

@@ -26,6 +26,7 @@ DATA = Path(__file__).parent / "data" / "cli_golden.txt"
 
 SMOOTH_N = "796229763520486260311072665796622111837258600"
 LARGE_PRIME_N = str(10**18 + 3)
+SEMIPRIME_N = str((10**9 + 7) * (10**9 + 9))
 
 CASES = [
     ["compose2", "1", "2", "2", "1"],
@@ -139,6 +140,9 @@ CASES = [
     ["rep-check", LARGE_PRIME_N],
     ["decompose", "--squares", "2", LARGE_PRIME_N],
     ["decompose", "--squares", "4", LARGE_PRIME_N],
+    # (10^9+7)(10^9+9) is 3 mod 4: "no" before any factor, where the wheel
+    # would take minutes to reach 10^9+7
+    ["decompose", "--squares", "2", SEMIPRIME_N],
 ]
 
 # the benchmark's sweep mix (SWEEP_MIX in perfbench/workloads.py) at its full

@@ -181,20 +181,17 @@ class TestPrimePowers:
         assert not sumsquares._proved_prime(psi_13)
         assert sumsquares._proved_prime(LARGE_PRIMES[-1])
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_criterion_refuses_n_below_one(self, n):
-        # the generator checks n when first asked for a factor
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            is_sum_of_two_squares(n)
-
 
 def pull_at_most(monkeypatch, limit=None):
     """Record the pairs sumsquares._prime_powers yields from here on; asking
-    for one past the first limit fails at once, before the wheel goes on."""
+    for one past the first limit (for 0, for any) fails at once, before the
+    wheel goes on."""
     pulled = []
     inner = sumsquares._prime_powers
 
     def recorded(n):
+        if limit == 0:
+            raise AssertionError(f"asked for a factor of {n}")
         for pair in inner(n):
             pulled.append(pair)
             yield pair
@@ -231,6 +228,52 @@ class TestLazyFactors:
         rep = four_square_decompose(3 * 7 * 10**18 + 63)
         assert norm(rep.components) == 21 * (10**18 + 3)
         assert pulled == [(3, 1), (7, 1), (10**18 + 3, 1)]
+
+
+# primes below 10^6, drawn as the greatest prime at most a uniform draw
+PRIMES_BELOW_10_6 = st.integers(min_value=2, max_value=10**6 - 1).map(
+    lambda n: next(p for p in range(n, 1, -1) if is_prime(p))
+)
+
+
+class TestOddPartScreen:
+    # (10^9+7)(10^9+9) is 3 mod 4, and so is the odd part of 2^k times it:
+    # the wheel would take minutes to reach 10^9+7
+    N = 1000000016000000063
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("entry, no", [(is_sum_of_two_squares, False),
+                                           (two_square_decompose, None)])
+    def test_answers_no_before_any_factor(self, monkeypatch, entry, no, k):
+        pull_at_most(monkeypatch, 0)
+        with deadline(5):
+            assert entry(2**k * self.N) is no
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("entry", [is_sum_of_two_squares, two_square_decompose])
+    def test_n_below_one_refused_first(self, entry, n):
+        # -1 is 3 mod 4, and 0 has no odd part: n is checked before the screen
+        with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
+            entry(n)
+
+    @pytest.mark.parametrize("n, factors", [(7, ((7, 2),)), (6, ((2, 1), (5, 1)))])
+    def test_bad_factorization_refused_first(self, n, factors):
+        # the odd part of n is 3 mod 4, yet a wrong factorization is named
+        with pytest.raises(ValueError, match=rf"does not multiply to {n}$"):
+            two_square_decompose(n, factorization=Factorization(n, factors))
+
+    @given(st.lists(st.tuples(PRIMES_BELOW_10_6, st.integers(1, 3)), min_size=1, max_size=4))
+    @example([(2, 1), (3, 1)])
+    @example([(2, 3), (999983, 1), (999979, 1)])
+    @example([(999983, 2), (999979, 1)])
+    def test_agrees_with_the_exponent_rule(self, powers):
+        exponents = {}
+        for p, e in powers:
+            exponents[p] = exponents.get(p, 0) + e
+        expected = all(e % 2 == 0 for p, e in exponents.items() if p % 4 == 3)
+        n = prod(p**e for p, e in exponents.items())
+        assert is_sum_of_two_squares(n) is expected
+        assert (two_square_decompose(n) is None) is not expected
 
 
 class TestRepresentabilityCriterion:
