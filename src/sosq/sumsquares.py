@@ -3,24 +3,26 @@
 A positive integer is a sum of two squares exactly when every prime factor
 congruent to 3 mod 4 occurs to an even power, and every nonnegative integer
 is a sum of four squares.  Decompositions are assembled constructively:
-factorize n, represent each prime on its own, and fold the parts together
-through the exact composition laws, so the squared-sum identity holds with
-no rounding anywhere.  Each prime is represented by Euler's descent on
-the same laws, and each result is checked exactly before it is returned.
+represent each prime factor on its own and fold the parts together through
+the exact composition laws, so the squared-sum identity holds with no
+rounding anywhere.  Each prime is represented by Euler's descent on the
+same laws.  Four squares factor out only the table primes below: the rest
+of n is represented whole, as x*x + y*y plus a prime 1 mod 4 that a search
+over x and y finds.  Each result is checked exactly before it is returned.
 
 Factorization screens n against the 309 primes below 2048, sieved once at
 import: one gcd with their product finds the table primes that divide n,
 and runs of 32 primes whose gcd with it is 1 are skipped.  Past the table,
 trial division by the 6k-1, 6k+1 wheel stops once the divisor's square
 exceeds the unfactored rest, or once Miller-Rabin proves a rest between
-2**40 and 3.3e24 prime.  The factors are produced lazily, in ascending
-order, so the two-square criterion and decomposition stop at the first
-prime 3 mod 4 with an odd exponent and never factor the rest of n; an n
-whose odd part is 3 mod 4 has one, and both answer no before any factor.
-Products of small primes factor quickly at any size, and so do they times
-one prime below 3.3e24.  Otherwise the wheel must reach the second largest
-prime factor, or the square root of a largest one above 3.3e24, one step
-per 6 integers, which keeps such n at desk scale (~1e12).
+2**40 and 3.3e24 prime.  The factors come lazily, in ascending order, so
+the two-square answers stop at the first prime 3 mod 4 with an odd
+exponent; an n whose odd part is 3 mod 4 has one, and they answer no
+before any factor.  Products of small primes factor quickly at any size,
+and so do they times one prime below 3.3e24; otherwise the wheel must
+reach the second largest prime factor, or the square root of a largest
+one above 3.3e24, which keeps the two-square answers for such n at desk
+scale (~1e12).  Four squares take milliseconds at 300 digits.
 """
 
 from __future__ import annotations
@@ -104,22 +106,11 @@ def _proved_prime(rest: int) -> bool:
     return _PRIME_TEST_FROM <= rest < _MR_PROOF_LIMIT and _is_prime(rest)
 
 
-def _prime_powers(n: int):
-    """Yield the prime factorization of n >= 1 as (p, e), p ascending, each
-    pair as soon as it is found: the gcd screen over the prime table, then
-    the wheel.
-
-    g = gcd(n, product of the table) is the product of the table primes
-    dividing n.  A run whose gcd with g is 1 holds none of them; one whose
-    gcd is a single table prime is that prime, with no scan of the run.
-    What is left has no factor below 2048, so below 2051**2 it is 1 or a
-    prime and the wheel does not start.  A rest that Miller-Rabin proves
-    prime, tested before the wheel and after each factor it divides out,
-    is the last factor.  A consumer that stops early leaves the rest of n
-    unfactored.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def _table_screen(n: int, past):
+    """Yield (p, e) per table prime p dividing n >= 1, p ascending, then what
+    past(rest) yields for the rest of n.  g = gcd(n, table product) holds
+    the table primes dividing n; a run whose gcd with g is 1 holds none, one
+    whose gcd is a single table prime is that prime, with no scan of the run."""
     rest = n
     g = gcd(n, _TABLE_PRODUCT)
     for run_product, run in _RUNS:
@@ -136,6 +127,23 @@ def _prime_powers(n: int):
                     rest //= p
                     e += 1
                 yield p, e
+    yield from past(rest)
+
+
+def _prime_powers(n: int):
+    """The prime factorization of n >= 1 as (p, e), p ascending, each pair
+    yielded as soon as it is found: the table screen, then _past_table.  A
+    consumer that stops early leaves the rest of n unfactored."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _table_screen(n, _past_table)
+
+
+def _past_table(rest: int):
+    """Yield the prime factorization of a rest with no factor below 2048: below
+    2051**2 it is 1 or a prime and the wheel does not start.  A rest that
+    Miller-Rabin proves prime, tested before the wheel and after each factor
+    it divides out, is the last factor."""
     if _proved_prime(rest):
         yield rest, 1
         return
@@ -285,20 +293,46 @@ def two_square_decompose(
     return SquareRep(n, (a, b))
 
 
+def _cofactor_four_square(m: int) -> tuple[int, int, int, int]:
+    """(x, y, a, b) with x*x + y*y + a*a + b*b == m, for an odd m >= 1: x is the
+    greatest with m - x*x = 1 or 2 mod 4, y the greatest with p = m - x*x - y*y
+    = 1 mod 4, and y, then x, step down by 2 until p is 1, a table prime, or
+    coprime to the table and passes Miller-Rabin.  From psi_13 up that is only
+    a probable prime, so a split by _prime_two_square that refutes it costs a
+    retry, never a wrong answer."""
+    x = isqrt(m)
+    x -= (m - x * x) % 4 in (0, 3)
+    while x >= 0:
+        r = m - x * x
+        y = isqrt(r)
+        y -= (r - y * y) % 4 != 1
+        while y >= 0:
+            p = r - y * y
+            if p == 1 or p in _SMALL_PRIME_SET or gcd(p, _TABLE_PRODUCT) == 1 and _is_prime(p):
+                try:
+                    return (x, y, *_prime_two_square(p))
+                except (ValueError, ArithmeticError):
+                    pass
+            y -= 2
+        x -= 2
+    raise ArithmeticError(f"no four squares of {m} found")
+
+
 def four_square_decompose(n: int) -> SquareRep:
     """Exact four-square representation of any n >= 0.
 
-    Each prime factor is represented once by the descent and the copies are
-    folded through the four-square composition law; components come back
-    as absolute values sorted descending, checked to square-sum to n.
+    The table primes are represented by the descent, a rest past the table
+    whole by _cofactor_four_square, and the parts folded, that one last,
+    through the four-square composition law.  The components come back as
+    absolute values sorted descending, checked to square-sum to n.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return SquareRep(0, (0, 0, 0, 0))
     parts = []
-    for p, e in _prime_powers(n):
-        parts += [_prime_four_square(p)] * e
+    for p, e in _table_screen(n, lambda rest: [(rest, 1)] if rest > 1 else []):
+        parts += [_prime_four_square(p) if p < _TABLE_LIMIT else _cofactor_four_square(p)] * e
     folded = reduce(compose_four, parts) if parts else (1, 0, 0, 0)
     components = tuple(sorted(map(abs, folded), reverse=True))
     if norm(components) != n:

@@ -8,7 +8,9 @@ draws by one SplitMix64 object per sample index (stream_for), the
 equation and stability sweeps by the per-sample loops that the block pass
 replaced (run_equation_sweep, run_excess_sweep), the closed-form solvers
 by their bodies from before the flattening (reference_solve_two,
-reference_solve_four), and the f = sigma * m(||.||) shape by reading
+reference_solve_four), four squares of an n with no prime factor past the
+table by the fold that served every n before the cofactor search
+(reference_four_square_fold), and the f = sigma * m(||.||) shape by reading
 (m, sigma) tables off a black-box f on a probe grid (extract_structure,
 default_probes).  The fixtures are the samplers
 the tests sweep with -- StreamSampler over any box, integer-valued or
@@ -22,13 +24,16 @@ UniformSampler yields blocks alone.
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice, product
 from math import isqrt
 from operator import itemgetter
 
+from sosq.identities import compose_four
 from sosq.sampling import _BLOCK, HIGH, LOW
 from sosq.solutions import MultiplicativeFamily, VerificationReport
 from sosq.stability import BoundSpec, ExcessReport, InvalidBoundError
+from sosq.sumsquares import _prime_four_square
 from sosq.systems import (
     DEFAULT_TOL_FOUR,
     DEFAULT_TOL_TWO,
@@ -305,6 +310,17 @@ def wheel_factors(n: int) -> tuple[tuple[int, int], ...]:
     if rest > 1:
         factors.append((rest, 1))
     return tuple(factors)
+
+
+def reference_four_square_fold(n: int) -> tuple[int, int, int, int]:
+    """four_square_decompose(n).components as computed before the cofactor
+    search, for any n >= 1: every prime factor represented by the descent,
+    the parts folded in ascending order through compose_four."""
+    parts = []
+    for p, e in wheel_factors(n):
+        parts += [_prime_four_square(p)] * e
+    folded = reduce(compose_four, parts) if parts else (1, 0, 0, 0)
+    return tuple(sorted(map(abs, folded), reverse=True))
 
 
 def four_square_witness(n: int) -> tuple[int, int, int, int] | None:

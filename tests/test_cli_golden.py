@@ -120,7 +120,8 @@ CASES = [
     ["decompose", "--squares", "4", "7"],
     ["decompose", "--squares", "4", "0"],
     ["decompose", "--squares", "4", "2026"],
-    # 999999999959 = 7 mod 8: four nonzero squares from the descent
+    # 999999999959 = 7 mod 8: four nonzero squares, from the cofactor search
+    # as it is a prime past the table
     ["decompose", "--squares", "4", "999999999959"],
     # a smooth n across both ends of the prime table: 2^3 3^2 5^2 13 17 29 37
     # 41 53 61 101 1009 1013 1997 2003^2 2017 2029 2039^2 (2039, the last
@@ -136,13 +137,16 @@ CASES = [
     ["rep-check", "1323"],
     ["rep-check", SMOOTH_N],
     # 10^18 + 3, a prime 3 mod 4 past 2^40: Miller-Rabin proves it prime
-    # before the wheel starts, which would need ~10^9 / 3 trial divisions
+    # before the wheel starts, which would need ~10^9 / 3 trial divisions;
+    # four squares do not factor it
     ["rep-check", LARGE_PRIME_N],
     ["decompose", "--squares", "2", LARGE_PRIME_N],
     ["decompose", "--squares", "4", LARGE_PRIME_N],
     # (10^9+7)(10^9+9) is 3 mod 4: "no" before any factor, where the wheel
     # would take minutes to reach 10^9+7
     ["decompose", "--squares", "2", SEMIPRIME_N],
+    # it has no table factor, so four squares represent it whole, unfactored
+    ["decompose", "--squares", "4", SEMIPRIME_N],
 ]
 
 # the benchmark's sweep mix (SWEEP_MIX in perfbench/workloads.py) at its full

@@ -1,7 +1,7 @@
 import signal
 from contextlib import contextmanager
 from itertools import count, islice
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given
@@ -11,6 +11,7 @@ from oracles import (
     four_square_witness,
     is_prime,
     is_two_square,
+    reference_four_square_fold,
     two_square_witnesses,
     wheel_factors,
 )
@@ -18,6 +19,7 @@ from sosq import sumsquares
 from sosq.identities import compose_four_raw, norm
 from sosq.sumsquares import (
     Factorization,
+    SquareRep,
     _prime_powers,
     factorize,
     four_square_decompose,
@@ -223,11 +225,15 @@ class TestLazyFactors:
         assert is_sum_of_two_squares(63 * 1000000016000000063) is False
         assert pulled == [(3, 2), (7, 1)]
 
-    def test_four_squares_read_every_factor(self, monkeypatch):
-        pulled = pull_at_most(monkeypatch)
-        rep = four_square_decompose(3 * 7 * 10**18 + 63)
-        assert norm(rep.components) == 21 * (10**18 + 3)
-        assert pulled == [(3, 1), (7, 1), (10**18 + 3, 1)]
+    # 3 * 7 * (10^18+3), whose 3 and 7 the table screen takes, and
+    # (10^9+7)(10^9+9), which the wheel would take minutes to split: four
+    # squares represent the rest past the table whole, with no factor of it
+    @pytest.mark.parametrize("n", [3 * 7 * 10**18 + 63, 1000000016000000063])
+    def test_four_squares_pull_no_factor(self, monkeypatch, n):
+        pull_at_most(monkeypatch, 0)
+        with deadline(5):
+            rep = four_square_decompose(n)
+        assert norm(rep.components) == n
 
 
 # primes below 10^6, drawn as the greatest prime at most a uniform draw
@@ -527,6 +533,112 @@ class TestFourSquareDecompose:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             four_square_decompose(-1)
+
+
+TABLE_PRODUCT = prod(TABLE)
+
+# 2063 * 2083 is 1 mod 4 and has no table factor, but its primes are 3 mod 4:
+# it is no sum of two squares, and the Euler test in _prime_two_square
+# refutes it
+PSEUDOPRIME = 2063 * 2083
+
+
+def meeting_first(p):
+    """An odd m with no table factor whose cofactor search meets p = 1 mod 4
+    as its first candidate: y*y + p < (y+2)**2 and m < (x+2)**2, so x and y
+    are the greatest of their parities."""
+    y = p // 4 + 1
+    x = (y * y + p) // 4
+    while gcd(x * x + y * y + p, TABLE_PRODUCT) != 1:
+        x += 1
+    return x * x + y * y + p
+
+
+class TestCofactorSearch:
+    """_cofactor_four_square: x*x + y*y plus a prime 1 mod 4, no factoring."""
+
+    def test_every_odd_m_below_2_18(self):
+        search = sumsquares._cofactor_four_square
+        bad = [m for m in range(3, 2**18, 2) if norm(v := search(m)) != m or min(v) < 0]
+        assert bad == []
+
+    def test_candidates_are_screened_before_miller_rabin(self, monkeypatch):
+        # table primes are looked up, other p below 2048 and every p sharing
+        # a factor with the table are refused before the test; every p is
+        # 1 mod 4, and below psi_13 the first that passes splits
+        tested = count_calls(monkeypatch, "_is_prime")
+        splits = count_calls(monkeypatch, "_prime_two_square")
+        odd_m = range(10**12 + 1, 10**12 + 2001, 2)
+        for m in odd_m:
+            assert norm(sumsquares._cofactor_four_square(m)) == m
+        assert tested
+        assert all(p >= 2048 and gcd(p, TABLE_PRODUCT) == 1 for (p,) in tested)
+        assert len(splits) == len(odd_m) and all(p % 4 == 1 for (p,) in splits)
+
+    def test_the_rest_is_composed_last(self, monkeypatch):
+        folds = count_calls(monkeypatch, "compose_four")
+        rep = four_square_decompose(3 * 7 * 10**18 + 63)
+        assert norm(rep.components) == 21 * (10**18 + 3)
+        assert len(folds) == 2
+        assert folds[-1][1] == sumsquares._cofactor_four_square(10**18 + 3)
+
+    # the split's own refutation, the Euler test's ValueError, and the
+    # ArithmeticError of a descent that finds no representation
+    @pytest.mark.parametrize("descent_stalls", [False, True])
+    def test_a_refuted_probable_prime_costs_a_retry(self, monkeypatch, descent_stalls):
+        split = sumsquares._prime_two_square
+        with pytest.raises(ValueError, match=f"{PSEUDOPRIME} is not prime"):
+            split(PSEUDOPRIME)
+        if descent_stalls:
+
+            def stalled(p):
+                if p == PSEUDOPRIME:
+                    raise ArithmeticError(f"descent found no representation of prime {p}")
+                return split(p)
+
+            monkeypatch.setattr(sumsquares, "_prime_two_square", stalled)
+        splits = count_calls(monkeypatch, "_prime_two_square")
+        is_prime = sumsquares._is_prime
+        monkeypatch.setattr(sumsquares, "_is_prime", lambda q: q == PSEUDOPRIME or is_prime(q))
+        m = meeting_first(PSEUDOPRIME)
+        rep = four_square_decompose(m)
+        assert norm(rep.components) == m
+        assert splits[0] == (PSEUDOPRIME,) and len(splits) > 1
+
+    def test_an_exhausted_search_is_an_arithmetic_error(self, monkeypatch):
+        # not the ValueError that the CLI would report as a usage error
+        def refuted(p):
+            raise ValueError(f"{p} is not prime")
+
+        monkeypatch.setattr(sumsquares, "_prime_two_square", refuted)
+        with pytest.raises(ArithmeticError, match="no four squares of 2053 found"):
+            four_square_decompose(2053)
+
+    def test_table_smooth_n_take_no_search(self, monkeypatch):
+        searched = count_calls(monkeypatch, "_cofactor_four_square")
+        folds = count_calls(monkeypatch, "compose_four")
+        rep = four_square_decompose(2**3 * 3 * 2039**2)
+        assert norm(rep.components) == 2**3 * 3 * 2039**2
+        assert searched == [] and len(folds) == 5
+
+    @given(st.lists(st.tuples(st.sampled_from(TABLE), st.integers(1, 4)), max_size=30))
+    @example([])
+    @example([(2, 3), (3, 2), (2039, 2), (2029, 1)])
+    def test_table_smooth_n_keep_the_fold(self, powers):
+        n = prod(p**e for p, e in powers)
+        assert four_square_decompose(n).components == reference_four_square_fold(n)
+
+    @given(st.integers(min_value=0, max_value=10**300))
+    @example(10**300)
+    @example(2**607 - 1)
+    @example(3 * 7 * 10**18 + 63)
+    @example(LARGE_PRIMES[-1] * (2**61 - 1))
+    def test_any_n_up_to_10_300(self, n):
+        rep = four_square_decompose(n)
+        assert type(rep) is SquareRep and rep.n == n
+        assert min(rep.components) >= 0
+        assert list(rep.components) == sorted(rep.components, reverse=True)
+        assert norm(rep.components) == n
 
 
 @pytest.mark.parametrize("name", ["_prime_two_square", "_prime_four_square"])
