@@ -44,6 +44,7 @@ from .stability import (
 from .systems import DEFAULT_TOL_FOUR, DEFAULT_TOL_TWO, ResidualExceededError
 from .systems import solve_two, solve_four
 from .sumsquares import (
+    _two_squares_from,
     factorize,
     four_square_decompose,
     two_square_decompose,
@@ -415,7 +416,7 @@ def _cmd_rep_check(args):
     criterion = certificate is None
     witness = None
     if criterion:
-        a, b = witness = list(two_square_decompose(n, factorization=fac).components)
+        a, b = witness = list(_two_squares_from(n, fac.factors).components)
         agree = a * a + b * b == n
         text, route, proof = "representable", "witness", f"{n} = {a}^2 + {b}^2"
     else:

@@ -25,9 +25,9 @@ def format_float(x: float) -> str:
     return text
 
 
-def _render(obj, indent: int, depth: int) -> str:
-    pad = " " * (indent * (depth + 1))
-    closing = " " * (indent * depth)
+def _render(obj, depth: int) -> str:
+    pad = "  " * (depth + 1)
+    closing = "  " * depth
     if obj is None:
         return "null"
     if obj is True:
@@ -44,18 +44,18 @@ def _render(obj, indent: int, depth: int) -> str:
         if not obj:
             return "{}"
         items = ",\n".join(
-            f"{pad}{json.dumps(str(k))}: {_render(v, indent, depth + 1)}"
+            f"{pad}{json.dumps(str(k))}: {_render(v, depth + 1)}"
             for k, v in obj.items()
         )
         return "{\n" + items + "\n" + closing + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(f"{pad}{_render(v, indent, depth + 1)}" for v in obj)
+        items = ",\n".join(f"{pad}{_render(v, depth + 1)}" for v in obj)
         return "[\n" + items + "\n" + closing + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Render obj (dict/list/scalars) as deterministic JSON text."""
-    return _render(obj, indent, 0)
+def dumps(obj) -> str:
+    """Render obj (dict/list/scalars) as deterministic JSON text, indented by 2."""
+    return _render(obj, 0)

@@ -5,10 +5,11 @@ congruent to 3 mod 4 occurs to an even power, and every nonnegative integer
 is a sum of four squares.  Decompositions are assembled constructively:
 represent each prime factor on its own and fold the parts together through
 the exact composition laws, so the squared-sum identity holds with no
-rounding anywhere.  Each prime is represented by Euler's descent on the
-same laws.  Four squares factor out only the table primes below: the rest
-of n is represented whole, as x*x + y*y plus a prime 1 mod 4 that a search
-over x and y finds.  Each result is checked exactly before it is returned.
+rounding anywhere.  A prime 1 mod 4 is split into two squares by Euclid's
+algorithm on p and a square root of -1 mod p.  Four squares factor out only
+the table primes below: the rest of n, and each table prime 3 mod 4, is
+represented whole, as x*x + y*y plus a prime 1 mod 4 that a search over x
+and y finds.  Each result is checked exactly before it is returned.
 
 Factorization screens n against the 309 primes below 2048, sieved once at
 import: one gcd with their product finds the table primes that divide n,
@@ -33,7 +34,6 @@ from itertools import count
 from math import gcd, isqrt, prod
 
 from .identities import compose_two, compose_four, norm
-from .identities import compose_two_raw, compose_four_raw
 
 __all__ = [
     "Factorization",
@@ -169,25 +169,15 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(_prime_powers(n)))
 
 
-def _two_square_factors(n: int, factorization: Factorization | None):
-    """n's prime powers, a caller's checked; None if n's odd part is 3 mod 4."""
+def _two_square_factors(n: int):
+    """n's prime powers, lazily; None if n's odd part is 3 mod 4."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if factorization is not None:
-        if factorization.n != n:
-            raise ValueError(f"factorization is of {factorization.n}, not of {n}")
-        for p, e in factorization.factors:
-            if e < 1:
-                raise ValueError(f"factor {p} has exponent {e}; must be >= 1")
-            if not _is_prime(p):
-                raise ValueError(f"factor {p} is not prime")
-        if prod(p**e for p, e in factorization.factors) != n:
-            raise ValueError(f"factorization {factorization.factors} does not multiply to {n}")
     # 2(a*a + b*b) = (a+b)**2 + (a-b)**2, so n and its odd part are sums of
     # two squares together; squares are 0 or 1 mod 4, so an odd sum is 1 mod 4
     if (n // (n & -n)) % 4 == 3:
         return None
-    return _prime_powers(n) if factorization is None else factorization.factors
+    return _prime_powers(n)
 
 
 def is_sum_of_two_squares(n: int) -> bool:
@@ -196,7 +186,7 @@ def is_sum_of_two_squares(n: int) -> bool:
     Equivalently: in the split n = m*m * s with s squarefree, no prime of s
     is 3 mod 4.  An odd part 3 mod 4 answers False before any factoring.
     """
-    factors = _two_square_factors(n, None)
+    factors = _two_square_factors(n)
     return factors is not None and all(e % 2 == 0 for p, e in factors if p % 4 == 3)
 
 
@@ -211,72 +201,58 @@ class SquareRep(namedtuple("SquareRep", "n components")):
 _PRIME_CACHE_SIZE = 512
 
 
-def _descend(v: tuple[int, ...], p: int, compose) -> tuple[int, ...]:
-    """Euler's descent from sum(v*v) = m*p, 1 <= m < p, to a sum equal to p.
-
-    w = v mod m, in [-m/2, m/2), makes compose(v, w) divisible by m, with
-    norm p * sum(w*w)/m.  On a prime p that lowers m; a step that does not
-    stops, and the result is checked.  Returns absolute values, ascending.
-    """
-    m = norm(v) // p
-    while m > 1:
-        w = [(c + m // 2) % m - m // 2 for c in v]
-        if (r := norm(w) // m) >= m:
-            break
-        v, m = [c // m for c in compose(*v, *w)], r
-    if norm(v) != p:
-        raise ArithmeticError(f"descent found no representation of prime {p}")
-    return tuple(sorted(map(abs, v)))
-
-
 @lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def _prime_two_square(p: int) -> tuple[int, int]:
-    """(a, b) with a <= b and a*a + b*b == p, for p = 2 or a prime 1 mod 4.
+    """(a, b) with a <= b and a*a + b*b == p, for p = 1, 2 or a prime 1 mod 4.
 
     For a quadratic non-residue c, s = c^((p-1)/4) is a square root of -1
-    mod p, so the descent starts from s*s + 1.  A c^((p-1)/2) other than
-    +-1 proves p composite (ValueError); c = the least prime factor of p
-    gives one at the latest, so the search ends on any p.
+    mod p.  Euclid's algorithm on p and s, stopped at the first remainder a
+    with a*a < p, leaves p - a*a a square (Hermite-Serret; Brillhart, Math.
+    Comp. 26, 1972), and the pair is checked.  A c^((p-1)/2) other than +-1
+    proves p composite (ValueError); c = the least prime factor of p gives
+    one at the latest, so the search ends on any p.
     """
     for c in count(2):
         if (r := pow(c, (p - 1) // 2, p)) == p - 1:
             break
         if r != 1:
             raise ValueError(f"{p} is not prime")
-    s = pow(c, (p - 1) // 4, p)
-    return _descend((min(s, p - s), 1), p, compose_two_raw)
+    r, a = p, pow(c, (p - 1) // 4, p)
+    while a * a > p:
+        r, a = a, r % a
+    b = isqrt(p - a * a)
+    if a * a + b * b != p:
+        raise ArithmeticError(f"Euclid's algorithm found no two squares of prime {p}")
+    return (min(a, b), max(a, b))
 
 
 @lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def _prime_four_square(p: int) -> tuple[int, int, int, int]:
     """(a, b, c, d) with a >= b >= c >= d >= 0 and squared sum p, for a prime p.
 
-    p = 2 or 1 mod 4 is its two squares.  For p = 3 mod 4 the descent starts
-    from x*x + y*y + 1, x the least with -1 - x*x = y*y a square mod p.
+    p = 2 or 1 mod 4 is its two squares; p = 3 mod 4 is what the search of
+    _cofactor_four_square finds.
     """
     if p % 4 != 3:
         return (*_prime_two_square(p)[::-1], 0, 0)
-    x = next(x for x in count() if pow((-1 - x * x) % p, (p - 1) // 2, p) == 1)
-    y = pow((-1 - x * x) % p, (p + 1) // 4, p)
-    return _descend((x, min(y, p - y), 1, 0), p, compose_four_raw)[::-1]
+    return tuple(sorted(_cofactor_four_square(p), reverse=True))
 
 
-def two_square_decompose(
-    n: int, *, factorization: Factorization | None = None
-) -> SquareRep | None:
+def two_square_decompose(n: int) -> SquareRep | None:
     """Exact two-square representation of n >= 1, or None if none exists.
 
     Primes 3 mod 4 (even exponents only) contribute p^(e/2) as a common
     multiplier; 2 and primes 1 mod 4 contribute their two-square
     representations, one copy per exponent, folded through the two-square
-    composition law, and the result is checked.  A factorization of n, when
-    given, is used instead of factoring n again; it must multiply to n, with
-    exponents >= 1 and factors that Miller-Rabin finds prime (a proof below
-    3.3e24), or it is a ValueError naming the bad factor.  An n whose odd
-    part is 3 mod 4 is None before any factoring.
+    composition law, and the result is checked.  An n whose odd part is
+    3 mod 4 is None before any factoring.
     """
-    if (factors := _two_square_factors(n, factorization)) is None:
-        return None
+    factors = _two_square_factors(n)
+    return None if factors is None else _two_squares_from(n, factors)
+
+
+def _two_squares_from(n: int, factors) -> SquareRep | None:
+    """two_square_decompose(n) from n's prime powers (p, e), p ascending."""
     multiplier = 1
     parts = []
     for p, e in factors:
@@ -321,8 +297,8 @@ def _cofactor_four_square(m: int) -> tuple[int, int, int, int]:
 def four_square_decompose(n: int) -> SquareRep:
     """Exact four-square representation of any n >= 0.
 
-    The table primes are represented by the descent, a rest past the table
-    whole by _cofactor_four_square, and the parts folded, that one last,
+    The table primes are represented by _prime_four_square, a rest past the
+    table whole by _cofactor_four_square, and the parts folded, that one last,
     through the four-square composition law.  The components come back as
     absolute values sorted descending, checked to square-sum to n.
     """

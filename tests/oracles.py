@@ -314,8 +314,9 @@ def wheel_factors(n: int) -> tuple[tuple[int, int], ...]:
 
 def reference_four_square_fold(n: int) -> tuple[int, int, int, int]:
     """four_square_decompose(n).components as computed before the cofactor
-    search, for any n >= 1: every prime factor represented by the descent,
-    the parts folded in ascending order through compose_four."""
+    search, for any n >= 1: every prime factor represented by
+    _prime_four_square, the parts folded in ascending order through
+    compose_four."""
     parts = []
     for p, e in wheel_factors(n):
         parts += [_prime_four_square(p)] * e

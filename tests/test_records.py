@@ -33,8 +33,6 @@ from sosq.stability import (
 )
 from sosq.systems import CaseFour, CaseTwo, SolveReport, solve_four, solve_two
 from sosq.sumsquares import (
-    Factorization,
-    SquareRep,
     factorize,
     four_square_decompose,
     two_square_decompose,
@@ -218,16 +216,6 @@ def test_alpha_defaults_to_none():
     assert solve_four(0.0, -4.0, 0.0, 0.0).alpha is None
     assert solve_four(1.0, 4.0, 1.0, 0.0).case_label is CaseFour.B
     assert solve_four(1.0, 4.0, 1.0, 0.0).alpha is not None
-
-
-def test_caller_factorization_behaves_as_before():
-    given = Factorization(65, ((5, 1), (13, 1)))
-    assert two_square_decompose(65, factorization=given) == SquareRep(65, (8, 1))
-    by_keyword = Factorization(n=65, factors=((5, 1), (13, 1)))
-    assert two_square_decompose(65, factorization=by_keyword) == two_square_decompose(65)
-    assert two_square_decompose(21, factorization=Factorization(21, ((3, 1), (7, 1)))) is None
-    with pytest.raises(ValueError, match=r"^factorization is of 64, not of 65$"):
-        two_square_decompose(65, factorization=Factorization(64, ((2, 6),)))
 
 
 @pytest.mark.parametrize(

@@ -16,9 +16,8 @@ from oracles import (
     wheel_factors,
 )
 from sosq import sumsquares
-from sosq.identities import compose_four_raw, norm
+from sosq.identities import norm
 from sosq.sumsquares import (
-    Factorization,
     SquareRep,
     _prime_powers,
     factorize,
@@ -262,12 +261,6 @@ class TestOddPartScreen:
         with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
             entry(n)
 
-    @pytest.mark.parametrize("n, factors", [(7, ((7, 2),)), (6, ((2, 1), (5, 1)))])
-    def test_bad_factorization_refused_first(self, n, factors):
-        # the odd part of n is 3 mod 4, yet a wrong factorization is named
-        with pytest.raises(ValueError, match=rf"does not multiply to {n}$"):
-            two_square_decompose(n, factorization=Factorization(n, factors))
-
     @given(st.lists(st.tuples(PRIMES_BELOW_10_6, st.integers(1, 3)), min_size=1, max_size=4))
     @example([(2, 1), (3, 1)])
     @example([(2, 3), (999983, 1), (999979, 1)])
@@ -295,77 +288,6 @@ class TestRepresentabilityCriterion:
     @given(st.integers(min_value=1, max_value=10**6))
     def test_oracle_agreement_random(self, n):
         assert is_sum_of_two_squares(n) == is_two_square(n)
-
-
-class TestCallerFactorization:
-    # a factorization whose prime powers do not multiply to n is refused,
-    # naming its factors; before, each of these gave a wrong answer
-    def test_wrong_prime_for_square(self):
-        with pytest.raises(ValueError, match=r"\(\(3, 2\),\) does not multiply to 25"):
-            two_square_decompose(25, factorization=Factorization(25, ((3, 2),)))
-
-    def test_missing_factor(self):
-        with pytest.raises(ValueError, match=r"\(\(5, 1\),\) does not multiply to 45"):
-            two_square_decompose(45, factorization=Factorization(45, ((5, 1),)))
-
-    @pytest.mark.parametrize("n, factors, bad", [
-        # a negative factor once gave the component -1; -3 once raised from
-        # inside the descent; 15 once read as "45 is not representable"
-        (1, ((-1, 2),), -1),
-        (9, ((-3, 2),), -3),
-        (45, ((15, 1), (3, 1)), 15),
-        (1, ((1, 1),), 1),
-        (1, ((0, 1),), 0),
-        (9, ((9, 1),), 9),
-        (29341, ((29341, 1),), 29341),
-    ])
-    def test_factor_that_is_not_prime_refused(self, n, factors, bad):
-        with pytest.raises(ValueError, match=rf"^factor {bad} is not prime$"):
-            two_square_decompose(n, factorization=Factorization(n, factors))
-
-    @pytest.mark.parametrize("e", [0, -1])
-    def test_exponent_below_one_refused(self, e):
-        # 3 * 3^-1 multiplies to 1 as a float
-        with pytest.raises(ValueError, match=rf"^factor 3 has exponent {e}; must be >= 1$"):
-            two_square_decompose(1, factorization=Factorization(1, ((3, 1), (3, e))))
-
-    @given(st.integers(min_value=1, max_value=10**9))
-    def test_true_factorization_changes_nothing(self, n):
-        given_factors = Factorization(n, wheel_factors(n))
-        assert two_square_decompose(n, factorization=given_factors) == two_square_decompose(n)
-
-    def test_composite_factor_ends(self, monkeypatch):
-        # a composite listed as a prime; before, 9 hung the non-residue
-        # search.  29341 is a Carmichael number whose descent finds
-        # 10^2 + 171^2.  The search stops by c = the least prime factor q of
-        # n, so with the call for the root of -1 it makes at most q calls
-        calls = []
-
-        def bounded_pow(*args):
-            calls.append(args)
-            assert len(calls) <= q, f"more than {q} calls of pow for {n}"
-            return pow(*args)
-
-        monkeypatch.setattr(sumsquares, "pow", bounded_pow, raising=False)
-        for n in [*range(4, 5000), 29341]:
-            if n % 4 == 3 or is_prime(n):
-                continue
-            q = wheel_factors(n)[0][0]
-            calls.clear()
-            try:
-                rep = sumsquares._prime_two_square.__wrapped__(n)
-            except ValueError as exc:
-                assert str(exc) == f"{n} is not prime"
-            except ArithmeticError as exc:
-                assert str(exc) == f"descent found no representation of prime {n}"
-            else:
-                assert rep[0] ** 2 + rep[1] ** 2 == n
-            calls.clear()
-            try:
-                rep = two_square_decompose(n, factorization=Factorization(n, ((n, 1),)))
-            except (ValueError, ArithmeticError):
-                continue
-            assert norm(rep.components) == n
 
 
 class TestTwoSquareDecompose:
@@ -431,12 +353,52 @@ class TestTwoSquareDecompose:
     def test_descent_matches_oracle(self, p):
         assert sumsquares._prime_two_square.__wrapped__(p) == two_square_witnesses(p)[0]
 
-    def test_descent_checks_its_pair(self, monkeypatch):
+    def test_euclid_checks_its_pair(self, monkeypatch):
         # a "root" of -1 that is wrong (p - 1 squares to 1) must not come back
         # as a pair; any c passes the non-residue test under this pow
         monkeypatch.setattr(sumsquares, "pow", lambda c, e, p: p - 1, raising=False)
-        with pytest.raises(ArithmeticError, match="prime 13"):
+        message = "^Euclid's algorithm found no two squares of prime 13$"
+        with pytest.raises(ArithmeticError, match=message):
             sumsquares._prime_two_square.__wrapped__(13)
+
+    def test_one_and_two(self):
+        # the cofactor search splits p = 1; 2 is the one even prime
+        assert sumsquares._prime_two_square.__wrapped__(1) == (0, 1)
+        assert sumsquares._prime_two_square.__wrapped__(2) == (1, 1)
+
+    def test_composite_split_ends(self, monkeypatch):
+        # a composite passed as a prime, as a refuted probable prime is;
+        # 29341 is a Carmichael number.  The search stops by c = the least
+        # prime factor q of n, so with the call for the root of -1 it makes
+        # at most q calls
+        calls = []
+
+        def bounded_pow(*args):
+            calls.append(args)
+            assert len(calls) <= q, f"more than {q} calls of pow for {n}"
+            return pow(*args)
+
+        monkeypatch.setattr(sumsquares, "pow", bounded_pow, raising=False)
+        for n in [*range(4, 5000), 29341]:
+            if n % 4 == 3 or is_prime(n):
+                continue
+            q = wheel_factors(n)[0][0]
+            calls.clear()
+            try:
+                rep = sumsquares._prime_two_square.__wrapped__(n)
+            except ValueError as exc:
+                assert str(exc) == f"{n} is not prime"
+            except ArithmeticError as exc:
+                assert str(exc) == f"Euclid's algorithm found no two squares of prime {n}"
+            else:
+                assert rep[0] ** 2 + rep[1] ** 2 == n
+
+    @given(st.integers(min_value=1, max_value=10**9))
+    @example(21)
+    @example(9 * 7 * 7 * 13)
+    def test_fold_of_given_factors_matches(self, n):
+        # rep-check folds the factors it has already found
+        assert sumsquares._two_squares_from(n, factorize(n).factors) == two_square_decompose(n)
 
     def test_wrong_prime_part_fails_the_final_check(self, monkeypatch):
         monkeypatch.setattr(sumsquares, "_prime_two_square", lambda p: (1, 2))
@@ -475,6 +437,13 @@ class TestFourSquareDecompose:
                 assert min(comps) >= 0 and list(comps) == sorted(comps, reverse=True), p
                 assert sum(c * c for c in comps) == p, p
 
+    def test_every_table_prime_uncached(self):
+        assert len(TABLE) == 309
+        for p in TABLE:
+            comps = sumsquares._prime_four_square.__wrapped__(p)
+            assert min(comps) >= 0 and list(comps) == sorted(comps, reverse=True), p
+            assert norm(comps) == p, p
+
     def test_prime_parts_pad_the_two_square_pair(self):
         for p in range(2, 10**4):
             if is_prime(p) and p % 4 != 3:
@@ -487,33 +456,9 @@ class TestFourSquareDecompose:
     @example(7)
     @example(999999999959)
     @example(2**61 - 1)
-    def test_descent_for_primes_3_mod_4(self, p):
+    def test_search_for_primes_3_mod_4(self, p):
         comps = sumsquares._prime_four_square.__wrapped__(p)
         assert min(comps) >= 0 and list(comps) == sorted(comps, reverse=True)
-        assert sum(c * c for c in comps) == p
-
-    def test_descent_checks_its_quadruple(self, monkeypatch):
-        # under this pow every x passes and the "root" y = 1 is wrong, so
-        # x*x + y*y + 1 = 2 is no multiple of p: no step runs, the check fails
-        monkeypatch.setattr(sumsquares, "pow", lambda c, e, p: 1, raising=False)
-        with pytest.raises(ArithmeticError, match="prime 7"):
-            sumsquares._prime_four_square.__wrapped__(7)
-
-    def test_step_that_does_not_lower_m_stops(self):
-        # 1 + 1 + 1 + 9 = 2 * 6, all residues mod 2 are 1: m stays 2 on the
-        # composite 6, so the descent stops instead of looping
-        with pytest.raises(ArithmeticError, match="prime 6"):
-            sumsquares._descend((1, 1, 1, 3), 6, compose_four_raw)
-
-    @given(
-        st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=4, max_size=4),
-        st.integers(min_value=1, max_value=10**6),
-    )
-    def test_descent_ends_on_any_input(self, v, p):
-        try:
-            comps = sumsquares._descend(tuple(v), p, compose_four_raw)
-        except ArithmeticError:
-            return
         assert sum(c * c for c in comps) == p
 
     def test_wrong_prime_part_fails_the_final_check(self, monkeypatch):
@@ -583,20 +528,20 @@ class TestCofactorSearch:
         assert folds[-1][1] == sumsquares._cofactor_four_square(10**18 + 3)
 
     # the split's own refutation, the Euler test's ValueError, and the
-    # ArithmeticError of a descent that finds no representation
-    @pytest.mark.parametrize("descent_stalls", [False, True])
-    def test_a_refuted_probable_prime_costs_a_retry(self, monkeypatch, descent_stalls):
+    # ArithmeticError of a Euclid pair that does not check
+    @pytest.mark.parametrize("euclid_fails", [False, True])
+    def test_a_refuted_probable_prime_costs_a_retry(self, monkeypatch, euclid_fails):
         split = sumsquares._prime_two_square
         with pytest.raises(ValueError, match=f"{PSEUDOPRIME} is not prime"):
             split(PSEUDOPRIME)
-        if descent_stalls:
+        if euclid_fails:
 
-            def stalled(p):
+            def failed(p):
                 if p == PSEUDOPRIME:
-                    raise ArithmeticError(f"descent found no representation of prime {p}")
+                    raise ArithmeticError(f"Euclid's algorithm found no two squares of prime {p}")
                 return split(p)
 
-            monkeypatch.setattr(sumsquares, "_prime_two_square", stalled)
+            monkeypatch.setattr(sumsquares, "_prime_two_square", failed)
         splits = count_calls(monkeypatch, "_prime_two_square")
         is_prime = sumsquares._is_prime
         monkeypatch.setattr(sumsquares, "_is_prime", lambda q: q == PSEUDOPRIME or is_prime(q))
@@ -615,11 +560,14 @@ class TestCofactorSearch:
             four_square_decompose(2053)
 
     def test_table_smooth_n_take_no_search(self, monkeypatch):
+        # the rest is 1, so only the table primes 3 mod 4 are searched, each
+        # once: the cache holds the part of 2039 for its second copy
+        sumsquares._prime_four_square.cache_clear()
         searched = count_calls(monkeypatch, "_cofactor_four_square")
         folds = count_calls(monkeypatch, "compose_four")
         rep = four_square_decompose(2**3 * 3 * 2039**2)
         assert norm(rep.components) == 2**3 * 3 * 2039**2
-        assert searched == [] and len(folds) == 5
+        assert searched == [(3,), (2039,)] and len(folds) == 5
 
     @given(st.lists(st.tuples(st.sampled_from(TABLE), st.integers(1, 4)), max_size=30))
     @example([])
