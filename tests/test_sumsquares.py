@@ -353,18 +353,36 @@ class TestTwoSquareDecompose:
     def test_descent_matches_oracle(self, p):
         assert sumsquares._prime_two_square.__wrapped__(p) == two_square_witnesses(p)[0]
 
-    def test_euclid_checks_its_pair(self, monkeypatch):
+    # p - 1 is no square for these, so Euclid stops at a = 1 with 1 + b*b != p
+    @pytest.mark.parametrize("p", [13, 29, 41])
+    def test_euclid_checks_its_pair(self, monkeypatch, p):
         # a "root" of -1 that is wrong (p - 1 squares to 1) must not come back
         # as a pair; any c passes the non-residue test under this pow
         monkeypatch.setattr(sumsquares, "pow", lambda c, e, p: p - 1, raising=False)
-        message = "^Euclid's algorithm found no two squares of prime 13$"
+        message = f"^Euclid's algorithm found no two squares of prime {p}$"
         with pytest.raises(ArithmeticError, match=message):
-            sumsquares._prime_two_square.__wrapped__(13)
+            sumsquares._prime_two_square.__wrapped__(p)
 
-    def test_one_and_two(self):
-        # the cofactor search splits p = 1; 2 is the one even prime
-        assert sumsquares._prime_two_square.__wrapped__(1) == (0, 1)
-        assert sumsquares._prime_two_square.__wrapped__(2) == (1, 1)
+    # the cofactor search splits p = 1; 2 is the one even prime; 5 and 13
+    # take one and two steps of Euclid's algorithm
+    @pytest.mark.parametrize("p, pair", [(1, (0, 1)), (2, (1, 1)), (5, (1, 2)), (13, (2, 3))])
+    def test_one_and_two(self, p, pair):
+        assert sumsquares._prime_two_square.__wrapped__(p) == pair
+
+    @given(st.integers(min_value=1, max_value=10**6))
+    @example(3)
+    @example(4)
+    @example(29341)
+    def test_split_ends_on_any_input(self, p):
+        # a pair that comes back is checked; anything else is refused
+        try:
+            a, b = sumsquares._prime_two_square.__wrapped__(p)
+        except ValueError as exc:
+            assert str(exc) == f"{p} is not prime"
+        except ArithmeticError as exc:
+            assert str(exc) == f"Euclid's algorithm found no two squares of prime {p}"
+        else:
+            assert 0 <= a <= b and a * a + b * b == p
 
     def test_composite_split_ends(self, monkeypatch):
         # a composite passed as a prime, as a refuted probable prime is;
@@ -399,6 +417,27 @@ class TestTwoSquareDecompose:
     def test_fold_of_given_factors_matches(self, n):
         # rep-check folds the factors it has already found
         assert sumsquares._two_squares_from(n, factorize(n).factors) == two_square_decompose(n)
+
+    # past the table, the Miller-Rabin range and the hypothesis range above:
+    # 999953 * 999961 is wheel-bound, 10**20 + 129 a prime 1 mod 4, and
+    # 3 * (2**61 - 1) passes the odd-part screen yet is no sum of two squares;
+    # 6 and 7 are the screen's, so the fold must find their None itself
+    @pytest.mark.parametrize("n", [
+        1,
+        2**64,
+        3 * 2**64,
+        7**2 * 2**64,
+        999953 * 999961,
+        3 * (2**61 - 1),
+        2 * 5 * 13 * (10**20 + 129),
+        3**2 * 7**2 * 13,
+        6,
+        7,
+    ])
+    def test_fold_of_given_factors_matches_at_scale(self, n):
+        rep = sumsquares._two_squares_from(n, factorize(n).factors)
+        assert rep == two_square_decompose(n)
+        assert rep is None or norm(rep.components) == n
 
     def test_wrong_prime_part_fails_the_final_check(self, monkeypatch):
         monkeypatch.setattr(sumsquares, "_prime_two_square", lambda p: (1, 2))
@@ -443,6 +482,19 @@ class TestFourSquareDecompose:
             comps = sumsquares._prime_four_square.__wrapped__(p)
             assert min(comps) >= 0 and list(comps) == sorted(comps, reverse=True), p
             assert norm(comps) == p, p
+
+    def test_table_primes_3_mod_4_are_searched_whole(self, monkeypatch):
+        # a prime 3 mod 4 has no two squares: its four come from one search
+        # of p itself, which splits only smaller primes 1 mod 4
+        searched = count_calls(monkeypatch, "_cofactor_four_square")
+        splits = count_calls(monkeypatch, "_prime_two_square")
+        for p in TABLE:
+            if p % 4 == 3:
+                searched.clear()
+                splits.clear()
+                sumsquares._prime_four_square.__wrapped__(p)
+                assert searched == [(p,)], p
+                assert len(splits) == 1 and splits[0][0] < p, p
 
     def test_prime_parts_pad_the_two_square_pair(self):
         for p in range(2, 10**4):
