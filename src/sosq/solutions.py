@@ -200,7 +200,8 @@ def _fold_blocks(fold, sampler, width: int):
             return result
 
 
-def _run_equation_sweep(f, sampler, tol: float, arity: int, compose) -> VerificationReport:
+def _run_equation_sweep(f, sampler, tol: float, arity: int) -> VerificationReport:
+    compose = compose_two_raw if arity == 2 else compose_four_raw
     columns = _columns_of(f)
     max_abs = -1.0
     max_rel = 0.0
@@ -247,9 +248,9 @@ def verify_equation_two(f, sampler, tol: float = 1e-9) -> VerificationReport:
     The sampler yields quadruples (x1, y1, x2, y2); PASS means the maximum
     relative residual stays within tol.
     """
-    return _run_equation_sweep(f, sampler, tol, 2, compose_two_raw)
+    return _run_equation_sweep(f, sampler, tol, 2)
 
 
 def verify_equation_four(f, sampler, tol: float = 1e-9) -> VerificationReport:
     """Four-variable analog of verify_equation_two over 8-tuples."""
-    return _run_equation_sweep(f, sampler, tol, 4, compose_four_raw)
+    return _run_equation_sweep(f, sampler, tol, 4)

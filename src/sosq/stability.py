@@ -28,9 +28,8 @@ one kernel, as those of sosq.solutions do: each bound slot over its
 column, the caps as the min across the slots, the defects (a NaN one
 counts as inf), and the block's worst excess at its first index.  A block
 that raises, as on a cap outside [0, inf), is folded again by the same
-kernel one sample at a time, and a conclusion-side error is held only
-then, so errors, held conclusion errors and ties are the per-sample
-sweep's.
+kernel one sample at a time, so errors and ties are the per-sample
+sweep's: the first sample that fails decides, on either side.
 """
 
 from __future__ import annotations
@@ -102,15 +101,15 @@ class BoundSpec(namedtuple("BoundSpec", "arity bounds")):
 
     @classmethod
     def from_expressions(cls, arity: Arity, exprs: Sequence[str]) -> "BoundSpec":
-        """Build from expression strings; a single string is used for all slots."""
+        """Build from expression strings; a single string is parsed once and
+        its callable fills every slot."""
         want = 2 * arity
-        if len(exprs) == 1:
-            exprs = list(exprs) * want
-        if len(exprs) != want:
+        if len(exprs) not in (1, want):
             raise ValueError(
                 f"arity {int(arity)} needs 1 or {want} expressions, got {len(exprs)}"
             )
-        return cls(arity, tuple(parse_bound_expression(e) for e in exprs))
+        fns = tuple(map(parse_bound_expression, exprs))
+        return cls(arity, fns * (want // len(fns)))
 
 
 def _bound_at(fn: Callable[[float], float], t: float):
@@ -208,78 +207,62 @@ def _excesses(lhs, rhs, capcols) -> tuple[list, list, list]:
     return defects, caps, list(map(sub, defects, caps))
 
 
-def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, conclusion):
-    """One sweep feeding the hypothesis and/or the conclusion accumulator.
+def _run_excess_sweep(f, bounds: BoundSpec, sampler, tol, conclusion):
+    """One sweep of the hypothesis over the samples (p1, p2), and of the
+    conclusion too when asked, on p1 paired with itself.
 
-    With the hypothesis the samples are (p1, p2), else p1 alone.  The
-    conclusion pairs p1 with itself, so it shares f(p1) and the even bound
-    slots (all at p1) with the hypothesis.  When both run, a conclusion-side
-    exception is held until the sweep ends: a hypothesis exception anywhere
-    in the sweep wins, as it would in two sweeps run one after the other.
-    Returns the (hypothesis, conclusion) reports, None for a side not run.
+    The conclusion shares f(p1) and the even bound slots (all at p1) with
+    the hypothesis.  The first sample that fails decides, and within a
+    sample the hypothesis side fails first.  Returns the (hypothesis,
+    conclusion) reports, None for a conclusion not run.
     """
     arity = int(bounds.arity)
+    compose = compose_two_raw if arity == 2 else compose_four_raw
     slots = bounds.bounds
     odd_slots = slots[1::2]
-    n = len(slots)
     # coordinate i of p1 feeds slot 2i, of p2 slot 2i+1
-    hyp_index = [k // 2 + k % 2 * arity for k in range(n)]
-    # p1 paired with itself: coordinate i feeds slots 2i and 2i+1
-    con_index = [k // 2 for k in range(n)]
+    index = [k // 2 + k % 2 * arity for k in range(len(slots))]
     columns = _columns_of(f)
-    hyp = _Worst() if hypothesis else None
+    hyp = _Worst()
     con = _Worst() if conclusion else None
-    held = None
 
     def fold(cols):
-        nonlocal held
         # the caps before f(p1), as in a per-sample sweep
         p1 = cols[:arity]
-        if hyp is not None:
-            caps = _block_caps(slots, [cols[i] for i in hyp_index])
-            f1 = columns(*p1)
-            hyp_side = _excesses(
-                list(map(mul, f1, columns(*cols[arity:]))),
-                columns(*zip(*map(compose, *cols))), caps,
-            )
-        run_con = con is not None and held is None
-        if run_con:
-            try:
-                if hyp is None:
-                    con_caps = _block_caps(slots, [cols[i] for i in con_index])
-                    f1 = columns(*p1)
-                else:
-                    con_caps = caps.copy()
-                    con_caps[1::2] = _block_caps(odd_slots, p1)
-                con_side = _excesses(
-                    list(map(mul, f1, f1)), columns(*zip(*map(compose, *p1, *p1))), con_caps
-                )
-            except Exception as exc:
-                # held only when one sample is folded: a larger block is
-                # folded again sample by sample
-                if hyp is None or len(p1[0]) > 1:
-                    raise
-                held = exc
-                run_con = False
-        if hyp is not None:
-            hyp.add_block(cols, *hyp_side)
-        if run_con:
-            con.add_block(p1, *con_side)
+        capcols = _block_caps(slots, [cols[i] for i in index])
+        f1 = columns(*p1)
+        hyp_side = _excesses(
+            list(map(mul, f1, columns(*cols[arity:]))),
+            columns(*zip(*map(compose, *cols))), capcols,
+        )
+        if con is not None:
+            capcols[1::2] = _block_caps(odd_slots, p1)
+            con.add_block(p1, *_excesses(
+                list(map(mul, f1, f1)), columns(*zip(*map(compose, *p1, *p1))), capcols
+            ))
+        hyp.add_block(cols, *hyp_side)
 
-    _fold_blocks(fold, sampler, 2 * arity if hyp else arity)
-    if held is not None:
-        raise held
-    return (
-        hyp.report(sampler, tol) if hyp else None,
-        con.report(sampler, tol) if con else None,
-    )
+    _fold_blocks(fold, sampler, 2 * arity)
+    return hyp.report(sampler, tol), con.report(sampler, tol) if con else None
+
+
+class _Paired:
+    """A sampler's samples, each p1 paired with itself as (p1, p1)."""
+
+    __slots__ = ("seed", "count", "_sampler")
+
+    def __init__(self, sampler) -> None:
+        self.seed, self.count, self._sampler = sampler.seed, sampler.count, sampler
+
+    def blocks(self, width: int):
+        return (cols + cols for cols in self._sampler.blocks(width // 2))
 
 
 def check_hypothesis_two(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> ExcessReport:
     """Excess of |f(x1,y1) f(x2,y2) - f(composed pair)| over
     min(M1(x1), M2(x2), N1(y1), N2(y2)), swept over 4-tuples."""
     _require_arity(bounds, Arity.TWO)
-    return _run_excess_sweep(f, bounds, sampler, tol, compose_two_raw, True, False)[0]
+    return _run_excess_sweep(f, bounds, sampler, tol, False)[0]
 
 
 def check_conclusion_two(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> ExcessReport:
@@ -289,20 +272,20 @@ def check_conclusion_two(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> Exc
     agrees bit for bit with check_hypothesis_two restricted to the diagonal.
     """
     _require_arity(bounds, Arity.TWO)
-    return _run_excess_sweep(f, bounds, sampler, tol, compose_two_raw, False, True)[1]
+    return _run_excess_sweep(f, bounds, _Paired(sampler), tol, True)[1]
 
 
 def check_hypothesis_four(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> ExcessReport:
     """Eight-bound analog of check_hypothesis_two, swept over 8-tuples."""
     _require_arity(bounds, Arity.FOUR)
-    return _run_excess_sweep(f, bounds, sampler, tol, compose_four_raw, True, False)[0]
+    return _run_excess_sweep(f, bounds, sampler, tol, False)[0]
 
 
 def check_conclusion_four(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> ExcessReport:
     """Excess of |f(x,y,z,w)^2 - f(x^2+y^2+z^2+w^2, 0, 0, 0)| over the
     eight-bound cap at the sample coordinates."""
     _require_arity(bounds, Arity.FOUR)
-    return _run_excess_sweep(f, bounds, sampler, tol, compose_four_raw, False, True)[1]
+    return _run_excess_sweep(f, bounds, _Paired(sampler), tol, True)[1]
 
 
 def _require_arity(bounds: BoundSpec, arity: Arity) -> None:
@@ -344,7 +327,9 @@ def classify_diagonal(
     reported as growth_threshold (1 at the default delta = 0), both on the
     ladder, where sup_abs and sup_at are taken, and at +-2^k for
     k = -64 .. 64, probed only then.  Anything else is INCONCLUSIVE.  A NaN
-    value, and a NaN residual (from an infinite value), counts as infinite.
+    value, and a NaN residual (from an infinite value), counts as infinite
+    where it occurs, so the first pair with an infinite or NaN residual
+    is worst_pair.
     m is called once at each distinct probe.  A negative or non-finite
     delta raises ValueError.
     """
@@ -360,21 +345,16 @@ def classify_diagonal(
 
     max_residual = 0.0
     worst_pair = None
-    nan_pair = None
     for s in _LADDER:
         for t in _LADDER:
             prod_value = values[s * t]
             residual = abs(values[s] * values[t] - prod_value) / (1.0 + abs(prod_value))
+            if residual != residual:
+                # NaN, from inf * 0 or inf - inf: no finite residual bounds it
+                residual = math.inf
             if residual > max_residual:
                 max_residual = residual
                 worst_pair = (s, t)
-            elif residual != residual and nan_pair is None:
-                nan_pair = (s, t)
-    if nan_pair is not None and max_residual < math.inf:
-        # NaN from an overflowed value (inf * 0, inf - inf): no finite
-        # residual bounds it; a pair with an infinite residual stays worst
-        max_residual = math.inf
-        worst_pair = nan_pair
 
     if max_residual <= mult_tol:
         verdict = DiagonalVerdict.MULTIPLICATIVE
@@ -435,15 +415,13 @@ def run_stability(
     sample index are a prefix of one counter stream, so the conclusion's
     sample i is the first arity coordinates of the hypothesis's sample i,
     and the reports equal those of check_hypothesis_* and
-    check_conclusion_* run on two such samplers.  The pass reuses f(p1)
-    and the even bound slots at p1, so f and the bounds must be
-    deterministic.
+    check_conclusion_* run on two such samplers.  An error is that of the
+    first sample that fails, on its hypothesis side first.  The pass
+    reuses f(p1) and the even bound slots at p1, so f and the bounds must
+    be deterministic.
     """
     arity = int(bounds.arity)
-    compose = compose_two_raw if bounds.arity is Arity.TWO else compose_four_raw
-    hyp, con = _run_excess_sweep(
-        f, bounds, UniformSampler(seed, samples), tol, compose, True, True
-    )
+    hyp, con = _run_excess_sweep(f, bounds, UniformSampler(seed, samples), tol, True)
     delta = float(min(_bound_at(fn, 0.0) for fn in bounds.bounds[2:]))
     pad = (0.0,) * (arity - 1)
     diag = classify_diagonal(lambda t: f(t, *pad), delta, mult_tol)

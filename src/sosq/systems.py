@@ -253,7 +253,7 @@ def solve_four(
         m = sqrt(r - bs)
         p = ldexp(n3, e3 - e2) / m
         s, t, q = (m * a3 / n3, m * c3 / n3, m * d3 / n3) if p else (m, 0.0, 0.0)
-    # + 0.0 unsigns zeros, as in solve_two
+    # + 0.0 unsigns zeros as in solve_two; p + q or p - q can be -2^-1074
     xs, ys = (p + q) / 2.0 + 0.0, (s - t) / 2.0 + 0.0
     zs, ws = (p - q) / 2.0 + 0.0, (s + t) / 2.0 + 0.0
 

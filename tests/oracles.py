@@ -29,7 +29,7 @@ from itertools import islice, product
 from math import isqrt
 from operator import itemgetter
 
-from sosq.identities import compose_four
+from sosq.identities import compose_four, compose_four_raw, compose_two_raw
 from sosq.sampling import _BLOCK, HIGH, LOW
 from sosq.solutions import MultiplicativeFamily, VerificationReport
 from sosq.stability import BoundSpec, ExcessReport, InvalidBoundError
@@ -555,7 +555,8 @@ def reference_solve_four(
 # that the shipped _run_equation_sweep and _run_excess_sweep must equal,
 # report for report and error for error.
 
-def run_equation_sweep(f, sampler, tol: float, arity: int, compose) -> VerificationReport:
+def run_equation_sweep(f, sampler, tol: float, arity: int) -> VerificationReport:
+    compose = compose_two_raw if arity == 2 else compose_four_raw
     width = 2 * arity
     max_abs = -1.0
     max_rel = 0.0
@@ -653,50 +654,33 @@ class _Worst:
         )
 
 
-def run_excess_sweep(f, bounds: BoundSpec, sampler, tol, compose, hypothesis, conclusion):
-    """One sweep feeding the hypothesis and/or the conclusion accumulator.
+def run_excess_sweep(f, bounds: BoundSpec, sampler, tol, conclusion):
+    """One sweep of the hypothesis over the samples (p1, p2), and of the
+    conclusion too when asked, on p1 paired with itself.
 
-    With the hypothesis the samples are (p1, p2), else p1 alone.  The
-    conclusion pairs p1 with itself, so it shares f(p1) and the even bound
-    slots (all at p1) with the hypothesis.  When both run, a conclusion-side
-    exception is held until the sweep ends: a hypothesis exception anywhere
-    in the sweep wins, as it would in two sweeps run one after the other.
-    Returns the (hypothesis, conclusion) reports, None for a side not run.
+    The first sample that fails raises, on its hypothesis side first.
+    Returns the (hypothesis, conclusion) reports, None for a conclusion not
+    run.  The conclusion alone is this sweep's conclusion over a
+    DiagonalSampler.
     """
     arity = int(bounds.arity)
+    compose = compose_two_raw if arity == 2 else compose_four_raw
     slots = bounds.bounds
-    odd_slots = slots[1::2]
     n = len(slots)
     # coordinate i of p1 feeds slot 2i, of p2 slot 2i+1
     hyp_probes = itemgetter(*[k // 2 + k % 2 * arity for k in range(n)])
     # p1 paired with itself: coordinate i feeds slots 2i and 2i+1
     con_probes = itemgetter(*[k // 2 for k in range(n)])
-    hyp = _Worst() if hypothesis else None
+    hyp = _Worst()
     con = _Worst() if conclusion else None
-    held = None
-    for sample in sampler.tuples(2 * arity if hyp else arity):
+    for sample in sampler.tuples(2 * arity):
         p1 = sample[:arity]
-        if hyp is not None:
-            caps = _caps(slots, hyp_probes(sample))
-            f1 = f(*p1)
-            hyp.add(sample, f1 * f(*sample[arity:]), f(*compose(*sample)), caps)
-        if con is None or held is not None:
-            continue
-        try:
-            if hyp is None:
-                con_caps = _caps(slots, con_probes(p1))
-                f1 = f(*p1)
-            else:
-                con_caps = caps.copy()
-                con_caps[1::2] = _caps(odd_slots, p1)
-            con.add(p1, f1 * f1, f(*compose(*p1, *p1)), con_caps)
-        except Exception as exc:
-            if hyp is None:
-                raise
-            held = exc
-    if held is not None:
-        raise held
-    return (
-        hyp.report(sampler, tol) if hyp else None,
-        con.report(sampler, tol) if con else None,
-    )
+        caps = _caps(slots, hyp_probes(sample))
+        f1 = f(*p1)
+        hyp.add(sample, f1 * f(*sample[arity:]), f(*compose(*sample)), caps)
+        if con is not None:
+            # the caps before f(p1 o p1); the even slots read p1 as in the
+            # hypothesis, so only an odd one can raise here
+            caps = _caps(slots, con_probes(p1))
+            con.add(p1, f1 * f1, f(*compose(*p1, *p1)), caps)
+    return hyp.report(sampler, tol), con.report(sampler, tol) if con else None

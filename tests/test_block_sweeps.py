@@ -7,7 +7,9 @@ report must equal the reference's in the repr of every float, or the
 same exception type must be raised with the same message.  The shipped
 sweeps draw from UniformSampler where the samples are in its box, and
 from the reference's StreamSampler blocks elsewhere; the reference loops
-always read StreamSampler.
+always read StreamSampler.  check_conclusion_* pairs each sample with
+itself; its reference is the reference sweep's conclusion over a
+DiagonalSampler.
 """
 
 import math
@@ -16,11 +18,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import FixedSampler, StreamSampler, run_equation_sweep, run_excess_sweep
-from sosq.identities import compose_four_raw, compose_two_raw
+from oracles import (
+    DiagonalSampler, FixedSampler, StreamSampler, run_equation_sweep, run_excess_sweep,
+)
 from sosq.sampling import HIGH, LOW, UniformSampler
 from sosq.solutions import Arity, MultiplicativeFamily, SolutionModel, _run_equation_sweep
-from sosq.stability import BoundSpec, _run_excess_sweep
+from sosq.stability import (
+    BoundSpec, _run_excess_sweep, check_conclusion_four, check_conclusion_two,
+)
 
 COUNTS = st.sampled_from([0, 1, 255, 256, 257, 2000])
 EXPONENTS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -1.0, -2.5, 140.0, 400.0, -400.0])
@@ -82,6 +87,22 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+def excess_outcomes(f, bounds, sampler, side, shipped_sampler=None):
+    """The shipped sweep's outcome and the reference's: side "both" is
+    run_stability's pass, "hypothesis" check_hypothesis_*'s and
+    "conclusion" check_conclusion_*'s."""
+    ours = shipped(sampler) if shipped_sampler is None else shipped_sampler
+    if side == "conclusion":
+        check = check_conclusion_two if bounds.arity is Arity.TWO else check_conclusion_four
+        return outcome(lambda: check(f, bounds, ours)), outcome(
+            lambda: run_excess_sweep(f, bounds, DiagonalSampler(sampler), 0.0, True)[1]
+        )
+    both = side == "both"
+    return outcome(lambda: _run_excess_sweep(f, bounds, ours, 0.0, both)), outcome(
+        lambda: run_excess_sweep(f, bounds, sampler, 0.0, both)
+    )
+
+
 SLOW = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -94,8 +115,7 @@ def test_equation_sweep_equals_reference(data):
     f = data.draw(functions(arity))
     sampler = data.draw(samplers())
     tol = data.draw(st.sampled_from([1e-9, 0.0]))
-    compose = compose_two_raw if arity == 2 else compose_four_raw
-    args = (tol, arity, compose)
+    args = (tol, arity)
     assert outcome(lambda: _run_equation_sweep(f, shipped(sampler), *args)) == outcome(
         lambda: run_equation_sweep(f, sampler, *args)
     )
@@ -111,12 +131,9 @@ def test_excess_sweep_equals_reference(data):
         BOUNDS, min_size=2 * arity, max_size=2 * arity
     ))
     bounds = BoundSpec.from_expressions(Arity(arity), exprs)
-    sides = data.draw(st.sampled_from([(True, True), (True, False), (False, True)]))
-    compose = compose_two_raw if arity == 2 else compose_four_raw
-    args = (0.0, compose, *sides)
-    assert outcome(lambda: _run_excess_sweep(f, bounds, shipped(sampler), *args)) == outcome(
-        lambda: run_excess_sweep(f, bounds, sampler, *args)
-    )
+    side = data.draw(st.sampled_from(["both", "hypothesis", "conclusion"]))
+    ours, reference = excess_outcomes(f, bounds, sampler, side)
+    assert ours == reference
 
 
 def model(arity, family, sign=1):
@@ -145,45 +162,49 @@ EQUATION_CASES = [
      StreamSampler(5, 300, -1e-170, 1e-170)),
 ]
 
-# (arity, f, bounds, sampler, sides): a first invalid bound at sample 306,
+# (arity, f, bounds, sampler, side): a first invalid bound at sample 306,
 # conclusion-side errors past the first block, caps whose sum overflows,
 # complex values
 EXCESS_CASES = [
-    (2, model(2, POWER2), ["pow(9.99-abs(x),0.5)"], StreamSampler(10, 400), (True, True)),
-    # slot 1 fails first in the conclusion, at sample 953 (seed 1: held to
-    # the end) or 644 (seed 6: the hypothesis fails at 999 and wins)
+    (2, model(2, POWER2), ["pow(9.99-abs(x),0.5)"], StreamSampler(10, 400), "both"),
+    # slot 1 fails first in the conclusion, at sample 953 (seed 1) or 644
+    # (seed 6, before the hypothesis fails at 999); the conclusion alone
+    # fails there too
     (2, model(2, POWER2), ["1", "pow(9.99-abs(x),0.5)", "1", "1"], StreamSampler(1, 2000),
-     (True, True)),
+     "both"),
     (2, model(2, POWER2), ["1", "pow(9.99-abs(x),0.5)", "1", "1"], StreamSampler(6, 2000),
-     (True, True)),
-    (4, model(4, POWER2), ["1.5e308"], StreamSampler(4, 600), (True, True)),
-    (4, model(4, POWER140), ["1+abs(x)"], StreamSampler(4, 600), (True, True)),
+     "both"),
+    (2, model(2, POWER2), ["1", "pow(9.99-abs(x),0.5)", "1", "1"], StreamSampler(6, 2000),
+     "conclusion"),
+    (4, model(4, POWER2), ["1.5e308"], StreamSampler(4, 600), "both"),
+    (4, model(4, POWER140), ["1+abs(x)"], StreamSampler(4, 600), "both"),
+    (4, model(4, POWER140), ["1+abs(x)"], StreamSampler(4, 600), "conclusion"),
     # -inf on the overflowing samples only: an infinite, not a NaN, defect
-    (2, model(2, POWER140, -1), ["1+abs(x)"], StreamSampler(0, 2000), (True, True)),
-    (2, PLAIN[1], ["2+x*x"], StreamSampler(7, 2000), (True, True)),
-    (4, model(4, MultiplicativeFamily.zero(), -1), ["0"], StreamSampler(7, 257), (False, True)),
+    (2, model(2, POWER140, -1), ["1+abs(x)"], StreamSampler(0, 2000), "both"),
+    (2, PLAIN[1], ["2+x*x"], StreamSampler(7, 2000), "both"),
+    # one full block and a block of one
+    (4, model(4, MultiplicativeFamily.zero(), -1), ["0"], StreamSampler(7, 257), "conclusion"),
+    (2, PLAIN[2], ["1+abs(x)"], StreamSampler(7, 257), "conclusion"),
     (2, model(2, POWER2), ["1+abs(x)"], StreamSampler(9, 2000, -1.0, 1.0, integer=True),
-     (True, False)),
+     "hypothesis"),
+    (2, model(2, POWER2), ["1+abs(x)"], StreamSampler(9, 2000, -1.0, 1.0, integer=True),
+     "conclusion"),
 ]
 
 
 @pytest.mark.parametrize("arity, f, sampler", EQUATION_CASES)
 def test_equation_case_equals_reference(arity, f, sampler):
-    compose = compose_two_raw if arity == 2 else compose_four_raw
-    args = (1e-9, arity, compose)
+    args = (1e-9, arity)
     assert outcome(lambda: _run_equation_sweep(f, shipped(sampler), *args)) == outcome(
         lambda: run_equation_sweep(f, sampler, *args)
     )
 
 
-@pytest.mark.parametrize("arity, f, exprs, sampler, sides", EXCESS_CASES)
-def test_excess_case_equals_reference(arity, f, exprs, sampler, sides):
-    compose = compose_two_raw if arity == 2 else compose_four_raw
+@pytest.mark.parametrize("arity, f, exprs, sampler, side", EXCESS_CASES)
+def test_excess_case_equals_reference(arity, f, exprs, sampler, side):
     bounds = BoundSpec.from_expressions(Arity(arity), exprs)
-    args = (0.0, compose, *sides)
-    assert outcome(lambda: _run_excess_sweep(f, bounds, shipped(sampler), *args)) == outcome(
-        lambda: run_excess_sweep(f, bounds, sampler, *args)
-    )
+    ours, reference = excess_outcomes(f, bounds, sampler, side)
+    assert ours == reference
 
 
 # a sampler that raises at its third point, after a point that decides
@@ -194,12 +215,23 @@ def test_excess_case_equals_reference(arity, f, exprs, sampler, sides):
 def test_sampler_error_after_a_deciding_sample(first):
     f = model(2, POWER140)
     sampler = FixedSampler((first, (1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0)))
-    args = (f, sampler, 1e-9, 2, compose_two_raw)
+    args = (f, sampler, 1e-9, 2)
     assert outcome(lambda: _run_equation_sweep(*args)) == outcome(
         lambda: run_equation_sweep(*args)
     )
     bounds = BoundSpec.from_expressions(Arity.TWO, ["pow(9.99-abs(x),0.5)"])
-    args = (f, bounds, sampler, 0.0, compose_two_raw, True, True)
-    assert outcome(lambda: _run_excess_sweep(*args)) == outcome(
-        lambda: run_excess_sweep(*args)
-    )
+    for side in ("both", "hypothesis"):
+        ours, reference = excess_outcomes(f, bounds, sampler, side, sampler)
+        assert ours == reference
+
+
+# paired with itself, a sampler that raises at its third point, after an
+# infinite defect (f at the norm 200 of p1 o p1), a bound invalid at 9.995,
+# or nothing
+@pytest.mark.parametrize("first", [(10.0, 10.0), (9.995, 1.0), (1.0, 2.0)])
+def test_paired_sampler_error_after_a_deciding_sample(first):
+    f = model(2, POWER140)
+    sampler = FixedSampler((first, (1.0, 1.0), (1.0, 2.0, 3.0)))
+    bounds = BoundSpec.from_expressions(Arity.TWO, ["pow(9.99-abs(x),0.5)"])
+    ours, reference = excess_outcomes(f, bounds, sampler, "conclusion", sampler)
+    assert ours == reference

@@ -2,7 +2,8 @@
 
 Each module's `__all__` names attributes the module has.  The package root
 imports nothing, so importing one module in a fresh interpreter loads that
-module and the sosq modules it imports, and no other.
+module and the sosq modules it imports, and no other.  The benchmark's
+tracer wraps package attributes by name, and every one of them resolves.
 """
 
 import importlib
@@ -33,6 +34,8 @@ def test_module_all_resolves(name):
         ("sosq.systems", ["sosq", "sosq.systems"]),
         ("sosq.sumsquares", ["sosq", "sosq.identities", "sosq.sumsquares"]),
         ("sosq.sampling", ["sosq", "sosq.sampling"]),
+        ("sosq.stability", ["sosq", "sosq.exprs", "sosq.identities", "sosq.sampling",
+                            "sosq.solutions", "sosq.stability"]),
     ],
 )
 def test_import_loads_only_its_dependencies(name, loaded):
@@ -44,3 +47,16 @@ def test_import_loads_only_its_dependencies(name, loaded):
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == loaded
+
+
+def test_tracer_names_resolve():
+    # perfbench/tracing.py's install looks each wrapped name up with a bare
+    # getattr: a name the package no longer has fails here, named in the
+    # AttributeError
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    code = (
+        f"import sys; sys.path[:0] = [{ROOT!r}, {perfbench!r}]; "
+        "from tracing import Tracer, install; install(Tracer()); print('installed')"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "installed\n"), proc.stderr

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import DiagonalSampler, FixedSampler, StreamSampler, builtin_families, flatten
+from oracles import (
+    DiagonalSampler, FixedSampler, StreamSampler, builtin_families, flatten, run_excess_sweep,
+)
+from sosq import stability
+from sosq.cli import parse_bounds_spec
+from sosq.identities import compose_four_raw, compose_two_raw
 from sosq.sampling import UniformSampler
 from sosq.solutions import Arity, MultiplicativeFamily, SolutionModel
 from sosq.stability import (
@@ -311,11 +316,21 @@ class TestClassifyDiagonal:
         assert report.max_mult_residual == math.inf
         assert report.worst_pair == (-64.0, -64.0)
 
-    def test_infinite_residual_stays_worst_beside_nan(self):
-        # (-64, -64) gives inf - inf first; (-16, -0.25) gives inf - finite
+    def test_nan_residual_counts_as_infinite_where_it_occurs(self):
+        # (-64, -64) gives inf - inf first, a NaN that counts as inf there;
+        # (-16, -0.25) gives inf - finite later, which only ties it
         report = classify_diagonal(MultiplicativeFamily.power(400))
         assert report.max_mult_residual == math.inf
-        assert report.worst_pair == (-16.0, -0.25)
+        assert report.worst_pair == (-64.0, -64.0)
+
+    def test_infinite_residual_before_a_nan_stays_worst(self):
+        # m(64) m(64) overflows beside a finite m(4096) at the first pair;
+        # the NaN of (-2^-4, -2^-4), from m(2^-8) = inf, comes later and ties
+        m = lambda t: math.inf if t == 2.0**-8 else (1e200 if abs(t) >= 64 else 1.0)
+        report = classify_diagonal(m)
+        assert report.max_mult_residual == math.inf
+        assert report.worst_pair == (-64.0, -64.0)
+        assert report.sup_abs == 1e200
 
 
 class TestExactArithmetic:
@@ -356,6 +371,22 @@ class TestRunners:
     def test_expression_count_validation(self):
         with pytest.raises(ValueError):
             BoundSpec.from_expressions(Arity.TWO, ["1", "2"])
+
+    @pytest.mark.parametrize("arity", [Arity.TWO, Arity.FOUR])
+    def test_each_expression_parsed_once(self, arity, monkeypatch):
+        # --bounds 1 is one parse whose callable fills all 2 * arity slots;
+        # a full list is one parse per slot
+        parsed = []
+        parse = stability.parse_bound_expression
+        monkeypatch.setattr(
+            stability, "parse_bound_expression", lambda src: parsed.append(src) or parse(src)
+        )
+        single = parse_bounds_spec("1", arity)
+        assert parsed == ["1"]
+        assert single.bounds == (single.bounds[0],) * (2 * int(arity))
+        full = parse_bounds_spec(";".join(SLOT_EXPRS[: 2 * int(arity)]), arity)
+        assert parsed[1:] == list(SLOT_EXPRS[: 2 * int(arity)])
+        assert len(set(map(id, full.bounds))) == 2 * int(arity)
 
     def test_negative_sample_count_raises(self):
         # -t^2 fails on every sample: a negative count must not pass vacuously
@@ -413,6 +444,11 @@ def one_pass(f, bounds, seed, samples):
     return outcome(lambda: run_stability(f, bounds, seed=seed, samples=samples))
 
 
+def reference(f, bounds, seed, samples):
+    """What the per-sample reference of run_stability's pass raises."""
+    return outcome(lambda: run_excess_sweep(f, bounds, StreamSampler(seed, samples), 0.0, True))
+
+
 class TestOnePass:
     """run_stability sweeps both sides at once; it must match the two sweeps."""
 
@@ -443,7 +479,8 @@ class TestOnePass:
 
 
 class TestOnePassErrorOrder:
-    """A conclusion error is held: a hypothesis error anywhere still wins."""
+    """The first sample that fails decides; within a sample the hypothesis
+    side fails first.  The per-sample reference sweep agrees."""
 
     @staticmethod
     def slot_one(bad):
@@ -478,16 +515,19 @@ class TestOnePassErrorOrder:
 
     @pytest.mark.parametrize("arity", [Arity.TWO, Arity.FOUR])
     @pytest.mark.parametrize("con_at,hyp_at", [(2, 5), (5, 2), (4, 4)])
-    def test_bound_invalid_on_both_sides_raises_hypothesis_error(self, arity, con_at, hyp_at):
+    def test_bound_invalid_on_both_sides_raises_at_the_first_sample(
+        self, arity, con_at, hyp_at
+    ):
         x1 = sample_at(arity, 8, 30, con_at)[0]
         x2 = sample_at(arity, 8, 30, hyp_at)[int(arity)]
         slots = [lambda t: 1.0] * (2 * int(arity))
         slots[1] = self.slot_one({x1, x2})
         bounds = BoundSpec(arity, tuple(slots))
         f = norm2f if arity is Arity.TWO else norm4f
-        want = (InvalidBoundError, f"bound value -1.0 is not in [0, inf) at probe {x2!r}")
-        assert sequential(f, bounds, 8, 30) == want
+        probe = x1 if con_at < hyp_at else x2
+        want = (InvalidBoundError, f"bound value -1.0 is not in [0, inf) at probe {probe!r}")
         assert one_pass(f, bounds, 8, 30) == want
+        assert reference(f, bounds, 8, 30) == want
 
     @staticmethod
     def raising_f(arity, hyp_point=None):
@@ -511,13 +551,20 @@ class TestOnePassErrorOrder:
         assert got == sequential(f, bounds, 4, 20)
 
     @pytest.mark.parametrize("arity", [Arity.TWO, Arity.FOUR])
-    def test_f_raising_on_both_sides_raises_hypothesis_error(self, arity):
-        p2 = tuple(sample_at(arity, 4, 20, 6)[int(arity):])
+    @pytest.mark.parametrize("hyp_at", [0, 6])
+    def test_f_raising_on_both_sides_raises_at_the_first_sample(self, arity, hyp_at):
+        # the conclusion side raises at every sample, so from sample 0 on
+        p1 = sample_at(arity, 4, 20, 0)[:int(arity)]
+        p2 = tuple(sample_at(arity, 4, 20, hyp_at)[int(arity):])
         f = self.raising_f(arity, p2)
         bounds = ZERO2 if arity is Arity.TWO else ZERO4
-        want = (OverflowError, f"hypothesis at {p2!r}")
-        assert sequential(f, bounds, 4, 20) == want
+        if hyp_at == 0:
+            want = (OverflowError, f"hypothesis at {p2!r}")
+        else:
+            compose = compose_two_raw if arity is Arity.TWO else compose_four_raw
+            want = (ZeroDivisionError, f"conclusion at {compose(*p1, *p1)!r}")
         assert one_pass(f, bounds, 4, 20) == want
+        assert reference(f, bounds, 4, 20) == want
 
 
 class TestBoundCaps:

@@ -1,6 +1,8 @@
 import math
 import sys
 from fractions import Fraction
+from itertools import product
+from math import copysign
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -184,6 +186,31 @@ class TestSolveFour:
         for rhs in [*StreamSampler(29, 2000, -100, 100).tuples(4), *structured]:
             x, y, z, w = solve_four(*rhs).solution
             assert x + z > 0.0 or (x == z == 0.0 and y == w >= 0.0), rhs
+
+    @pytest.mark.parametrize("b", [0.0, -0.0, -5e-324, -1.0])
+    def test_no_negative_zero_where_p_is_zero(self, b):
+        # a = c = d = +-0 puts p = x + z at 0, where q is the literal 0.0;
+        # a tiny d beside b < 0 leaves p at or just above 0
+        rhs = [(a, b, c, d) for a, c, d in product((0.0, -0.0), repeat=3)]
+        if b < 0.0:
+            rhs += [(a, b, 0.0, d) for a in (0.0, -0.0) for d in (5e-324, -5e-324, -1e-310)]
+        for a, b, c, d in rhs:
+            x, _, z, _ = solve_four(a, b, c, d).solution
+            assert copysign(1.0, x) > 0.0 or x < 0.0, (a, b, c, d)
+            assert copysign(1.0, z) > 0.0 or z < 0.0, (a, b, c, d)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_unsigning_add_on_x_and_z_is_reached(self, sign):
+        # in b's units p = 2^-1022 and q = d, so p + q (d < 0) or p - q
+        # (d > 0) is -2^-1074, which halves to -0.0: the + 0.0 on x or z
+        # makes it +0.0
+        rhs = (1.0, -(2.0**1021), 0.0, sign * (2.0**-1022 + 5e-324))
+        report = solve_four(*rhs)
+        x, _, z, _ = report.solution
+        zero = x if sign < 0.0 else z
+        assert zero == 0.0 and copysign(1.0, zero) == 1.0
+        assert report.case_label is CaseFour.D
+        assert repr(report) == repr(reference_solve_four(*rhs))
 
     def test_zero_eps_knob(self):
         assert solve_four(4.0, 0.0, 0.0, 1e-40).case_label is CaseFour.D
