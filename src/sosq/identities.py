@@ -2,9 +2,9 @@
 
 A product of two sums of two squares is again a sum of two squares, and
 likewise for four; the composed components are bilinear in the inputs.
-compose_two/compose_four take and return plain tuples; on int components
-the arithmetic is exact, so the norm product law holds with equality,
-never approximately.
+compose_two/compose_four take and return plain tuples, and an operand of
+the wrong length is a ValueError; on int components the arithmetic is
+exact, so the norm product law holds with equality, never approximately.
 
 The four-component law is used only for its norm property; no group
 structure (associativity, inverses) is claimed or relied upon.
@@ -43,12 +43,16 @@ def compose_four_raw(x1, y1, z1, w1, x2, y2, z2, w2):
 
 def compose_two(p1: tuple, p2: tuple) -> tuple:
     """Compose two pairs; norm(result) == norm(p1) * norm(p2) exactly on ints."""
-    return compose_two_raw(*p1, *p2)
+    x1, y1 = p1
+    x2, y2 = p2
+    return compose_two_raw(x1, y1, x2, y2)
 
 
 def compose_four(q1: tuple, q2: tuple) -> tuple:
     """Compose two quadruples; norm(result) == norm(q1) * norm(q2) exactly on ints."""
-    return compose_four_raw(*q1, *q2)
+    x1, y1, z1, w1 = q1
+    x2, y2, z2, w2 = q2
+    return compose_four_raw(x1, y1, z1, w1, x2, y2, z2, w2)
 
 
 def norm(components) -> int:

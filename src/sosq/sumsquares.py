@@ -7,9 +7,11 @@ represent each prime factor on its own and fold the parts together through
 the exact composition laws, so the squared-sum identity holds with no
 rounding anywhere.  A prime 1 mod 4 is split into two squares by Euclid's
 algorithm on p and a square root of -1 mod p.  Four squares factor out only
-the table primes below: the rest of n, and each table prime 3 mod 4, is
-represented whole, as x*x + y*y plus a prime 1 mod 4 that a search over x
-and y finds.  Each result is checked exactly before it is returned.
+the table primes below and fold the part of n that is a sum of two squares
+through the two-square law; the four-square law takes only the rest of n,
+and each table prime 3 mod 4 of odd exponent, each represented whole as
+x*x + y*y plus a prime 1 mod 4 that a search over x and y finds.  Each
+result is checked exactly before it is returned.
 
 Factorization screens n against the 309 primes below 2048, sieved once at
 import: one gcd with their product finds the table primes that divide n,
@@ -109,8 +111,9 @@ def _proved_prime(rest: int) -> bool:
 def _table_screen(n: int, past):
     """Yield (p, e) per table prime p dividing n >= 1, p ascending, then what
     past(rest) yields for the rest of n.  g = gcd(n, table product) holds
-    the table primes dividing n; a run whose gcd with g is 1 holds none, one
-    whose gcd is a single table prime is that prime, with no scan of the run."""
+    the table primes dividing n; a run whose gcd h with g is 1 holds none,
+    one whose h is a single table prime is that prime, with no scan of the
+    run, and the scan of any other run stops once its primes have used up h."""
     rest = n
     g = gcd(n, _TABLE_PRODUCT)
     for run_product, run in _RUNS:
@@ -122,11 +125,13 @@ def _table_screen(n: int, past):
         g //= h
         for p in (h,) if h in _SMALL_PRIME_SET else run:
             if h % p == 0:
-                e = 0
+                h, rest, e = h // p, rest // p, 1
                 while rest % p == 0:
                     rest //= p
                     e += 1
                 yield p, e
+                if h == 1:
+                    break
     yield from past(rest)
 
 
@@ -297,19 +302,33 @@ def _cofactor_four_square(m: int) -> tuple[int, int, int, int]:
 def four_square_decompose(n: int) -> SquareRep:
     """Exact four-square representation of any n >= 0.
 
-    The table primes are represented by _prime_four_square, a rest past the
-    table whole by _cofactor_four_square, and the parts folded, that one last,
-    through the four-square composition law.  The components come back as
-    absolute values sorted descending, checked to square-sum to n.
+    n = a*b.  a holds 2, the table primes 1 mod 4 and the even part of the
+    power of each table prime 3 mod 4: the first two fold through the
+    two-square law, scaled by the square root m of the third.  b holds each
+    table prime 3 mod 4 of odd exponent once, by _prime_four_square, and a
+    rest past the table whole, by _cofactor_four_square.  a's pair, padded
+    with zeros, and b's parts, the rest last, fold through the four-square
+    law; a = 1 is left out.  The components come back as absolute values
+    sorted descending, checked to square-sum to n.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return SquareRep(0, (0, 0, 0, 0))
-    parts = []
+    pairs, m, parts = [], 1, []
     for p, e in _table_screen(n, lambda rest: [(rest, 1)] if rest > 1 else []):
-        parts += [_prime_four_square(p) if p < _TABLE_LIMIT else _cofactor_four_square(p)] * e
-    folded = reduce(compose_four, parts) if parts else (1, 0, 0, 0)
+        if p >= _TABLE_LIMIT:
+            parts.append(_cofactor_four_square(p))
+        elif p % 4 != 3:
+            pairs += [_prime_two_square(p)] * e
+        else:
+            m *= p ** (e // 2)
+            if e % 2:
+                parts.append(_prime_four_square(p))
+    if pairs or m > 1 or not parts:
+        x, y = reduce(compose_two, pairs) if pairs else (1, 0)
+        parts.insert(0, (x * m, y * m, 0, 0))
+    folded = reduce(compose_four, parts)
     components = tuple(sorted(map(abs, folded), reverse=True))
     if norm(components) != n:
         raise ArithmeticError(f"the squares of {components} do not sum to {n}")

@@ -9,7 +9,7 @@ equation and stability sweeps by the per-sample loops that the block pass
 replaced (run_equation_sweep, run_excess_sweep), the closed-form solvers
 by their bodies from before the flattening (reference_solve_two,
 reference_solve_four), four squares of an n with no prime factor past the
-table by the fold that served every n before the cofactor search
+table by a fold over the wheel's factors, the two-square part first
 (reference_four_square_fold), and the f = sigma * m(||.||) shape by reading
 (m, sigma) tables off a black-box f on a probe grid (extract_structure,
 default_probes).  The fixtures are the samplers
@@ -29,11 +29,11 @@ from itertools import islice, product
 from math import isqrt
 from operator import itemgetter
 
-from sosq.identities import compose_four, compose_four_raw, compose_two_raw
+from sosq.identities import compose_four, compose_four_raw, compose_two, compose_two_raw
 from sosq.sampling import _BLOCK, HIGH, LOW
 from sosq.solutions import MultiplicativeFamily, VerificationReport
 from sosq.stability import BoundSpec, ExcessReport, InvalidBoundError
-from sosq.sumsquares import _prime_four_square
+from sosq.sumsquares import _prime_four_square, _prime_two_square
 from sosq.systems import (
     DEFAULT_TOL_FOUR,
     DEFAULT_TOL_TWO,
@@ -313,14 +313,23 @@ def wheel_factors(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def reference_four_square_fold(n: int) -> tuple[int, int, int, int]:
-    """four_square_decompose(n).components as computed before the cofactor
-    search, for any n >= 1: every prime factor represented by
-    _prime_four_square, the parts folded in ascending order through
-    compose_four."""
-    parts = []
+    """four_square_decompose(n).components for n >= 1 with no prime factor
+    past the table.  From the wheel's factors, 2 and the primes 1 mod 4, one
+    two-square part per exponent, fold in ascending order through
+    compose_two, and the pair, scaled by p^(e//2) per prime p = 3 mod 4 and
+    padded with zeros, starts a fold through compose_four of one
+    _prime_four_square part per such p of odd exponent.  (1, 0) and
+    (1, 0, 0, 0) are left identities of the two laws, so starting from
+    them changes no value."""
+    pairs, scale, quads = [], 1, []
     for p, e in wheel_factors(n):
-        parts += [_prime_four_square(p)] * e
-    folded = reduce(compose_four, parts) if parts else (1, 0, 0, 0)
+        if p % 4 == 3:
+            scale *= p ** (e // 2)
+            quads += [_prime_four_square(p)] * (e % 2)
+        else:
+            pairs += [_prime_two_square(p)] * e
+    x, y = reduce(compose_two, pairs, (1, 0))
+    folded = reduce(compose_four, quads, (x * scale, y * scale, 0, 0))
     return tuple(sorted(map(abs, folded), reverse=True))
 
 

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +18,15 @@ small_ints = st.integers(min_value=-1000, max_value=1000)
 class TestComposeTwo:
     def test_identity_element(self):
         assert compose_two((1, 0), (3, 4)) == (3, 4)
+
+    # five components in all, once split 3 + 2: each operand is checked on
+    # its own, not only the total
+    @pytest.mark.parametrize(
+        "p1, p2", [((1, 2, 3), (4,)), ((1, 2), (3,)), ((1,), (2, 3)), ((1, 2), (3, 4, 5))]
+    )
+    def test_operand_of_wrong_length_refused(self, p1, p2):
+        with pytest.raises(ValueError):
+            compose_two(p1, p2)
 
     def test_mixed_pair(self):
         # oracle: 5 * 5 = 25 = 4^2 + (-3)^2
@@ -49,6 +59,15 @@ class TestComposeFour:
     def test_identity_element(self):
         q = (2, 3, 5, 7)
         assert compose_four((1, 0, 0, 0), q) == q
+
+    # eight components in all, once split 3 + 5
+    @pytest.mark.parametrize(
+        "q1, q2",
+        [((1, 2, 3), (4, 5, 6, 7, 8)), ((1, 2, 3, 4), (5, 6, 7)), ((1, 2), (3, 4, 5, 6))],
+    )
+    def test_operand_of_wrong_length_refused(self, q1, q2):
+        with pytest.raises(ValueError):
+            compose_four(q1, q2)
 
     def test_all_ones_squared(self):
         result = compose_four((1, 1, 1, 1), (1, 1, 1, 1))

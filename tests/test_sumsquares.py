@@ -42,6 +42,8 @@ def count_calls(monkeypatch, name):
 
 # the primes below 2048, which factorize screens for with one gcd
 TABLE = [p for p in range(2048) if is_prime(p)]
+# the table in the runs of 32 primes that the screen takes one gcd with
+RUNS = [TABLE[i : i + 32] for i in range(0, len(TABLE), 32)]
 
 
 def prime_at_most(n, residue):
@@ -98,6 +100,15 @@ class TestFactorize:
         ),
         st.sampled_from([1, 2053, 2053**2, 2053 * 2063, 1000003]),
     )
+    # two and three primes of one run, its first and last among them, in the
+    # first run and in the last, whose 21 primes are 1879 to 2039: the scan
+    # of a run stops once the gcd of n with the run is used up
+    @example({RUNS[0][0]: 5, RUNS[0][1]: 2}, 1)
+    @example({RUNS[0][0]: 3, RUNS[0][-1]: 2}, 2053)
+    @example({RUNS[0][0]: 2, RUNS[0][9]: 4, RUNS[0][-1]: 3}, 1000003)
+    @example({RUNS[-1][0]: 2, RUNS[-1][1]: 2}, 2053 * 2063)
+    @example({RUNS[-1][0]: 2, RUNS[-1][-1]: 2}, 1)
+    @example({RUNS[-1][0]: 3, RUNS[-1][10]: 2, RUNS[-1][-1]: 6}, 2053**2)
     def test_matches_wheel_smooth(self, powers, cofactor):
         # the gcd screen over the table, then the wheel on the cofactor
         n = prod(p**e for p, e in powers.items()) * cofactor
@@ -612,14 +623,15 @@ class TestCofactorSearch:
             four_square_decompose(2053)
 
     def test_table_smooth_n_take_no_search(self, monkeypatch):
-        # the rest is 1, so only the table primes 3 mod 4 are searched, each
-        # once: the cache holds the part of 2039 for its second copy
+        # the rest is 1, so only the table primes 3 mod 4 of odd exponent are
+        # searched: 2039**2 only scales the two-square part of 2**3, and the
+        # one fold composes that part with the part of 3
         sumsquares._prime_four_square.cache_clear()
         searched = count_calls(monkeypatch, "_cofactor_four_square")
         folds = count_calls(monkeypatch, "compose_four")
         rep = four_square_decompose(2**3 * 3 * 2039**2)
         assert norm(rep.components) == 2**3 * 3 * 2039**2
-        assert searched == [(3,), (2039,)] and len(folds) == 5
+        assert searched == [(3,)] and len(folds) == 1
 
     @given(st.lists(st.tuples(st.sampled_from(TABLE), st.integers(1, 4)), max_size=30))
     @example([])
@@ -627,6 +639,18 @@ class TestCofactorSearch:
     def test_table_smooth_n_keep_the_fold(self, powers):
         n = prod(p**e for p, e in powers)
         assert four_square_decompose(n).components == reference_four_square_fold(n)
+
+    # the strategy of test_table_smooth_n_keep_the_fold, each prime 3 mod 4
+    # raised to the even exponent at or above its draw
+    @given(st.lists(st.tuples(st.sampled_from(TABLE), st.integers(1, 4)), max_size=30))
+    @example([])
+    @example([(3, 1), (2039, 3), (2, 1)])
+    @example([(5, 2), (13, 1), (2029, 1)])
+    def test_table_smooth_sums_of_two_squares_pad_their_pair(self, powers):
+        # the four-square law takes nothing: the two squares and two zeros
+        n = prod(p ** (e + e % 2 * (p % 4 == 3)) for p, e in powers)
+        pair = two_square_decompose(n).components
+        assert four_square_decompose(n).components == pair + (0, 0)
 
     @given(st.integers(min_value=0, max_value=10**300))
     @example(10**300)
