@@ -10,8 +10,9 @@ algorithm on p and a square root of -1 mod p.  Four squares factor out only
 the table primes below and fold the part of n that is a sum of two squares
 through the two-square law; the four-square law takes only the rest of n,
 and each table prime 3 mod 4 of odd exponent, each represented whole as
-x*x + y*y plus a prime 1 mod 4 that a search over x and y finds.  Each
-result is checked exactly before it is returned.
+x*x + y*y plus a prime 1 mod 4 that a search over x and y finds.  Table
+primes are represented once, at import.  Each result is checked exactly
+before it is returned.
 
 Factorization screens n against the 309 primes below 2048, sieved once at
 import: one gcd with their product finds the table primes that divide n,
@@ -31,7 +32,7 @@ scale (~1e12).  Four squares take milliseconds at 300 digits.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import count
 from math import gcd, isqrt, prod
 
@@ -65,7 +66,6 @@ def _primes_below(limit: int) -> tuple[int, ...]:
 
 _TABLE_LIMIT = 2048
 _SMALL_PRIMES = _primes_below(_TABLE_LIMIT)
-_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _TABLE_PRODUCT = prod(_SMALL_PRIMES)
 # the table in runs of 32 primes, each with its product
 _RUNS = tuple(
@@ -123,7 +123,7 @@ def _table_screen(n: int, past):
         if h == 1:
             continue
         g //= h
-        for p in (h,) if h in _SMALL_PRIME_SET else run:
+        for p in (h,) if h in _TABLE_SQUARES else run:
             if h % p == 0:
                 h, rest, e = h // p, rest // p, 1
                 while rest % p == 0:
@@ -201,14 +201,9 @@ class SquareRep(namedtuple("SquareRep", "n components")):
     __slots__ = ()
 
 
-# per-prime representations kept: more than the 303 primes below 2000, yet
-# bounded, so a long-lived process decomposing ever new primes stays small
-_PRIME_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def _prime_two_square(p: int) -> tuple[int, int]:
-    """(a, b) with a <= b and a*a + b*b == p, for p = 1, 2 or a prime 1 mod 4.
+    """(a, b) with a <= b and a*a + b*b == p, for p = 1, 2 or a prime 1 mod 4;
+    _TABLE_SQUARES holds its answer for p = 1 and every table prime.
 
     For a quadratic non-residue c, s = c^((p-1)/4) is a square root of -1
     mod p.  Euclid's algorithm on p and s, stopped at the first remainder a
@@ -229,18 +224,6 @@ def _prime_two_square(p: int) -> tuple[int, int]:
     if a * a + b * b != p:
         raise ArithmeticError(f"Euclid's algorithm found no two squares of prime {p}")
     return (min(a, b), max(a, b))
-
-
-@lru_cache(maxsize=_PRIME_CACHE_SIZE)
-def _prime_four_square(p: int) -> tuple[int, int, int, int]:
-    """(a, b, c, d) with a >= b >= c >= d >= 0 and squared sum p, for a prime p.
-
-    p = 2 or 1 mod 4 is its two squares; p = 3 mod 4 is what the search of
-    _cofactor_four_square finds.
-    """
-    if p % 4 != 3:
-        return (*_prime_two_square(p)[::-1], 0, 0)
-    return tuple(sorted(_cofactor_four_square(p), reverse=True))
 
 
 def two_square_decompose(n: int) -> SquareRep | None:
@@ -266,7 +249,7 @@ def _two_squares_from(n: int, factors) -> SquareRep | None:
                 return None
             multiplier *= p ** (e // 2)
         else:
-            parts += [_prime_two_square(p)] * e
+            parts += [_TABLE_SQUARES[p] if p < _TABLE_LIMIT else _prime_two_square(p)] * e
     x, y = reduce(compose_two, parts) if parts else (1, 0)
     a, b = sorted((abs(x) * multiplier, abs(y) * multiplier), reverse=True)
     if a * a + b * b != n:
@@ -277,8 +260,8 @@ def _two_squares_from(n: int, factors) -> SquareRep | None:
 def _cofactor_four_square(m: int) -> tuple[int, int, int, int]:
     """(x, y, a, b) with x*x + y*y + a*a + b*b == m, for an odd m >= 1: x is the
     greatest with m - x*x = 1 or 2 mod 4, y the greatest with p = m - x*x - y*y
-    = 1 mod 4, and y, then x, step down by 2 until p is 1, a table prime, or
-    coprime to the table and passes Miller-Rabin.  From psi_13 up that is only
+    = 1 mod 4, and y, then x, step down by 2 until p is a key of _TABLE_SQUARES,
+    or coprime to the table and passes Miller-Rabin.  From psi_13 up that is only
     a probable prime, so a split by _prime_two_square that refutes it costs a
     retry, never a wrong answer."""
     x = isqrt(m)
@@ -289,7 +272,9 @@ def _cofactor_four_square(m: int) -> tuple[int, int, int, int]:
         y -= (r - y * y) % 4 != 1
         while y >= 0:
             p = r - y * y
-            if p == 1 or p in _SMALL_PRIME_SET or gcd(p, _TABLE_PRODUCT) == 1 and _is_prime(p):
+            if p in _TABLE_SQUARES:
+                return (x, y, *_TABLE_SQUARES[p])
+            if gcd(p, _TABLE_PRODUCT) == 1 and _is_prime(p):
                 try:
                     return (x, y, *_prime_two_square(p))
                 except (ValueError, ArithmeticError):
@@ -299,13 +284,20 @@ def _cofactor_four_square(m: int) -> tuple[int, int, int, int]:
     raise ArithmeticError(f"no four squares of {m} found")
 
 
+# 1 and each table prime as squares: pairs first, for 1, 2 and the primes
+# 1 mod 4, so that the search for a prime 3 mod 4 reads its p here
+_TABLE_SQUARES = {p: _prime_two_square(p) for p in (1, *_SMALL_PRIMES) if p % 4 != 3}
+_TABLE_SQUARES |= {p: tuple(sorted(_cofactor_four_square(p), reverse=True))
+                   for p in _SMALL_PRIMES if p % 4 == 3}
+
+
 def four_square_decompose(n: int) -> SquareRep:
     """Exact four-square representation of any n >= 0.
 
     n = a*b.  a holds 2, the table primes 1 mod 4 and the even part of the
     power of each table prime 3 mod 4: the first two fold through the
     two-square law, scaled by the square root m of the third.  b holds each
-    table prime 3 mod 4 of odd exponent once, by _prime_four_square, and a
+    table prime 3 mod 4 of odd exponent once, by its _TABLE_SQUARES, and a
     rest past the table whole, by _cofactor_four_square.  a's pair, padded
     with zeros, and b's parts, the rest last, fold through the four-square
     law; a = 1 is left out.  The components come back as absolute values
@@ -320,11 +312,11 @@ def four_square_decompose(n: int) -> SquareRep:
         if p >= _TABLE_LIMIT:
             parts.append(_cofactor_four_square(p))
         elif p % 4 != 3:
-            pairs += [_prime_two_square(p)] * e
+            pairs += [_TABLE_SQUARES[p]] * e
         else:
             m *= p ** (e // 2)
             if e % 2:
-                parts.append(_prime_four_square(p))
+                parts.append(_TABLE_SQUARES[p])
     if pairs or m > 1 or not parts:
         x, y = reduce(compose_two, pairs) if pairs else (1, 0)
         parts.insert(0, (x * m, y * m, 0, 0))

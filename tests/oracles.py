@@ -33,7 +33,7 @@ from sosq.identities import compose_four, compose_four_raw, compose_two, compose
 from sosq.sampling import _BLOCK, HIGH, LOW
 from sosq.solutions import MultiplicativeFamily, VerificationReport
 from sosq.stability import BoundSpec, ExcessReport, InvalidBoundError
-from sosq.sumsquares import _prime_four_square, _prime_two_square
+from sosq.sumsquares import _cofactor_four_square, _prime_two_square
 from sosq.systems import (
     DEFAULT_TOL_FOUR,
     DEFAULT_TOL_TWO,
@@ -317,15 +317,15 @@ def reference_four_square_fold(n: int) -> tuple[int, int, int, int]:
     past the table.  From the wheel's factors, 2 and the primes 1 mod 4, one
     two-square part per exponent, fold in ascending order through
     compose_two, and the pair, scaled by p^(e//2) per prime p = 3 mod 4 and
-    padded with zeros, starts a fold through compose_four of one
-    _prime_four_square part per such p of odd exponent.  (1, 0) and
-    (1, 0, 0, 0) are left identities of the two laws, so starting from
-    them changes no value."""
+    padded with zeros, starts a fold through compose_four of the four
+    squares of each such p of odd exponent, as _cofactor_four_square finds
+    them, sorted descending.  (1, 0) and (1, 0, 0, 0) are left identities
+    of the two laws, so starting from them changes no value."""
     pairs, scale, quads = [], 1, []
     for p, e in wheel_factors(n):
         if p % 4 == 3:
             scale *= p ** (e // 2)
-            quads += [_prime_four_square(p)] * (e % 2)
+            quads += [tuple(sorted(_cofactor_four_square(p), reverse=True))] * (e % 2)
         else:
             pairs += [_prime_two_square(p)] * e
     x, y = reduce(compose_two, pairs, (1, 0))

@@ -1,6 +1,5 @@
 import signal
 from contextlib import contextmanager
-from itertools import count, islice
 from math import gcd, prod
 
 import pytest
@@ -44,6 +43,11 @@ def count_calls(monkeypatch, name):
 TABLE = [p for p in range(2048) if is_prime(p)]
 # the table in the runs of 32 primes that the screen takes one gcd with
 RUNS = [TABLE[i : i + 32] for i in range(0, len(TABLE), 32)]
+
+
+def sorted_search(m):
+    """The cofactor search's four squares of an odd m, sorted descending."""
+    return tuple(sorted(sumsquares._cofactor_four_square(m), reverse=True))
 
 
 def prime_at_most(n, residue):
@@ -362,7 +366,7 @@ class TestTwoSquareDecompose:
     @example(2)
     @example(2029)
     def test_descent_matches_oracle(self, p):
-        assert sumsquares._prime_two_square.__wrapped__(p) == two_square_witnesses(p)[0]
+        assert sumsquares._prime_two_square(p) == two_square_witnesses(p)[0]
 
     # p - 1 is no square for these, so Euclid stops at a = 1 with 1 + b*b != p
     @pytest.mark.parametrize("p", [13, 29, 41])
@@ -372,13 +376,13 @@ class TestTwoSquareDecompose:
         monkeypatch.setattr(sumsquares, "pow", lambda c, e, p: p - 1, raising=False)
         message = f"^Euclid's algorithm found no two squares of prime {p}$"
         with pytest.raises(ArithmeticError, match=message):
-            sumsquares._prime_two_square.__wrapped__(p)
+            sumsquares._prime_two_square(p)
 
     # the cofactor search splits p = 1; 2 is the one even prime; 5 and 13
     # take one and two steps of Euclid's algorithm
     @pytest.mark.parametrize("p, pair", [(1, (0, 1)), (2, (1, 1)), (5, (1, 2)), (13, (2, 3))])
     def test_one_and_two(self, p, pair):
-        assert sumsquares._prime_two_square.__wrapped__(p) == pair
+        assert sumsquares._prime_two_square(p) == pair
 
     @given(st.integers(min_value=1, max_value=10**6))
     @example(3)
@@ -387,7 +391,7 @@ class TestTwoSquareDecompose:
     def test_split_ends_on_any_input(self, p):
         # a pair that comes back is checked; anything else is refused
         try:
-            a, b = sumsquares._prime_two_square.__wrapped__(p)
+            a, b = sumsquares._prime_two_square(p)
         except ValueError as exc:
             assert str(exc) == f"{p} is not prime"
         except ArithmeticError as exc:
@@ -414,7 +418,7 @@ class TestTwoSquareDecompose:
             q = wheel_factors(n)[0][0]
             calls.clear()
             try:
-                rep = sumsquares._prime_two_square.__wrapped__(n)
+                rep = sumsquares._prime_two_square(n)
             except ValueError as exc:
                 assert str(exc) == f"{n} is not prime"
             except ArithmeticError as exc:
@@ -451,7 +455,7 @@ class TestTwoSquareDecompose:
         assert rep is None or norm(rep.components) == n
 
     def test_wrong_prime_part_fails_the_final_check(self, monkeypatch):
-        monkeypatch.setattr(sumsquares, "_prime_two_square", lambda p: (1, 2))
+        monkeypatch.setitem(sumsquares._TABLE_SQUARES, 13, (1, 2))
         with pytest.raises(ArithmeticError, match="is not 13"):
             two_square_decompose(13)
 
@@ -481,37 +485,42 @@ class TestFourSquareDecompose:
             assert sum(c * c for c in comps) == n
 
     def test_prime_parts_below_10000(self):
-        for p in range(2, 10**4):
+        # the search represents every odd prime, of either residue, whole
+        for p in range(3, 10**4):
             if is_prime(p):
-                comps = sumsquares._prime_four_square(p)
+                comps = sorted_search(p)
                 assert min(comps) >= 0 and list(comps) == sorted(comps, reverse=True), p
                 assert sum(c * c for c in comps) == p, p
 
     def test_every_table_prime_uncached(self):
+        # computed again, each table prime's squares are the ones held
         assert len(TABLE) == 309
         for p in TABLE:
-            comps = sumsquares._prime_four_square.__wrapped__(p)
-            assert min(comps) >= 0 and list(comps) == sorted(comps, reverse=True), p
-            assert norm(comps) == p, p
+            split = sorted_search if p % 4 == 3 else sumsquares._prime_two_square
+            assert sumsquares._TABLE_SQUARES[p] == split(p), p
 
     def test_table_primes_3_mod_4_are_searched_whole(self, monkeypatch):
         # a prime 3 mod 4 has no two squares: its four come from one search
-        # of p itself, which splits only smaller primes 1 mod 4
+        # of p itself, which reads the pair of a smaller p 1 mod 4 or 1 from
+        # the table squares and splits nothing
         searched = count_calls(monkeypatch, "_cofactor_four_square")
         splits = count_calls(monkeypatch, "_prime_two_square")
         for p in TABLE:
             if p % 4 == 3:
                 searched.clear()
-                splits.clear()
-                sumsquares._prime_four_square.__wrapped__(p)
+                x, y, a, b = sumsquares._cofactor_four_square(p)
+                q = p - x * x - y * y
                 assert searched == [(p,)], p
-                assert len(splits) == 1 and splits[0][0] < p, p
+                assert q < p and (a, b) == sumsquares._TABLE_SQUARES[q], p
+        assert splits == []
 
     def test_prime_parts_pad_the_two_square_pair(self):
-        for p in range(2, 10**4):
-            if is_prime(p) and p % 4 != 3:
+        # a table prime 2 or 1 mod 4 is its two squares, padded with zeros
+        for p in TABLE:
+            if p % 4 != 3:
                 a, b = two_square_witnesses(p)[0]
-                assert sumsquares._prime_four_square(p) == (b, a, 0, 0), p
+                assert sumsquares._TABLE_SQUARES[p] == (a, b), p
+                assert four_square_decompose(p).components == (b, a, 0, 0), p
 
     # 999999999959 = 7 mod 8, so it needs four nonzero squares
     @given(st.integers(min_value=3, max_value=10**12).map(lambda n: prime_at_most(n, 3)))
@@ -520,12 +529,12 @@ class TestFourSquareDecompose:
     @example(999999999959)
     @example(2**61 - 1)
     def test_search_for_primes_3_mod_4(self, p):
-        comps = sumsquares._prime_four_square.__wrapped__(p)
+        comps = sorted_search(p)
         assert min(comps) >= 0 and list(comps) == sorted(comps, reverse=True)
         assert sum(c * c for c in comps) == p
 
     def test_wrong_prime_part_fails_the_final_check(self, monkeypatch):
-        monkeypatch.setattr(sumsquares, "_prime_four_square", lambda p: (2, 1, 0, 0))
+        monkeypatch.setitem(sumsquares._TABLE_SQUARES, 7, (2, 1, 0, 0))
         with pytest.raises(ArithmeticError, match="do not sum to 7"):
             four_square_decompose(7)
 
@@ -571,9 +580,10 @@ class TestCofactorSearch:
         assert bad == []
 
     def test_candidates_are_screened_before_miller_rabin(self, monkeypatch):
-        # table primes are looked up, other p below 2048 and every p sharing
-        # a factor with the table are refused before the test; every p is
-        # 1 mod 4, and below psi_13 the first that passes splits
+        # 1 and table primes are looked up, other p below 2048 and every p
+        # sharing a factor with the table are refused before the test; every
+        # p is 1 mod 4, and below psi_13 the first that passes splits, so a
+        # search splits at most once and never below the table
         tested = count_calls(monkeypatch, "_is_prime")
         splits = count_calls(monkeypatch, "_prime_two_square")
         odd_m = range(10**12 + 1, 10**12 + 2001, 2)
@@ -581,7 +591,8 @@ class TestCofactorSearch:
             assert norm(sumsquares._cofactor_four_square(m)) == m
         assert tested
         assert all(p >= 2048 and gcd(p, TABLE_PRODUCT) == 1 for (p,) in tested)
-        assert len(splits) == len(odd_m) and all(p % 4 == 1 for (p,) in splits)
+        assert 0 < len(splits) <= len(odd_m)
+        assert all(p >= 2048 and p % 4 == 1 for (p,) in splits)
 
     def test_the_rest_is_composed_last(self, monkeypatch):
         folds = count_calls(monkeypatch, "compose_four")
@@ -614,24 +625,29 @@ class TestCofactorSearch:
         assert splits[0] == (PSEUDOPRIME,) and len(splits) > 1
 
     def test_an_exhausted_search_is_an_arithmetic_error(self, monkeypatch):
-        # not the ValueError that the CLI would report as a usage error
+        # not the ValueError that the CLI would report as a usage error; with
+        # no table squares to read, every candidate must split, and each split
+        # is refuted
         def refuted(p):
             raise ValueError(f"{p} is not prime")
 
+        monkeypatch.setattr(sumsquares, "_TABLE_SQUARES", {})
         monkeypatch.setattr(sumsquares, "_prime_two_square", refuted)
         with pytest.raises(ArithmeticError, match="no four squares of 2053 found"):
             four_square_decompose(2053)
 
     def test_table_smooth_n_take_no_search(self, monkeypatch):
-        # the rest is 1, so only the table primes 3 mod 4 of odd exponent are
-        # searched: 2039**2 only scales the two-square part of 2**3, and the
-        # one fold composes that part with the part of 3
-        sumsquares._prime_four_square.cache_clear()
+        # the rest is 1, so nothing is searched: 2039**2 only scales the
+        # two-square part of 2**3, and the one fold composes that part with
+        # the table squares of 3, which the final check reads through
+        n = 2**3 * 3 * 2039**2
         searched = count_calls(monkeypatch, "_cofactor_four_square")
         folds = count_calls(monkeypatch, "compose_four")
-        rep = four_square_decompose(2**3 * 3 * 2039**2)
-        assert norm(rep.components) == 2**3 * 3 * 2039**2
-        assert searched == [(3,)] and len(folds) == 1
+        assert norm(four_square_decompose(n).components) == n
+        assert searched == [] and len(folds) == 1
+        monkeypatch.setitem(sumsquares._TABLE_SQUARES, 3, (1, 1, 0, 0))
+        with pytest.raises(ArithmeticError, match=f"do not sum to {n}"):
+            four_square_decompose(n)
 
     @given(st.lists(st.tuples(st.sampled_from(TABLE), st.integers(1, 4)), max_size=30))
     @example([])
@@ -665,22 +681,38 @@ class TestCofactorSearch:
         assert norm(rep.components) == n
 
 
-@pytest.mark.parametrize("name", ["_prime_two_square", "_prime_four_square"])
-def test_prime_cache_is_bounded(name):
-    cached = getattr(sumsquares, name)
-    bound = cached.cache_info().maxsize
-    assert bound == sumsquares._PRIME_CACHE_SIZE
-    # every prime factor of a smooth n (all primes below 2000) fits at once
-    assert bound >= sum(map(is_prime, range(2000)))
-    # the four-square parts take every prime, the two-square parts none 3 mod 4
-    admits = (lambda p: True) if name == "_prime_four_square" else (lambda p: p % 4 != 3)
-    primes = list(islice((p for p in count(2) if admits(p) and is_prime(p)), bound + 100))
-    cached.cache_clear()
-    got = [cached(p) for p in primes]
-    assert cached.cache_info().currsize == bound
-    # the evicted ones are recomputed, and every answer is the uncached one
-    assert [cached(p) for p in primes] == got == list(map(cached.__wrapped__, primes))
-    assert cached.cache_info().currsize == bound
+def test_table_squares():
+    # 1 and each table prime: a pair ascending for 1, 2 and the primes
+    # 1 mod 4, four squares descending, as the search sorts them, for the rest
+    squares = sumsquares._TABLE_SQUARES
+    assert set(squares) == {1, *TABLE}
+    for p, comps in squares.items():
+        assert norm(comps) == p, p
+        if p % 4 == 3:
+            assert len(comps) == 4 and min(comps) >= 0, p
+            assert comps == sorted_search(p), p
+        else:
+            assert len(comps) == 2 and 0 <= comps[0] <= comps[1], p
+
+
+@pytest.mark.parametrize("n", [
+    1,
+    2**10,
+    prod(TABLE),
+    prod(p**3 for p in TABLE),
+    2**3 * 3 * 2039**2,
+    5**2 * 13 * 2029 * 7**2,
+])
+def test_table_smooth_n_compute_no_split(monkeypatch, n):
+    # the table squares are computed at import, so no split or search is
+    # made for an n with no prime factor past the table
+    splits = count_calls(monkeypatch, "_prime_two_square")
+    searched = count_calls(monkeypatch, "_cofactor_four_square")
+    assert norm(four_square_decompose(n).components) == n
+    rep = two_square_decompose(n)
+    assert (rep is not None) == is_sum_of_two_squares(n)
+    assert rep is None or norm(rep.components) == n
+    assert splits == [] and searched == []
 
 
 class TestIsPrime:
