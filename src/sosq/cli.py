@@ -56,6 +56,9 @@ EXIT_USAGE = 2
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 10000
+# the slowest sweep, stability --arity 4, takes ~6 s at this many samples on
+# a shared 2-core host with short bounds, inside README's 10 s budget
+MAX_SAMPLES = 10**6
 # compose operands of d digits give norms of at most 4d + 2 digits, which
 # stays under Python's default 4300-digit limit on int-to-str conversion
 OPERAND_DIGITS = 1000
@@ -169,8 +172,11 @@ def _resolve_seed(args) -> int:
 
 
 def _check_run_config(args) -> None:
-    if getattr(args, "samples", 1) < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    samples = getattr(args, "samples", 1)
+    if samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise UsageError(f"--samples must be <= {MAX_SAMPLES}, got {samples}")
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
         raise UsageError(f"--tol must be > 0, got {tol!r}")

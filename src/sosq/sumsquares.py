@@ -15,8 +15,8 @@ primes are represented once, at import.  Each result is checked exactly
 before it is returned.
 
 Factorization screens n against the 309 primes below 2048, sieved once at
-import: one gcd with their product finds the table primes that divide n,
-and runs of 32 primes whose gcd with it is 1 are skipped.  Past the table,
+import, in runs of 32: one gcd a run with the rest as it shrinks, until
+rest 1; an n with a factor past the table takes all 10.  Past the table,
 trial division by the 6k-1, 6k+1 wheel stops once the divisor's square
 exceeds the unfactored rest, or once Miller-Rabin proves a rest between
 2**40 and 3.3e24 prime.  The factors come lazily, in ascending order, so
@@ -110,19 +110,18 @@ def _proved_prime(rest: int) -> bool:
 
 def _table_screen(n: int, past):
     """Yield (p, e) per table prime p dividing n >= 1, p ascending, then what
-    past(rest) yields for the rest of n.  g = gcd(n, table product) holds
-    the table primes dividing n; a run whose gcd h with g is 1 holds none,
-    one whose h is a single table prime is that prime, with no scan of the
-    run, and the scan of any other run stops once its primes have used up h."""
+    past(rest) yields for the rest of n.  Each run takes one gcd h with the
+    rest as it shrinks: a run with h = 1 holds none, one whose h is a single
+    table prime is that prime, with no scan of the run, and the scan of any
+    other run stops once its primes have used up h.  The runs stop at rest 1,
+    and past(1) yields nothing; a rest with a factor past the table meets all."""
     rest = n
-    g = gcd(n, _TABLE_PRODUCT)
     for run_product, run in _RUNS:
-        if g == 1:
+        if rest == 1:
             break
-        h = gcd(g, run_product)
+        h = gcd(rest, run_product)
         if h == 1:
             continue
-        g //= h
         for p in (h,) if h in _TABLE_SQUARES else run:
             if h % p == 0:
                 h, rest, e = h // p, rest // p, 1

@@ -453,6 +453,14 @@ class TestUsage:
         assert main(["verify", "--arity", "2", "--model", "one",
                      "--samples", "0"]) == 2
 
+    def test_samples_up_to_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 5)
+        argv = ["verify", "--arity", "2", "--model", "one", "--samples"]
+        assert main([*argv, "5"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "6"]) == 2
+        assert capsys.readouterr().err == "error: --samples must be <= 5, got 6\n"
+
     def test_tol_must_be_positive(self, capsys):
         assert main(["verify", "--arity", "2", "--model", "one",
                      "--tol", "0"]) == 2

@@ -198,6 +198,11 @@ USAGE_CASES = [
     # past the int-to-str digit limit: refused for its length, digits not echoed
     ["verify", "--arity", "2", "--model", "one", "--samples", "10",
      "--seed", "1" + "0" * 4400],
+    # past the sample cap (MAX_SAMPLES), whose sweep would overrun the time budget
+    ["stability", "--arity", "4", "--model", "power:c=2", "--bounds", "1",
+     "--samples", "1000001"],
+    ["stability", "--output", "json", "--arity", "4", "--model", "power:c=2", "--bounds", "1",
+     "--samples", "1000001"],
 ]
 
 

@@ -39,7 +39,7 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-# the primes below 2048, which factorize screens for with one gcd
+# the primes below 2048, which factorize screens for with one gcd a run
 TABLE = [p for p in range(2048) if is_prime(p)]
 # the table in the runs of 32 primes that the screen takes one gcd with
 RUNS = [TABLE[i : i + 32] for i in range(0, len(TABLE), 32)]
@@ -248,6 +248,24 @@ class TestLazyFactors:
         with deadline(5):
             rep = four_square_decompose(n)
         assert norm(rep.components) == n
+
+
+# the screen takes one gcd a run with the rest as it shrinks, none with the
+# whole table, and none once the rest is 1: 3 settles "no" in the first run,
+# 2^5 3^2 is used up there, and the product of the table meets all 10 runs
+@pytest.mark.parametrize(
+    "call,n,gcds",
+    [
+        (is_sum_of_two_squares, 3 * 1000000016000000063, 1),
+        (factorize, 2**5 * 3**2, 1),
+        (factorize, prod(TABLE), 10),
+    ],
+    ids=["first odd q", "used up in the first run", "whole table"],
+)
+def test_screen_takes_one_gcd_a_run(monkeypatch, call, n, gcds):
+    calls = count_calls(monkeypatch, "gcd")
+    call(n)
+    assert len(calls) == gcds
 
 
 # primes below 10^6, drawn as the greatest prime at most a uniform draw
