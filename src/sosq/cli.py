@@ -6,10 +6,10 @@ checks (stability), the diagonal classifier (classify), integer square
 decompositions (decompose), and the representability check (rep-check,
 which proves its answer with a witness or a prime-power certificate).
 
-Every verification run is reproducible: reports depend only on the
-arguments and the seed (flag --seed, else env var SOSQ_SEED, else 42), and
-JSON output renders floats with 17 significant digits, so identical runs
-produce identical bytes.
+Every run is reproducible: a report depends on its arguments alone (the
+seed is --seed, 42 by default), its config is those arguments as parsed,
+and JSON output renders floats with 17 significant digits, so identical
+runs produce identical bytes.
 
 Exit codes: 0 on PASS/success, 1 on FAIL/violation, 2 on usage errors
 (including an --out path that cannot be written).
@@ -60,7 +60,9 @@ DEFAULT_SAMPLES = 10000
 # a shared 2-core host with short bounds, inside README's 10 s budget
 MAX_SAMPLES = 10**6
 # compose operands of d digits give norms of at most 4d + 2 digits, which
-# stays under Python's default 4300-digit limit on int-to-str conversion
+# stays under Python's default 4300-digit limit on int-to-str conversion;
+# the n of decompose and rep-check has the same cap, where four squares of
+# a random n took at most 0.46 s over 30 n on a shared 2-core host
 OPERAND_DIGITS = 1000
 
 
@@ -99,8 +101,8 @@ def _int(text: str) -> int:
     return _integer(text, getattr(sys, "get_int_max_str_digits", int)())
 
 
-def _nonneg_int(text: str) -> int:
-    value = _int(text)
+def _nonneg_operand(text: str) -> int:
+    value = _operand(text)
     if value < 0:
         raise argparse.ArgumentTypeError("value must be nonnegative")
     return value
@@ -157,18 +159,6 @@ def parse_bounds_spec(spec: str, arity: Arity) -> BoundSpec:
         raise UsageError(f"bad bound expression: {exc}")
     except ValueError as exc:
         raise UsageError(str(exc))
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SOSQ_SEED")
-    if env is not None:
-        try:
-            return _int(env)
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"SOSQ_SEED: {exc}")
-    return DEFAULT_SEED
 
 
 def _check_run_config(args) -> None:
@@ -233,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True,
                    help="model spec, e.g. power:c=2 or power:c=2,sigma=-1")
     p.add_argument("--samples", type=_int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=DEFAULT_SEED)
     p.add_argument("--tol", type=_finite_float, default=1e-9)
 
     p = sub.add_parser("stability", parents=[common],
@@ -244,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound expressions, ';'-separated (one expression is "
                         "replicated to every slot)")
     p.add_argument("--samples", type=_int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=DEFAULT_SEED)
     p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.add_argument("--mult-tol", type=_finite_float, default=DEFAULT_MULT_TOL)
 
@@ -256,13 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", parents=[common],
                        help="decompose n into 2 or 4 squares")
     p.add_argument("--squares", type=_int, choices=(2, 4), required=True)
-    p.add_argument("n", type=_nonneg_int)
+    p.add_argument("n", type=_nonneg_operand)
 
     p = sub.add_parser("rep-check", parents=[common],
                        help="two-square representability, with a checked proof")
-    p.add_argument("n", type=_nonneg_int)
+    p.add_argument("n", type=_nonneg_operand)
 
     return parser
+
+
+def _config(args, **extra) -> dict:
+    """A report's config: the parsed arguments in parser order, without the
+    subcommand and the output options, then extra."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "output", "out")}
+    return {**config, **extra}
 
 
 def _cmd_compose(args):
@@ -295,7 +292,7 @@ def _cmd_solve(args):
         else (("a", "b", "c", "d"), "(x, y, z, w)", solve_four)
     )
     rhs = [getattr(args, name) for name in names]
-    config = {**dict(zip(names, rhs)), "tol": args.tol, "zero_eps": args.zero_eps}
+    config = _config(args)
     try:
         report = solve(*rhs, tol=args.tol, zero_eps=args.zero_eps)
     except ResidualExceededError as exc:
@@ -318,47 +315,25 @@ def _cmd_solve(args):
 
 def _cmd_verify(args):
     arity = Arity(args.arity)
-    seed = _resolve_seed(args)
     model = parse_model_spec(args.model, arity)
-    sampler = UniformSampler(seed, args.samples)
-    if arity is Arity.TWO:
-        report = verify_equation_two(model, sampler, args.tol)
-    else:
-        report = verify_equation_four(model, sampler, args.tol)
-    config = {
-        "arity": args.arity,
-        "model": args.model,
-        "samples": args.samples,
-        "seed": seed,
-        "tol": args.tol,
-        "low": LOW,
-        "high": HIGH,
-    }
+    verify = verify_equation_two if arity is Arity.TWO else verify_equation_four
+    report = verify(model, UniformSampler(args.seed, args.samples), args.tol)
     human = (
         f"{report.verdict}: max relative residual {report.max_rel_residual:.3e} "
-        f"(tol {args.tol:.1e}) over {args.samples} samples, seed {seed}\n"
+        f"(tol {args.tol:.1e}) over {args.samples} samples, seed {args.seed}\n"
         f"worst point: {report.worst_point}"
     )
-    return config, report._asdict(), report.verdict, human
+    return _config(args, low=LOW, high=HIGH), report._asdict(), report.verdict, human
 
 
 def _cmd_stability(args):
     arity = Arity(args.arity)
-    seed = _resolve_seed(args)
     model = parse_model_spec(args.model, arity)
     bounds = parse_bounds_spec(args.bounds, arity)
     report = run_stability(
-        model, bounds, seed=seed, samples=args.samples, tol=args.tol, mult_tol=args.mult_tol
+        model, bounds, seed=args.seed, samples=args.samples, tol=args.tol,
+        mult_tol=args.mult_tol,
     )
-    config = {
-        "arity": args.arity,
-        "model": args.model,
-        "bounds": args.bounds,
-        "samples": args.samples,
-        "seed": seed,
-        "tol": args.tol,
-        "mult_tol": args.mult_tol,
-    }
     verdict = "PASS" if report.passed else "FAIL"
     human = (
         f"{verdict}: hypothesis excess {report.hypothesis_max_violation:.3e}, "
@@ -366,25 +341,24 @@ def _cmd_stability(args):
         f"(tol {args.tol:.1e})\n"
         f"diagonal classification: {report.diagonal_classification}"
     )
-    return config, report._asdict(), verdict, human
+    return _config(args), report._asdict(), verdict, human
 
 
 def _cmd_classify(args):
     model = parse_model_spec(args.model, Arity.TWO)
     # at delta = 0: the diagonal verdict of stability --arity 2 --bounds 0
     report = classify_diagonal(lambda t: model(t, 0.0), mult_tol=args.mult_tol)
-    config = {"model": args.model, "mult_tol": args.mult_tol}
     detail = {"classification": report.verdict.value, **report.to_dict()}
     verdict = report.verdict.value
     human = (
         f"{verdict}: max multiplicativity residual {report.max_mult_residual:.3e}, "
         f"sup |m| = {report.sup_abs:.6g} at {report.sup_at}"
     )
-    return config, detail, verdict, human
+    return _config(args), detail, verdict, human
 
 
 def _cmd_decompose(args):
-    config = {"squares": args.squares, "n": args.n}
+    config = _config(args)
     if args.squares == 2:
         if args.n < 1:
             raise UsageError("--squares 2 requires n >= 1")
@@ -412,7 +386,6 @@ def _cmd_rep_check(args):
     n = args.n
     if n < 1:
         raise UsageError("rep-check requires n >= 1")
-    config = {"n": n}
     fac = factorize(n)
     # n is a sum of two squares iff no prime q = 3 mod 4 has odd exponent e;
     # factorize proves q prime, by trial division or, for a last factor
@@ -441,7 +414,7 @@ def _cmd_rep_check(args):
     human = (
         f"{verdict}: {n} is {text}; criterion and {route} agree: {agree}\n{route}: {proof}"
     )
-    return config, detail, verdict, human
+    return _config(args), detail, verdict, human
 
 
 _HANDLERS = {

@@ -26,14 +26,18 @@ point wherever a norm is 0 or non-finite or a power overflows.
 A sweep folds each block of sampler.blocks with one kernel: f.columns
 (a model's column form) or else f point by point, then the
 residuals and the block's max at its first index; the first sample with
-a non-finite value fails the sweep.  The kernel folds a whole block or
-raises and changes nothing, and a block that raises is folded again by
-the same kernel one sample at a time.  So every report, FAIL sample, tie
-and error is a per-sample sweep's; f must be deterministic.
+a non-finite value fails the sweep.  f may return float, complex or
+Fraction values, as in sosq.stability: a block whose values have a finite
+sum is finite, and only another block is tested value by value.  The
+kernel folds a whole block or raises and changes nothing, and a block
+that raises is folded again by the same kernel one sample at a time.  So
+every report, FAIL sample, tie and error is a per-sample sweep's; f must
+be deterministic.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from math import hypot, isfinite
 from collections import namedtuple
@@ -200,6 +204,15 @@ def _fold_blocks(fold, sampler, width: int):
             return result
 
 
+def _finite_sum(lhs, rhs) -> bool:
+    """Whether sum(lhs) + sum(rhs) is finite, for float, complex and
+    Fraction values alike; an exact sum past the double range is not."""
+    try:
+        return cmath.isfinite(sum(lhs) + sum(rhs))
+    except OverflowError:
+        return False
+
+
 def _run_equation_sweep(f, sampler, tol: float, arity: int) -> VerificationReport:
     compose = compose_two_raw if arity == 2 else compose_four_raw
     columns = _columns_of(f)
@@ -211,15 +224,18 @@ def _run_equation_sweep(f, sampler, tol: float, arity: int) -> VerificationRepor
         nonlocal max_abs, max_rel, worst
         lhs = list(map(mul, columns(*cols[:arity]), columns(*cols[arity:])))
         rhs = columns(*zip(*map(compose, *cols)))
-        if not (all(map(isfinite, lhs)) and all(map(isfinite, rhs))):
-            # the first sample with a non-finite value fails the sweep
-            i = [isfinite(a) and isfinite(b) for a, b in zip(lhs, rhs)].index(False)
-            sample = tuple(map(itemgetter(i), cols))
-            return VerificationReport(
-                arity, sampler.count, sampler.seed, tol,
-                math.inf, math.inf, sample, "FAIL",
-                failure_reason=f"non-finite value at sample {sample!r}",
-            )
+        # a non-finite value makes the sum non-finite, but so can finite
+        # values near DBL_MAX; only then is each value tested
+        if not _finite_sum(lhs, rhs):
+            finite = [cmath.isfinite(a) and cmath.isfinite(b) for a, b in zip(lhs, rhs)]
+            if not all(finite):
+                # the first sample with a non-finite value fails the sweep
+                sample = tuple(map(itemgetter(finite.index(False)), cols))
+                return VerificationReport(
+                    arity, sampler.count, sampler.seed, tol,
+                    math.inf, math.inf, sample, "FAIL",
+                    failure_reason=f"non-finite value at sample {sample!r}",
+                )
         r = list(map(abs, map(sub, lhs, rhs)))
         top_abs = max(r)
         top_rel = max(map(truediv, r, map(

@@ -272,7 +272,7 @@ def check_conclusion_two(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> Exc
     agrees bit for bit with check_hypothesis_two restricted to the diagonal.
     """
     _require_arity(bounds, Arity.TWO)
-    return _run_excess_sweep(f, bounds, _Paired(sampler), tol, True)[1]
+    return _conclusion(f, bounds, sampler, tol)
 
 
 def check_hypothesis_four(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> ExcessReport:
@@ -285,7 +285,15 @@ def check_conclusion_four(f, bounds: BoundSpec, sampler, tol: float = 0.0) -> Ex
     """Excess of |f(x,y,z,w)^2 - f(x^2+y^2+z^2+w^2, 0, 0, 0)| over the
     eight-bound cap at the sample coordinates."""
     _require_arity(bounds, Arity.FOUR)
-    return _run_excess_sweep(f, bounds, _Paired(sampler), tol, True)[1]
+    return _conclusion(f, bounds, sampler, tol)
+
+
+def _conclusion(f, bounds: BoundSpec, sampler, tol) -> ExcessReport:
+    # the hypothesis at (p, p) is the conclusion at p, value for value: the
+    # same caps, f calls and errors in the same order; its point is cut to p
+    report = _run_excess_sweep(f, bounds, _Paired(sampler), tol, False)[0]
+    point = report.worst_point
+    return report._replace(worst_point=point and point[:int(bounds.arity)])
 
 
 def _require_arity(bounds: BoundSpec, arity: Arity) -> None:

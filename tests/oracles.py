@@ -21,6 +21,7 @@ tuples(width), which only these samplers have; the library's
 UniformSampler yields blocks alone.
 """
 
+import cmath
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -574,7 +575,7 @@ def run_equation_sweep(f, sampler, tol: float, arity: int) -> VerificationReport
         p1, p2 = sample[:arity], sample[arity:]
         lhs = f(*p1) * f(*p2)
         rhs = f(*compose(*sample))
-        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
             return VerificationReport(
                 arity, sampler.count, sampler.seed, tol,
                 math.inf, math.inf, sample, "FAIL",

@@ -9,7 +9,10 @@ import pytest
 
 from sosq import cli, sumsquares
 from sosq.cli import main, parse_model_spec, UsageError
+from sosq.sampling import HIGH, LOW
 from sosq.solutions import Arity, FamilyKind, MultiplicativeFamily
+from sosq.stability import DEFAULT_MULT_TOL
+from sosq.systems import DEFAULT_TOL_FOUR, DEFAULT_TOL_TWO
 from test_cli_golden import CASES, SIGN_CASES
 
 
@@ -152,20 +155,14 @@ class TestVerifyCommand:
         assert err == f"error: cannot write {str(target)!r}: No such file or directory\n"
         assert not target.exists()
 
-    def test_env_seed_default(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("seed", [[], ["--seed", "9"]], ids=["default", "flag"])
+    def test_environment_has_no_effect(self, capsys, monkeypatch, seed):
+        # the report depends on argv alone: no variable supplies the seed
+        argv = ["verify", "--arity", "2", "--model", "power:c=2", "--samples", "10", *seed]
+        without = run_json(capsys, *argv)
         monkeypatch.setenv("SOSQ_SEED", "123")
-        _, report, _ = run_json(
-            capsys, "verify", "--arity", "2", "--model", "one", "--samples", "10"
-        )
-        assert report["config"]["seed"] == 123
-
-    def test_explicit_seed_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SOSQ_SEED", "123")
-        _, report, _ = run_json(
-            capsys, "verify", "--arity", "2", "--model", "one",
-            "--samples", "10", "--seed", "9",
-        )
-        assert report["config"]["seed"] == 9
+        assert run_json(capsys, *argv) == without
+        assert without[1]["config"]["seed"] == (9 if seed else 42)
 
 
 class TestStabilityCommand:
@@ -492,16 +489,17 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv", [["rep-check"], ["decompose", "--squares", "4"]], ids=lambda a: a[0]
     )
-    def test_integer_past_the_str_digit_limit(self, capsys, argv):
-        # int() refuses n for its length alone: the error says so, and does
-        # not echo the digits; one digit fewer is accepted
-        limit = sys.get_int_max_str_digits()
-        assert main([*argv, "1" + "0" * limit]) == 2
+    def test_n_past_the_digit_cap(self, capsys, argv):
+        # n is refused for its length alone, at the cap that bounds the time
+        # of four squares: the error says so, and does not echo the digits;
+        # one digit fewer is accepted
+        cap = cli.OPERAND_DIGITS
+        assert main([*argv, "1" + "0" * cap]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(f"error: argument n: more than {limit} digits\n")
+        assert captured.err.endswith(f"error: argument n: more than {cap} digits\n")
         assert len(captured.err) < 300
-        assert main([*argv, "1" + "0" * (limit - 1)]) == 0
+        assert main([*argv, "1" + "0" * (cap - 1)]) == 0
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("option", ["--seed", "--samples"])
@@ -514,15 +512,6 @@ class TestUsage:
             f"error: argument {option}: more than {limit} digits\n"
         )
         assert len(captured.err) < 300
-
-    def test_seed_variable_past_the_str_digit_limit(self, capsys, monkeypatch):
-        # SOSQ_SEED gets the same reason, and echoes none of its digits
-        limit = sys.get_int_max_str_digits()
-        monkeypatch.setenv("SOSQ_SEED", "1" + "0" * limit)
-        assert main(["verify", "--arity", "2", "--model", "one", "--samples", "10"]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: SOSQ_SEED: more than {limit} digits\n"
-        assert "not an integer" not in err and "0" * 10 not in err
 
     def test_zero_classifier_option_is_valid(self, capsys):
         assert main(["classify", "--model", "power:c=2", "--mult-tol", "0"]) == 0
@@ -558,6 +547,37 @@ class TestUsage:
         assert isinstance(report["result"]["tol"], float)
 
 
+class TestConfig:
+    """A report's config is its parsed arguments in the subcommand's order,
+    whatever their order in argv, without --output and --out."""
+
+    CASES = [
+        (["compose2", "1", "2", "3", "4"], {"p1": [1, 2], "p2": [3, 4]}),
+        (["compose4", *"12345678"], {"q1": [1, 2, 3, 4], "q2": [5, 6, 7, 8]}),
+        (["solve2", "--zero-eps", "0.5", "3", "4"],
+         {"u": 3.0, "v": 4.0, "tol": DEFAULT_TOL_TWO, "zero_eps": 0.5}),
+        (["solve4", "1", "2", "3", "4"], {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0,
+                                          "tol": DEFAULT_TOL_FOUR, "zero_eps": 0.0}),
+        (["verify", "--seed", "5", "--model", "one", "--arity", "2", "--samples", "3"],
+         {"arity": 2, "model": "one", "samples": 3, "seed": 5, "tol": 1e-9,
+          "low": LOW, "high": HIGH}),
+        (["stability", "--tol", "0.5", "--bounds", "1", "--arity", "2", "--model", "one",
+          "--samples", "3"],
+         {"arity": 2, "model": "one", "bounds": "1", "samples": 3, "seed": 42, "tol": 0.5,
+          "mult_tol": DEFAULT_MULT_TOL}),
+        (["classify", "--model", "one"], {"model": "one", "mult_tol": DEFAULT_MULT_TOL}),
+        (["decompose", "7", "--squares", "4"], {"squares": 4, "n": 7}),
+        (["rep-check", "45"], {"n": 45}),
+    ]
+
+    @pytest.mark.parametrize("argv, config", CASES, ids=[argv[0] for argv, _ in CASES])
+    def test_config_is_the_parsed_arguments(self, capsys, tmp_path, argv, config):
+        target = tmp_path / "report.json"
+        main([*argv, "--out", str(target), "--output", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["config"].items()) == list(config.items())
+
+
 class TestParserReuse:
     # a usage error first, then two subcommands, each after the other
     SEQUENCE = [
@@ -573,9 +593,7 @@ class TestParserReuse:
         ["decompose", "--squares", "4", "2026", "--output", "json"],
     ]
 
-    def test_calls_match_a_fresh_parser(self, capsys, monkeypatch):
-        monkeypatch.delenv("SOSQ_SEED", raising=False)
-
+    def test_calls_match_a_fresh_parser(self, capsys):
         def run(argv):
             code = main(list(argv))
             captured = capsys.readouterr()

@@ -13,7 +13,6 @@ Regenerate the data file after an intended output change with
 """
 
 import json
-import os
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -203,6 +202,9 @@ USAGE_CASES = [
      "--samples", "1000001"],
     ["stability", "--output", "json", "--arity", "4", "--model", "power:c=2", "--bounds", "1",
      "--samples", "1000001"],
+    # past the digit cap on n (OPERAND_DIGITS), which bounds the time of four squares
+    ["decompose", "--squares", "4", "1" + "0" * 1000],
+    ["rep-check", "1" + "0" * 1000],
 ]
 
 
@@ -270,13 +272,11 @@ def test_golden_covers_every_invocation(golden):
 
 
 @pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
-def test_cli_bytes(argv, golden, monkeypatch):
-    monkeypatch.delenv("SOSQ_SEED", raising=False)
+def test_cli_bytes(argv, golden):
     assert run_cli(argv) == golden[tuple(argv)]
 
 
 if __name__ == "__main__":
-    os.environ.pop("SOSQ_SEED", None)
     DATA.parent.mkdir(exist_ok=True)
     with DATA.open("w", encoding="utf-8") as fh:
         for argv in INVOCATIONS:

@@ -34,7 +34,6 @@ def test_block_has_examples():
 
 
 @pytest.mark.parametrize("command,shown", EXAMPLES, ids=[c for c, _ in EXAMPLES])
-def test_example_output(command, shown, capsys, monkeypatch):
-    monkeypatch.delenv("SOSQ_SEED", raising=False)
+def test_example_output(command, shown, capsys):
     main(shlex.split(command))
     assert capsys.readouterr().out == shown

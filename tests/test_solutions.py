@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -269,6 +270,43 @@ class TestVerifyEquation:
         assert report.verdict == "FAIL"
         assert report.failure_reason is not None
         assert report.worst_point == (1.0, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("verify, f", [
+        (verify_equation_two, lambda x, y: complex(x * x + y * y, 0.0)),
+        (verify_equation_four, lambda x, y, z, w: complex(x * x + y * y + z * z + w * w, 0.0)),
+    ], ids=["two", "four"])
+    def test_complex_values_pass(self, verify, f):
+        # the norm square with complex values is a solution, as run_stability
+        # finds; the sweep takes complex values as they are
+        report = verify(f, UniformSampler(7, 1000), 1e-9)
+        assert report.verdict == "PASS" and report.failure_reason is None
+        assert 0.0 < report.max_rel_residual <= 1e-9
+
+    def test_complex_infinity_fails_at_its_sample(self):
+        def f(x, y):
+            return complex(0.0, math.inf) if x > 5 else 1 + 0j
+
+        points = ((1.0, 0.0, 1.0, 0.0), (6.0, 0.0, 1.0, 0.0), (7.0, 0.0, 1.0, 0.0))
+        report = verify_equation_two(f, FixedSampler(points), 1e-9)
+        assert report.verdict == "FAIL"
+        assert report.worst_point == points[1]
+        assert report.failure_reason == f"non-finite value at sample {points[1]!r}"
+
+    def test_fraction_values_stay_exact(self):
+        f = lambda x, y: Fraction(x) ** 2 + Fraction(y) ** 2
+        report = verify_equation_two(f, StreamSampler(3, 300, -9.0, 9.0, integer=True))
+        assert report.verdict == "PASS" and report.max_abs_residual == 0
+
+    @pytest.mark.parametrize("kind", [float, Fraction], ids=["float", "Fraction"])
+    def test_finite_values_whose_sum_overflows_pass(self, kind):
+        # |p|^2 at p1 = p2 = (x, 0) gives lhs = rhs = x^4, about 1.05e308:
+        # lhs + rhs overflows (a Fraction sum raises as it converts), and
+        # each value is finite
+        x = 1.75 * 2.0**255
+        report = verify_equation_two(
+            lambda x, y: kind(x) ** 2 + kind(y) ** 2, FixedSampler(((x, 0.0, x, 0.0),)), 1e-9
+        )
+        assert (report.verdict, report.max_abs_residual) == ("PASS", 0.0)
 
     @pytest.mark.parametrize("family", builtin_families(), ids=str)
     def test_synthesis_round_trip_two(self, family):

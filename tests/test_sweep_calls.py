@@ -5,9 +5,11 @@ value in any block) f.columns runs 3 times a block in verify (at p1, at
 p2 and at p1 o p2) and 4 times in run_stability (also at p1 o p1), and
 the per-point f never runs in a sweep.  Each bound's column form runs once
 per slot and block, and once more per odd slot and block for the
-conclusion.  A block folded again one sample at a time would show here as
-extra calls; the equivalence tests against the per-sample reference loops
-cannot see it, since the refold gives the same report.
+conclusion.  check_conclusion_* sweeps the hypothesis at (p, p) alone:
+3 f.columns calls a block, and one column call per slot and block.  A
+block folded again one sample at a time would show here as extra calls;
+the equivalence tests against the per-sample reference loops cannot see
+it, since the refold gives the same report.
 """
 
 import math
@@ -92,3 +94,18 @@ def test_run_stability_folds_each_block_once(arity, c, spec, monkeypatch):
     assert at_sweep_end == [(0, 4 * BLOCKS, [
         (0, BLOCKS * (1 + k % 2)) for k in range(2 * arity)
     ])]
+
+
+@pytest.mark.parametrize("check, arity, spec", [
+    (stability.check_conclusion_two, 2, "1+abs(x);2+x*x;max(1,abs(x));pow(x,2)+1"),
+    (stability.check_conclusion_four, 4, "1+abs(x);2+x*x;max(1,abs(x));pow(x,2)+1;"
+                                         "abs(x)+3;min(x*x+1,100);1;x*x+abs(x)+1"),
+])
+def test_conclusion_folds_each_block_once(check, arity, spec):
+    f = model(arity, 1.0)
+    parsed = stability.BoundSpec.from_expressions(Arity(arity), spec.split(";"))
+    slots = tuple(map(Counted, parsed.bounds))
+    report = check(f, stability.BoundSpec(Arity(arity), slots), UniformSampler(3, SAMPLES))
+    assert report.passed and len(report.worst_point) == arity
+    assert (f.calls, f.column_calls) == (0, 3 * BLOCKS)
+    assert [(slot.calls, slot.column_calls) for slot in slots] == [(0, BLOCKS)] * (2 * arity)

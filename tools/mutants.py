@@ -38,6 +38,10 @@ class Mutant(NamedTuple):
 
 SUMSQUARES = "src/sosq/sumsquares.py"
 TESTS = "tests/test_sumsquares.py"
+SYSTEMS = "src/sosq/systems.py"
+SYSTEMS_TESTS = "tests/test_systems.py"
+SOLUTIONS = "src/sosq/solutions.py"
+SOLUTIONS_TESTS = "tests/test_solutions.py"
 
 MUTANTS = (
     # the table screen runs on past rest 1, one gcd a run to the table's end
@@ -76,6 +80,87 @@ MUTANTS = (
         " of prime {p}\")\n",
         "",
         (f"{TESTS}::TestTwoSquareDecompose::test_euclid_checks_its_pair",),
+    ),
+    # one token past the limit is accepted
+    Mutant(
+        "src/sosq/exprs.py",
+        "        if len(tokens) == MAX_TOKENS:\n",
+        "        if len(tokens) == MAX_TOKENS + 1:\n",
+        ("tests/test_exprs.py::TestLimits::test_one_token_too_many",),
+    ),
+    # solve_four's x, then its z, keeps the sign of a zero that p + q or p - q
+    # gives as -2^-1074 halved
+    Mutant(
+        SYSTEMS,
+        "    xs, ys = (p + q) / 2.0 + 0.0, ",
+        "    xs, ys = (p + q) / 2.0, ",
+        (f"{SYSTEMS_TESTS}::TestSolveFour::test_unsigning_add_on_x_and_z_is_reached",),
+    ),
+    Mutant(
+        SYSTEMS,
+        "    zs, ws = (p - q) / 2.0 + 0.0, ",
+        "    zs, ws = (p - q) / 2.0, ",
+        (f"{SYSTEMS_TESTS}::TestSolveFour::test_unsigning_add_on_x_and_z_is_reached",),
+    ),
+    # and y, then w, keeps the sign of a zero, as on the golden solve4 input 496
+    Mutant(
+        SYSTEMS,
+        "(s - t) / 2.0 + 0.0\n",
+        "(s - t) / 2.0\n",
+        ("tests/test_solver_golden.py::test_solver_bits[496]",),
+    ),
+    Mutant(
+        SYSTEMS,
+        "(s + t) / 2.0 + 0.0\n",
+        "(s + t) / 2.0\n",
+        ("tests/test_solver_golden.py::test_solver_bits[496]",),
+    ),
+    # a NaN defect (inf - inf) stays NaN, and so reads as no excess
+    Mutant(
+        "src/sosq/stability.py",
+        "    if total != total:\n"
+        "        defects = [math.inf if d != d else d for d in defects]\n",
+        "",
+        ("tests/test_stability.py::TestHypothesisTwo::test_nan_defect_is_infinite_excess",),
+    ),
+    # check_conclusion_* reports the paired sample (p, p), not p
+    Mutant(
+        "src/sosq/stability.py",
+        "    return report._replace(worst_point=point and point[:int(bounds.arity)])\n",
+        "    return report\n",
+        ("tests/test_sweep_calls.py::test_conclusion_folds_each_block_once",),
+    ),
+    # verify tests no block for a non-finite value
+    Mutant(
+        SOLUTIONS,
+        "        if not _finite_sum(lhs, rhs):\n",
+        "        if False:\n",
+        (f"{SOLUTIONS_TESTS}::TestVerifyEquation::test_complex_infinity_fails_at_its_sample",),
+    ),
+    # a block whose sum overflows fails at its first sample, each value unchecked
+    Mutant(
+        SOLUTIONS,
+        "            finite = [cmath.isfinite(a) and cmath.isfinite(b)"
+        " for a, b in zip(lhs, rhs)]\n",
+        "            finite = [False] * len(lhs)\n",
+        (f"{SOLUTIONS_TESTS}::TestVerifyEquation::"
+         "test_finite_values_whose_sum_overflows_pass",),
+    ),
+    # an exact (Fraction) sum past the double range raises instead of being
+    # tested value by value
+    Mutant(
+        SOLUTIONS,
+        "    except OverflowError:\n        return False\n",
+        "    except OverflowError:\n        raise\n",
+        (f"{SOLUTIONS_TESTS}::TestVerifyEquation::"
+         "test_finite_values_whose_sum_overflows_pass",),
+    ),
+    # the report's config keeps the --out path
+    Mutant(
+        "src/sosq/cli.py",
+        'if k not in ("command", "output", "out")}',
+        'if k not in ("command", "output")}',
+        ("tests/test_cli.py::TestConfig::test_config_is_the_parsed_arguments",),
     ),
 )
 
