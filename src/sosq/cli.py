@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import jsonfmt
-from .exprs import ExpressionError
+from .exprs import ExpressionError, _tokenize
 from .identities import compose_two, compose_four, norm
 from .sampling import HIGH, LOW, UniformSampler
 from .solutions import (
@@ -59,6 +59,12 @@ DEFAULT_SAMPLES = 10000
 # the slowest sweep, stability --arity 4, takes ~6 s at this many samples on
 # a shared 2-core host with short bounds, inside README's 10 s budget
 MAX_SAMPLES = 10**6
+# a bound's cost grows with its length, so stability takes --samples times
+# the bound tokens summed over every slot up to this cap: the benchmark's
+# arity-4 bounds (55 tokens) at MAX_SAMPLES fit; on the same host the
+# costliest bounds measured, max(1,1) in every slot (48 tokens), took 7.6-9.2 s
+# at MAX_SAMPLES, and eight ~999-token bounds 0.6-1.6 s at the cap
+MAX_SAMPLE_TOKENS = 6 * 10**7
 # compose operands of d digits give norms of at most 4d + 2 digits, which
 # stays under Python's default 4300-digit limit on int-to-str conversion;
 # the n of decompose and rep-check has the same cap, where four squares of
@@ -159,6 +165,14 @@ def parse_bounds_spec(spec: str, arity: Arity) -> BoundSpec:
         raise UsageError(f"bad bound expression: {exc}")
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _bound_tokens(spec: str, arity: Arity) -> int:
+    """The tokens of a valid --bounds spec, summed over its 2 * arity slots:
+    one expression for every slot counts once per slot."""
+    exprs = spec.split(";")
+    # each token list ends with an end marker, no token of the source
+    return sum(len(_tokenize(expr)) - 1 for expr in exprs) * (2 * arity // len(exprs))
 
 
 def _check_run_config(args) -> None:
@@ -330,6 +344,12 @@ def _cmd_stability(args):
     arity = Arity(args.arity)
     model = parse_model_spec(args.model, arity)
     bounds = parse_bounds_spec(args.bounds, arity)
+    tokens = _bound_tokens(args.bounds, arity)
+    if args.samples * tokens > MAX_SAMPLE_TOKENS:
+        raise UsageError(
+            f"--samples times the bound tokens must be <= {MAX_SAMPLE_TOKENS}, "
+            f"got {args.samples} * {tokens}"
+        )
     report = run_stability(
         model, bounds, seed=args.seed, samples=args.samples, tol=args.tol,
         mult_tol=args.mult_tol,

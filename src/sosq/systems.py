@@ -113,6 +113,9 @@ _A, _B, _C, _D = CaseFour.A, CaseFour.B, CaseFour.C, CaseFour.D
 
 # Each solver is one flat body with no helper calls: a solve costs a few
 # dozen float operations, so a Python call per step would be most of it.
+# For the same reason each builds its report with tuple.__new__, one C call,
+# where SolveReport._make would add a Python frame and a length check; the
+# tuple it is given always holds the six fields in order.
 
 
 def solve_two(
@@ -180,7 +183,7 @@ def solve_two(
             residual,
         )
     half = e2 // 2
-    return SolveReport._make((
+    return tuple.__new__(SolveReport, (
         (ldexp(xs, half), ldexp(ys, half)),
         case,
         residual,
@@ -284,4 +287,4 @@ def solve_four(
         case, alpha = _A, None
     else:
         case, alpha = (_B if b > 0.0 else _C), x
-    return SolveReport._make((solution, case, residual, norm_residual, tol, alpha))
+    return tuple.__new__(SolveReport, (solution, case, residual, norm_residual, tol, alpha))

@@ -13,7 +13,7 @@ from sosq.sampling import HIGH, LOW
 from sosq.solutions import Arity, FamilyKind, MultiplicativeFamily
 from sosq.stability import DEFAULT_MULT_TOL
 from sosq.systems import DEFAULT_TOL_FOUR, DEFAULT_TOL_TWO
-from test_cli_golden import CASES, SIGN_CASES
+from test_cli_golden import CASES, SIGN_CASES, SWEEP_MIX_HEADS
 
 
 # every model spec the golden records run, and two whose diagonal -|t|^c
@@ -457,6 +457,45 @@ class TestUsage:
         capsys.readouterr()
         assert main([*argv, "6"]) == 2
         assert capsys.readouterr().err == "error: --samples must be <= 5, got 6\n"
+
+    @pytest.mark.parametrize("spec, arity, tokens", [
+        # one expression counts once in each of the 2 * arity slots
+        ("x*x+abs(x)+1", 4, 80),
+        (" 1 ", 2, 4),
+        ("1;2;x*x;pow(x,2)+1", 2, 13),
+    ])
+    def test_bound_tokens_are_summed_over_the_slots(self, spec, arity, tokens):
+        assert cli._bound_tokens(spec, Arity(arity)) == tokens
+
+    def test_sample_tokens_up_to_the_cap(self, capsys, monkeypatch):
+        # 80 bound tokens a sample, 400 in all
+        argv = ["stability", "--arity", "4", "--model", "power:c=2",
+                "--bounds", "x*x+abs(x)+1", "--samples", "5"]
+        monkeypatch.setattr(cli, "MAX_SAMPLE_TOKENS", 400)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MAX_SAMPLE_TOKENS", 399)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --samples times the bound tokens must be <= 399, got 5 * 80\n"
+        )
+
+    def test_benchmark_bounds_fit_at_the_sample_cap(self):
+        for head in SWEEP_MIX_HEADS:
+            if head[0] == "stability":
+                spec, arity = head[head.index("--bounds") + 1], Arity(int(head[2]))
+                assert cli.MAX_SAMPLES * cli._bound_tokens(spec, arity) <= cli.MAX_SAMPLE_TOKENS
+
+    def test_long_bounds_are_refused_before_the_sweep(self, capsys):
+        # eight bounds at the 1,000-token limit would sweep for a minute or more
+        bound = "+".join(["abs(x)"] * 200)
+        bounds = ";".join([bound] * 8)
+        argv = ["stability", "--arity", "4", "--model", "power:c=2", "--bounds", bounds]
+        assert main([*argv, "--samples", str(cli.MAX_SAMPLES)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --samples times the bound tokens must be <= {cli.MAX_SAMPLE_TOKENS}, "
+            f"got {cli.MAX_SAMPLES} * 7992\n"
+        )
 
     def test_tol_must_be_positive(self, capsys):
         assert main(["verify", "--arity", "2", "--model", "one",

@@ -205,6 +205,12 @@ USAGE_CASES = [
     # past the digit cap on n (OPERAND_DIGITS), which bounds the time of four squares
     ["decompose", "--squares", "4", "1" + "0" * 1000],
     ["rep-check", "1" + "0" * 1000],
+    # past the cap on samples times bound tokens (MAX_SAMPLE_TOKENS): 80 tokens
+    # a sample, over the 8 slots
+    ["stability", "--arity", "4", "--model", "power:c=2", "--bounds", "x*x+abs(x)+1",
+     "--samples", "1000000"],
+    ["stability", "--output", "json", "--arity", "4", "--model", "power:c=2",
+     "--bounds", "x*x+abs(x)+1", "--samples", "1000000"],
 ]
 
 

@@ -599,18 +599,32 @@ class TestCofactorSearch:
 
     def test_candidates_are_screened_before_miller_rabin(self, monkeypatch):
         # 1 and table primes are looked up, other p below 2048 and every p
-        # sharing a factor with the table are refused before the test; every
+        # sharing a factor with the table are refused before the test, and a
+        # p below 2048**2 coprime to the table is prime by that alone; every
         # p is 1 mod 4, and below psi_13 the first that passes splits, so a
-        # search splits at most once and never below the table
+        # search splits at most once and never below the table.  Near 1e30
+        # the candidates pass 2048**2
+        tested = count_calls(monkeypatch, "_is_prime")
+        splits = count_calls(monkeypatch, "_prime_two_square")
+        odd_m = range(10**30 + 1, 10**30 + 2001, 2)
+        for m in odd_m:
+            assert norm(sumsquares._cofactor_four_square(m)) == m
+        assert tested
+        assert all(p >= 2048**2 and gcd(p, TABLE_PRODUCT) == 1 for (p,) in tested)
+        assert 0 < len(splits) <= len(odd_m)
+        assert all(p >= 2048 and p % 4 == 1 for (p,) in splits)
+
+    def test_the_screen_proves_candidates_below_2048_squared(self, monkeypatch):
+        # near 1e12 every candidate is below 2048**2: the searches split the
+        # first coprime one with no Miller-Rabin call
         tested = count_calls(monkeypatch, "_is_prime")
         splits = count_calls(monkeypatch, "_prime_two_square")
         odd_m = range(10**12 + 1, 10**12 + 2001, 2)
         for m in odd_m:
             assert norm(sumsquares._cofactor_four_square(m)) == m
-        assert tested
-        assert all(p >= 2048 and gcd(p, TABLE_PRODUCT) == 1 for (p,) in tested)
+        assert tested == []
         assert 0 < len(splits) <= len(odd_m)
-        assert all(p >= 2048 and p % 4 == 1 for (p,) in splits)
+        assert all(2048 <= p < 2048**2 and p % 4 == 1 for (p,) in splits)
 
     def test_the_rest_is_composed_last(self, monkeypatch):
         folds = count_calls(monkeypatch, "compose_four")

@@ -426,3 +426,39 @@ class TestMatchesReference:
             (solve_four, reference_solve_four, (0.0, -2.0, 0.0, 0.0)),
         ]:
             assert outcome(solve, rhs, None, zero_eps) == outcome(reference, rhs, None, zero_eps)
+
+
+def python_frames(solve, rhs):
+    """The code names of the Python frames that one solve(*rhs) enters."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        solve(*rhs)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+# one input per case label
+CASE_INPUTS = [
+    ((0.0, 4.0), CaseTwo.U0_VPOS),
+    ((0.0, -9.0), CaseTwo.U0_VNEG),
+    ((3.0, -1e200), CaseTwo.UNZ),
+    ((0.0, -4.0, 0.0, 0.0), CaseFour.A),
+    ((1.0, 4.0, 1.0, 0.0), CaseFour.B),
+    ((1.0, -4.0, 1.0, 0.0), CaseFour.C),
+    ((1e-200, -1e150, 3.0, -2.0), CaseFour.D),
+]
+
+
+@pytest.mark.parametrize("rhs, case", CASE_INPUTS, ids=[case.name for _, case in CASE_INPUTS])
+def test_a_solve_runs_in_one_python_frame(rhs, case):
+    # the report is built by a C call, not by SolveReport._make's own frame
+    solve = solve_two if len(rhs) == 2 else solve_four
+    assert solve(*rhs).case_label is case
+    assert python_frames(solve, rhs) == [solve.__name__]

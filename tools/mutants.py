@@ -162,6 +162,47 @@ MUTANTS = (
         'if k not in ("command", "output")}',
         ("tests/test_cli.py::TestConfig::test_config_is_the_parsed_arguments",),
     ),
+    # solve_two's report lacks its alpha: a five-field SolveReport
+    Mutant(
+        SYSTEMS,
+        "        tol,\n        None,\n    ))\n",
+        "        tol,\n    ))\n",
+        ("tests/test_records.py::test_reprs", "tests/test_records.py::test_alpha_defaults_to_none"),
+    ),
+    # each solver's report is built by SolveReport._make, a second Python frame
+    Mutant(
+        SYSTEMS,
+        "    return tuple.__new__(SolveReport, (\n",
+        "    return SolveReport._make((\n",
+        (f"{SYSTEMS_TESTS}::test_a_solve_runs_in_one_python_frame[UNZ]",),
+    ),
+    Mutant(
+        SYSTEMS,
+        "    return tuple.__new__(SolveReport, (solution,",
+        "    return SolveReport._make((solution,",
+        (f"{SYSTEMS_TESTS}::test_a_solve_runs_in_one_python_frame[D]",),
+    ),
+    # the cofactor search skips Miller-Rabin at every size
+    Mutant(
+        SUMSQUARES,
+        "(p < _SCREEN_PROOF_LIMIT or _is_prime(p))",
+        "(True or _is_prime(p))",
+        (f"{TESTS}::TestCofactorSearch::test_candidates_are_screened_before_miller_rabin",),
+    ),
+    # and, the other way, tests candidates below 2048**2 too
+    Mutant(
+        SUMSQUARES,
+        "(p < _SCREEN_PROOF_LIMIT or _is_prime(p))",
+        "_is_prime(p)",
+        (f"{TESTS}::TestCofactorSearch::test_the_screen_proves_candidates_below_2048_squared",),
+    ),
+    # one token-sample past the cap is accepted
+    Mutant(
+        "src/sosq/cli.py",
+        "    if args.samples * tokens > MAX_SAMPLE_TOKENS:\n",
+        "    if args.samples * tokens > MAX_SAMPLE_TOKENS + 1:\n",
+        ("tests/test_cli.py::TestUsage::test_sample_tokens_up_to_the_cap",),
+    ),
 )
 
 
