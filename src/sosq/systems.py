@@ -25,7 +25,12 @@ Every equation is homogeneous of degree 2 in the solution, so the solvers
 normalize the inputs by an even power of two, solve in a well-conditioned
 regime, and scale the solution back by half that exponent.  The scaling is
 exact in IEEE arithmetic and makes the full finite double range safe from
-intermediate overflow and underflow.
+intermediate overflow and underflow.  Each power of two is made once, by
+ldexp, and applied by multiplication: a product with 2^k is the correctly
+rounded x * 2^k, the same double that ldexp(x, k) returns, subnormals and
+signed zeros included.  ldexp scales each component only where 2^k itself
+is not a double: where the inputs, or in solve_four's direction step a, c
+and d, all lie below 2^-1023 in magnitude.
 
 A useful consequence of either system: the squared norm of the solution
 equals the Euclidean norm of the right-hand side, i.e. x^2 + y^2 =
@@ -115,7 +120,9 @@ _A, _B, _C, _D = CaseFour.A, CaseFour.B, CaseFour.C, CaseFour.D
 # dozen float operations, so a Python call per step would be most of it.
 # For the same reason each builds its report with tuple.__new__, one C call,
 # where SolveReport._make would add a Python frame and a length check; the
-# tuple it is given always holds the six fields in order.
+# tuple it is given always holds the six fields in order.  And each scales by
+# multiplying with a power of two that one ldexp call makes, not by an ldexp
+# call per component (the module docstring says why that is exact).
 
 
 def solve_two(
@@ -147,7 +154,14 @@ def solve_two(
     # even e2 with max(|u|, |v|) * 2^-e2 in [0.5, 2), so that half of it
     # scales the solution back; frexp(0.0) gives 0
     e2 = frexp(max(au, abs(v)))[1] & -2
-    us, vs = ldexp(u, -e2), ldexp(v, -e2)
+    # one = 2^-e2 as a double, infinite for deeply subnormal scales (it
+    # overflows exactly when e2 <= -1024); only there is ldexp needed
+    if e2 > -1024:
+        one = ldexp(1.0, -e2)
+        us, vs = u * one, v * one
+    else:
+        one = inf
+        us, vs = ldexp(u, -e2), ldexp(v, -e2)
     s = hypot(us, vs)
     if au > zero_eps:
         case = _UNZ
@@ -168,12 +182,9 @@ def solve_two(
         ys = copysign(sqrt((s - vs) / 2.0), us) + 0.0
         xs = us / (2.0 * ys) + 0.0
 
-    # 2^-e2; infinite for deeply subnormal scales (ldexp overflows exactly
-    # when e2 <= -1024), which correctly drives the relative residual to
-    # zero there
-    one = ldexp(1.0, -e2) if e2 > -1024 else inf
-    # inputs and solution in 2^-e2 / 2^(-e2/2) scaled units, one = 2^-e2;
-    # the ratio to scale equals the plain-unit relative residual
+    # inputs and solution in 2^-e2 / 2^(-e2/2) scaled units; the ratio to
+    # scale equals the plain-unit relative residual, and an infinite one
+    # correctly drives it to zero
     scale = one + abs(us) + abs(vs)
     residual = max(abs(2.0 * xs * ys - us), abs(xs * xs - ys * ys - vs)) / scale
     if not residual <= tol:
@@ -182,9 +193,10 @@ def solve_two(
             f"for (u, v) = ({u!r}, {v!r})",
             residual,
         )
-    half = e2 // 2
+    # 2^(e2/2) is normal for every e2, in [2^-537, 2^512]
+    root = ldexp(1.0, e2 // 2)
     return tuple.__new__(SolveReport, (
-        (ldexp(xs, half), ldexp(ys, half)),
+        (xs * root, ys * root),
         case,
         residual,
         abs(xs * xs + ys * ys - s) / scale,
@@ -238,10 +250,15 @@ def solve_four(
     if not zero_eps >= 0.0:
         raise ValueError(f"zero_eps = {zero_eps!r} must be >= 0")
     aa, ac, ad = abs(a), abs(c), abs(d)
-    # even exponents as in solve_two
+    # even exponents, and one = 2^-e2, as in solve_two
     e2 = frexp(max(aa, abs(b), ac, ad))[1] & -2
-    as_, bs = ldexp(a, -e2), ldexp(b, -e2)
-    cs, ds = ldexp(c, -e2), ldexp(d, -e2)
+    if e2 > -1024:
+        one = ldexp(1.0, -e2)
+        as_, bs, cs, ds = a * one, b * one, c * one, d * one
+    else:
+        one = inf
+        as_, bs = ldexp(a, -e2), ldexp(b, -e2)
+        cs, ds = ldexp(c, -e2), ldexp(d, -e2)
 
     r = hypot(as_, bs, cs, ds)
     if b >= 0.0:
@@ -251,7 +268,11 @@ def solve_four(
     else:
         # direction of (a, c, d) at its own scale: at b's it can be subnormal
         e3 = frexp(max(aa, ac, ad))[1] & -2
-        a3, c3, d3 = ldexp(a, -e3), ldexp(c, -e3), ldexp(d, -e3)
+        if e3 > -1024:
+            k3 = ldexp(1.0, -e3)
+            a3, c3, d3 = a * k3, c * k3, d * k3
+        else:
+            a3, c3, d3 = ldexp(a, -e3), ldexp(c, -e3), ldexp(d, -e3)
         n3 = hypot(a3, c3, d3)
         m = sqrt(r - bs)
         p = ldexp(n3, e3 - e2) / m
@@ -260,8 +281,7 @@ def solve_four(
     xs, ys = (p + q) / 2.0 + 0.0, (s - t) / 2.0 + 0.0
     zs, ws = (p - q) / 2.0 + 0.0, (s + t) / 2.0 + 0.0
 
-    # one and the residuals' scale as in solve_two
-    one = ldexp(1.0, -e2) if e2 > -1024 else inf
+    # the residuals' scale as in solve_two
     scale = one + abs(as_) + abs(bs) + abs(cs) + abs(ds)
     sxz = xs + zs
     residual = max(
@@ -277,9 +297,9 @@ def solve_four(
             residual,
         )
     norm_residual = abs(xs * xs + ys * ys + zs * zs + ws * ws - r) / scale
-    half = e2 // 2
-    x, z = ldexp(xs, half), ldexp(zs, half)
-    solution = (x, ldexp(ys, half), z, ldexp(ws, half))
+    root = ldexp(1.0, e2 // 2)
+    x, z = xs * root, zs * root
+    solution = (x, ys * root, z, ws * root)
     if ad > zero_eps:
         # z^2 = x^2 - d >= -d; max() absorbs the rounding of z^2 near x = 0
         case, alpha = _D, max(z * z, -d)

@@ -428,20 +428,117 @@ class TestMatchesReference:
             assert outcome(solve, rhs, None, zero_eps) == outcome(reference, rhs, None, zero_eps)
 
 
-def python_frames(solve, rhs):
-    """The code names of the Python frames that one solve(*rhs) enters."""
-    names = []
+def binade(lo, hi):
+    """Doubles of either sign, m * 2^k with 1 <= m < 2 and lo <= k <= hi."""
+    return st.builds(
+        lambda m, k, sign: sign * math.ldexp(m, k),
+        st.floats(1.0, 2.0, exclude_max=True),
+        st.integers(lo, hi),
+        st.sampled_from((-1.0, 1.0)),
+    )
 
-    def profile(frame, event, arg):
-        if event == "call":
-            names.append(frame.f_code.co_name)
 
-    sys.setprofile(profile)
+ZEROS = st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def around(draw, n, big, small):
+    """n components: one drawn from big, at a drawn position, the rest from small."""
+    rhs = [draw(small) for _ in range(n - 1)]
+    rhs.insert(draw(st.integers(0, n - 1)), draw(big))
+    return tuple(rhs)
+
+
+@st.composite
+def subnormal_back(draw, n):
+    """One component of scale 2^k, k in [-104, 0], beside tiny ones, so that
+    the small solution components land subnormal: their scaled values can be
+    normal, and the scale-back by 2^(k/2) then rounds them."""
+    k = draw(st.integers(-104, 0))
+    return draw(around(n, binade(k, k), st.one_of(ZEROS, binade(-1074, -1022 + k // 2))))
+
+
+# a largest magnitude in [2^-1025, 2^-1021), so that e2 (or e3) is -1024 or
+# -1022: the last even exponent whose 2^-e overflows, and the first that fits
+BAND = binade(-1025, -1022)
+BELOW_BAND = st.one_of(ZEROS, binade(-1074, -1022))
+# b < 0 and |b| >> 1, so that (a, c, d) is scaled on its own, by 2^-e3
+FAR_BELOW_ZERO = binade(0, 1023).map(lambda b: -abs(b))
+
+
+def even_exponent(*values):
+    return math.frexp(max(map(abs, values)))[1] & -2
+
+
+class TestScalingEdges:
+    """The solvers scale by multiplying with 2^-e2, 2^-e3 and 2^(e2/2), and
+    by ldexp only where 2^-e2 or 2^-e3 overflows; the reference solvers scale
+    every component by ldexp.  Every field matches, or the same error, at
+    the edges of that split and where the scaled-back solution is subnormal."""
+
+    @given(around(2, BAND, BELOW_BAND))
+    @example((5.562684646268003e-309, -3e-309))  # e2 = -1024
+    @example((3.337610787760802e-308, 1e-310))  # e2 = -1022
+    def test_two_at_the_overflow_edge(self, rhs):
+        assert even_exponent(*rhs) in (-1024, -1022)
+        assert outcome(solve_two, rhs, None, 0.0) == outcome(reference_solve_two, rhs, None, 0.0)
+
+    @given(around(4, BAND, BELOW_BAND))
+    # e2 = e3 = -1024, case D
+    @example((-2e-309, -5.562684646268003e-309, 1e-310, 3e-309))
+    @example((1e-310, 3.337610787760802e-308, -5e-324, 0.0))  # e2 = -1022, case B
+    def test_four_at_the_overflow_edge(self, rhs):
+        assert even_exponent(*rhs) in (-1024, -1022)
+        expected = outcome(reference_solve_four, rhs, None, 0.0)
+        assert outcome(solve_four, rhs, None, 0.0) == expected
+
+    @given(around(3, BAND, BELOW_BAND), FAR_BELOW_ZERO)
+    @example((5.562684646268003e-309, -2.781342323134e-309, 0.0), -1e300)  # e3 = -1024
+    @example((-3e-308, 1e-308, 2e-309), -1e300)  # e3 = -1022
+    @example((-5e-324, 0.0, 3e-309), -1.5)  # e3 = -1024, case D
+    def test_four_direction_at_the_overflow_edge(self, acd, b):
+        assert even_exponent(*acd) in (-1024, -1022)
+        rhs = (acd[0], b, acd[1], acd[2])
+        expected = outcome(reference_solve_four, rhs, None, 0.0)
+        assert outcome(solve_four, rhs, None, 0.0) == expected
+
+    SUBNORMAL_TWO = [(7.1e-317, 8.881784197001253e-17), (-7.1e-317, -2.6645352591003756e-16)]
+    # case D with b > 0, and case C, where b < 0 and x = z come out subnormal
+    SUBNORMAL_FOUR = [(-2.33e-315, 7.15e-13, -4.93e-319, 7.91e-320), (0.0, -1.61e-27, 5e-324, 0.0)]
+
+    @given(subnormal_back(2))
+    @example(SUBNORMAL_TWO[0])
+    @example(SUBNORMAL_TWO[1])
+    def test_two_scaled_back_to_subnormal(self, rhs):
+        assert outcome(solve_two, rhs, None, 0.0) == outcome(reference_solve_two, rhs, None, 0.0)
+
+    @given(subnormal_back(4))
+    @example(SUBNORMAL_FOUR[0])
+    @example(SUBNORMAL_FOUR[1])
+    def test_four_scaled_back_to_subnormal(self, rhs):
+        expected = outcome(reference_solve_four, rhs, None, 0.0)
+        assert outcome(solve_four, rhs, None, 0.0) == expected
+
+    @pytest.mark.parametrize("rhs", SUBNORMAL_TWO + SUBNORMAL_FOUR)
+    def test_subnormal_examples_round_on_the_way_back(self, rhs):
+        # a subnormal component scaled back from a normal value in scaled
+        # units, where the multiply by 2^(e2/2) can round
+        solve = solve_two if len(rhs) == 2 else solve_four
+        root = 2.0 ** (even_exponent(*rhs) // 2)
+        tiny = [t for t in solve(*rhs).solution if 0.0 < abs(t) < sys.float_info.min]
+        assert tiny and all(abs(t) / root >= sys.float_info.min for t in tiny)
+
+
+def profile_events(solve, rhs):
+    """The (event, frame's code name, arg) of each sys.setprofile event in
+    one solve(*rhs)."""
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append((event, frame.f_code.co_name, arg)))
     try:
         solve(*rhs)
     finally:
         sys.setprofile(None)
-    return names
+    return events
 
 
 # one input per case label
@@ -461,4 +558,16 @@ def test_a_solve_runs_in_one_python_frame(rhs, case):
     # the report is built by a C call, not by SolveReport._make's own frame
     solve = solve_two if len(rhs) == 2 else solve_four
     assert solve(*rhs).case_label is case
-    assert python_frames(solve, rhs) == [solve.__name__]
+    calls = [name for event, name, _ in profile_events(solve, rhs) if event == "call"]
+    assert calls == [solve.__name__]
+
+
+@pytest.mark.parametrize("rhs, case", CASE_INPUTS, ids=[case.name for _, case in CASE_INPUTS])
+def test_one_ldexp_per_power_of_two(rhs, case):
+    # on normal-range inputs: 2^-e2 and 2^(e2/2), and for b < 0 also 2^-e3
+    # and the norm of (a, c, d) taken from e3's scale to e2's
+    solve = solve_two if len(rhs) == 2 else solve_four
+    assert solve(*rhs).case_label is case
+    events = profile_events(solve, rhs)
+    calls = sum(event == "c_call" and arg is math.ldexp for event, _, arg in events)
+    assert calls == (4 if len(rhs) == 4 and rhs[1] < 0.0 else 2)

@@ -182,6 +182,48 @@ MUTANTS = (
         "    return SolveReport._make((solution,",
         (f"{SYSTEMS_TESTS}::test_a_solve_runs_in_one_python_frame[D]",),
     ),
+    # each solver multiplies by 2^-e2 at e2 = -1024 too, where it overflows:
+    # ldexp(1.0, 1024) raises OverflowError
+    Mutant(
+        SYSTEMS,
+        "    if e2 > -1024:\n        one = ldexp(1.0, -e2)\n        us, vs",
+        "    if e2 > -1026:\n        one = ldexp(1.0, -e2)\n        us, vs",
+        (f"{SYSTEMS_TESTS}::TestScalingEdges::test_two_at_the_overflow_edge",),
+    ),
+    Mutant(
+        SYSTEMS,
+        "    if e2 > -1024:\n        one = ldexp(1.0, -e2)\n        as_",
+        "    if e2 > -1026:\n        one = ldexp(1.0, -e2)\n        as_",
+        (f"{SYSTEMS_TESTS}::TestScalingEdges::test_four_at_the_overflow_edge",),
+    ),
+    # and solve_four by 2^-e3 at e3 = -1024
+    Mutant(
+        SYSTEMS,
+        "        if e3 > -1024:\n",
+        "        if e3 > -1026:\n",
+        (f"{SYSTEMS_TESTS}::TestScalingEdges::test_four_direction_at_the_overflow_edge",),
+    ),
+    # the scale-back exponent off by one, in each solver (golden records 0 and
+    # 255 are the first of solve_two and of solve_four)
+    Mutant(
+        SYSTEMS,
+        "    root = ldexp(1.0, e2 // 2)\n    return",
+        "    root = ldexp(1.0, e2 // 2 + 1)\n    return",
+        ("tests/test_solver_golden.py::test_solver_bits[0]",),
+    ),
+    Mutant(
+        SYSTEMS,
+        "    root = ldexp(1.0, e2 // 2)\n    x, z",
+        "    root = ldexp(1.0, e2 // 2 - 1)\n    x, z",
+        ("tests/test_solver_golden.py::test_solver_bits[255]",),
+    ),
+    # solve_two scales its solution back by one ldexp per component
+    Mutant(
+        SYSTEMS,
+        "        (xs * root, ys * root),\n",
+        "        (ldexp(xs, e2 // 2), ldexp(ys, e2 // 2)),\n",
+        (f"{SYSTEMS_TESTS}::test_one_ldexp_per_power_of_two[UNZ]",),
+    ),
     # the cofactor search skips Miller-Rabin at every size
     Mutant(
         SUMSQUARES,
